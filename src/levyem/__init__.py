@@ -4,7 +4,7 @@ Subpackages:
 
 * :mod:`levyem.models`   -- driving-process catalog, exponents, rate prediction
 * :mod:`levyem.samplers` -- exact and bias-controlled increment samplers
-* :mod:`levyem.engine`   -- Euler-Maruyama scheme and common-noise coupling
+* :mod:`levyem.engine`   -- one Euler-Maruyama kernel for paths and coupled ladders
 * :mod:`levyem.harness`  -- Monte Carlo strong-rate measurement
 * :mod:`levyem.spectral` -- Fourier densities, gradient estimates, Kolmogorov solve
 * :mod:`levyem.cli`      -- batch front end
@@ -14,8 +14,7 @@ from .engine import (DriftSpec, GridPath, SimulationGrid, coarsen,
                      coupled_sup_error, drift_const, drift_cos, drift_cos_time,
                      drift_rough, drift_zero, em_path)
 from .harness import (ConvergenceReport, ExperimentConfig, compare_to_theory,
-                      fit_rate, inverse_moment_scaling, mc_strong_error,
-                      run_experiment)
+                      inverse_moment_scaling, mc_strong_error, run_experiment)
 from .models import (Family, LevyModel, MomentIndices, RatePrediction,
                      SubordinatorSpec, balance_check, balance_margin,
                      bernstein_eval, char_exponent, char_exponent_radial,

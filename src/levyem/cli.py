@@ -65,6 +65,11 @@ def _get(cfg, section, key, conv=str, default=None, required=False):
         raise ConfigError(section, key, f"cannot parse {raw!r}") from exc
 
 
+def _values(conv):
+    """Converter for a comma-separated list of values."""
+    return lambda raw: tuple(conv(v) for v in raw.replace(" ", "").split(","))
+
+
 def build_model(cfg) -> models.LevyModel:
     family = _get(cfg, "model", "family", required=True)
     alpha = _get(cfg, "model", "alpha", float)
@@ -136,17 +141,18 @@ def build_drift(cfg) -> engine.DriftSpec:
 def build_experiment(cfg, seed_override=None, threads=None) -> harness.ExperimentConfig:
     model = build_model(cfg)
     drift = build_drift(cfg)
-    n_list = _get(cfg, "experiment", "n_list", required=True)
+    n_values = _get(cfg, "experiment", "n_list", _values(int), required=True)
+    x0 = _get(cfg, "experiment", "x0", _values(float), default=0.0)
     try:
-        n_values = tuple(int(v) for v in n_list.replace(" ", "").split(","))
+        x0 = engine.as_state(x0, model.dim)
     except ValueError as exc:
-        raise ConfigError("experiment", "n_list", f"cannot parse {n_list!r}") from exc
+        raise ConfigError("experiment", "x0", str(exc)) from exc
     seed = seed_override if seed_override is not None \
         else _get(cfg, "experiment", "seed", int, required=True)
     return harness.ExperimentConfig(
         model=model,
         drift=drift,
-        x0=_get(cfg, "experiment", "x0", float, default=0.0),
+        x0=x0,
         T=_get(cfg, "experiment", "t", float, default=1.0),
         p=_get(cfg, "experiment", "p", float, required=True),
         n_list=n_values,
@@ -201,8 +207,7 @@ def cmd_converge(args) -> int:
 def cmd_density(args) -> int:
     cfg = load_config(args.config)
     model = build_model(cfg)
-    t_raw = _get(cfg, "density", "t_list", required=True)
-    t_list = tuple(float(v) for v in t_raw.replace(" ", "").split(","))
+    t_list = _get(cfg, "density", "t_list", _values(float), required=True)
     half_width = _get(cfg, "density", "half_width", float)
     points = _get(cfg, "density", "points", int)
     if half_width is not None and points is not None:
@@ -252,7 +257,12 @@ def cmd_kolmogorov(args) -> int:
     if source == "drift":
         g = np.asarray(drift(0.0, grid.nodes), dtype=float)
     elif source.startswith("mode:"):
-        k = int(source.split(":", 1)[1])
+        try:
+            k = int(source.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError("kolmogorov", "source", f"cannot parse {source!r}") from exc
+        if not 0 <= k < points:
+            raise ConfigError("kolmogorov", "source", f"mode {k} outside [0, {points})")
         g = np.cos(grid.dual[k] * grid.nodes)
     else:
         raise ConfigError("kolmogorov", "source", f"unknown source {source!r}")

@@ -10,12 +10,15 @@ Strong discretisation error is measured by running the coarse scheme on the
 fine grid under the same increments: within each coarse step the drift
 argument is held at the last coarse node while noise is added per fine
 increment, so the gap to the fine path isolates the drift-freezing error
-and is exactly zero for constant drift.
+and is exactly zero for constant drift.  :func:`euler_ladder` is the only
+stepping loop: it advances the fine path and every coarse level together,
+and :func:`em_path`, :func:`coupled_sup_error` and the Monte Carlo harness
+all call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,7 +77,9 @@ class SimulationGrid:
 class DriftSpec:
     """Drift b(t, x) with declared Hoelder exponents and sup bound.
 
-    ``fn`` must be vectorised over x (applied componentwise for d > 1).
+    ``fn`` must act elementwise on an array x of any shape (componentwise
+    for d > 1): the ``timeint`` scheme stacks the fine path and every coarse
+    level into one array of shape (levels+1, paths, d).
     The declared (beta, eta, bound) are the catalog author's responsibility;
     :func:`drift_diagnostics` provides necessary-condition spot checks.
     """
@@ -160,7 +165,6 @@ class GridPath:
 
     grid: SimulationGrid
     states: np.ndarray  # (n+1, d)
-    x0: np.ndarray = field(default=None)
 
     def to_csv(self, path) -> None:
         d = self.states.shape[1]
@@ -169,10 +173,14 @@ class GridPath:
         np.savetxt(path, data, delimiter=",", header=header, comments="", newline="\n")
 
 
-def _as_state(x0, d: int) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+def as_state(x0, d: int) -> np.ndarray:
+    """x0 as a finite vector of length d; a single value fills every coordinate."""
+    x = np.asarray(x0, dtype=float)
+    x = np.full(d, x.item()) if x.size == 1 else x
     if x.shape != (d,):
-        raise ShapeError(f"x0 must have dimension {d}, got shape {x.shape}")
+        raise ShapeError(f"x0 must be one value or {d} values, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"x0 must be finite, got {x.tolist()}")
     return x
 
 
@@ -188,24 +196,72 @@ def _step_drift(drift: DriftSpec, t_lo: float, dt: float, x, variant: str):
     raise DomainError(f"unknown scheme variant {variant!r}")
 
 
+def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
+                 variant: str = "frozen"):
+    """The fine scheme and the coarse scheme of every ladder level in one pass.
+
+    ``noise`` holds the fine increments, shape (paths, n, d).  The level with
+    factor f runs the n // f step scheme on the fine grid under the same
+    increments: its drift argument is held at its last coarse node while
+    noise is added per fine increment.  With ``frozen`` a level evaluates its
+    drift once per coarse step, at its own grid time; with ``timeint`` time
+    runs over each fine substep and all levels share one drift call per
+    Gauss node.  Non-finite states are not checked; they propagate.
+
+    Returns the fine states (paths, n+1, d) and, per level, the sup over the
+    fine grid of its distance to the fine path (levels, paths).
+    """
+    paths, n, d = noise.shape
+    if any(f < 1 or n % f for f in factors):
+        raise ShapeError(f"ladder factors {tuple(factors)} must divide {n} steps")
+    grid = SimulationGrid(T, n)
+    times, dt = grid.times, grid.dt
+    level_times = [SimulationGrid(T, n // f).times for f in factors]
+    x = np.tile(as_state(x0, d), (len(factors) + 1, paths, 1))
+    states = np.empty((paths, n + 1, d))
+    states[:, 0] = x[0]
+    sup2 = np.zeros((len(factors), paths))
+    held = x.copy()  # per level: drift term (frozen) or drift argument (timeint)
+    for i in range(n):
+        new = [k for k, f in enumerate(factors, 1) if i % f == 0]
+        if variant == "frozen":
+            held[0] = _step_drift(drift, times[i], dt, x[0], variant)
+            for k in new:
+                j = i // factors[k - 1]
+                held[k] = _step_drift(drift, level_times[k - 1][j], dt, x[k], variant)
+            term = held
+        else:
+            held[0] = x[0]
+            held[new] = x[new]
+            term = _step_drift(drift, times[i], dt, held, variant)
+        x = x + term + noise[:, i]
+        states[:, i + 1] = x[0]
+        gap = x[0] - x[1:]
+        np.maximum(sup2, np.add.reduce(gap * gap, axis=-1), out=sup2)
+    # the sup of squared distances: sqrt is monotone, so this equals the sup
+    # of np.linalg.norm(gap, axis=-1) bit for bit
+    return states, np.sqrt(sup2)
+
+
+def _one_path(drift: DriftSpec, x0, T: float, batch: IncrementBatch, factors, variant):
+    """Kernel call for a single path; raises OverflowPathError at the first
+    non-finite fine state, or if a coarse level leaves the finite range."""
+    states, sup = euler_ladder(drift, x0, T, batch.values[None], factors, variant)
+    bad = ~np.all(np.isfinite(states[0]), axis=-1)
+    if bad.any():
+        raise OverflowPathError(int(np.argmax(bad)))
+    if not np.all(np.isfinite(sup)):
+        raise OverflowPathError(None, "coarse path left the finite range")
+    return states[0], sup[:, 0]
+
+
 def em_path(drift: DriftSpec, x0, grid: SimulationGrid, batch: IncrementBatch,
             variant: str = "frozen") -> GridPath:
     """Run the scheme: states[i+1] = states[i] + b(t_i, states[i]) dt + dL_i."""
     if batch.n != grid.n:
         raise ShapeError(f"batch has {batch.n} increments, grid needs {grid.n}")
-    d = batch.values.shape[1]
-    x = _as_state(x0, d)
-    dt = grid.dt
-    times = grid.times
-    states = np.empty((grid.n + 1, d))
-    states[0] = x
-    cur = x
-    for i in range(grid.n):
-        cur = cur + _step_drift(drift, times[i], dt, cur, variant) + batch.values[i]
-        if not np.all(np.isfinite(cur)):
-            raise OverflowPathError(i + 1)
-        states[i + 1] = cur
-    return GridPath(grid=grid, states=states, x0=x)
+    states, _ = _one_path(drift, x0, grid.T, batch, (), variant)
+    return GridPath(grid=grid, states=states)
 
 
 def coarsen(batch: IncrementBatch, factor: int) -> IncrementBatch:
@@ -237,30 +293,5 @@ def coupled_sup_error(drift: DriftSpec, x0, T: float, n_fine: int, n_coarse: int
         raise ShapeError(f"n_coarse {n_coarse} must divide n_fine {n_fine}")
     if batch_fine.n != n_fine:
         raise ShapeError("batch does not match n_fine")
-    factor = n_fine // n_coarse
-    grid_f = SimulationGrid(T, n_fine)
-    fine = em_path(drift, x0, grid_f, batch_fine, variant=variant).states
-
-    d = batch_fine.values.shape[1]
-    x = _as_state(x0, d)
-    dt_f = grid_f.dt
-    fine_times = grid_f.times
-    coarse_times = SimulationGrid(T, n_coarse).times
-    cur = x
-    anchor = x
-    sup = 0.0
-    for i in range(n_fine):
-        j = i // factor
-        if i % factor == 0:
-            anchor = cur
-        # frozen: time argument pinned at the coarse node; timeint: only the
-        # state is frozen while time runs over the fine substep
-        t_arg = coarse_times[j] if variant == "frozen" else fine_times[i]
-        cur = cur + _step_drift(drift, t_arg, dt_f, anchor, variant) \
-            + batch_fine.values[i]
-        if not np.all(np.isfinite(cur)):
-            raise OverflowPathError(i + 1)
-        gap = float(np.linalg.norm(fine[i + 1] - cur))
-        if gap > sup:
-            sup = gap
-    return sup
+    _, sup = _one_path(drift, x0, T, batch_fine, (n_fine // n_coarse,), variant)
+    return float(sup[0])

@@ -22,9 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import VARIANTS, DriftSpec, SimulationGrid
-from .errors import (DegenerateExactError, DomainError, ExperimentAbortedError,
-                     ShapeError)
+from .engine import VARIANTS, DriftSpec, as_state, euler_ladder
+from .errors import DegenerateExactError, DomainError, ExperimentAbortedError
 from .fitting import PowerLawFit, fit_decay_rate
 from .models import (LevyModel, RatePrediction, SubFamily, SubordinatorSpec,
                      predict_for_model)
@@ -70,6 +69,7 @@ class ExperimentConfig:
                 raise DomainError(f"n_ref={self.n_ref} is not divisible by n={n}")
         if not self.allow_small_ref and self.n_ref < 8 * max(ns):
             raise DomainError("n_ref must be at least 8 x max(n_list)")
+        object.__setattr__(self, "x0", tuple(as_state(self.x0, self.model.dim).tolist()))
 
     def p_effective(self) -> float:
         gi = self.model.moments.gamma_inf
@@ -148,56 +148,13 @@ class ConvergenceReport:
 
 def _path_block(config: ExperimentConfig, p_eff: float, lo: int, hi: int):
     """Sup-error^p for paths lo..hi-1, one column per ladder entry."""
-    model, drift = config.model, config.drift
-    d = model.dim
-    n_ref = config.n_ref
-    x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))
-    if x0.shape != (d,):
-        raise ShapeError(f"x0 must have dimension {d}")
-    mc = hi - lo
-    noise = np.empty((mc, n_ref, d))
-    for k in range(mc):
-        noise[k] = increments(model, config.T, n_ref, RngStream(config.seed, lo + k + 1)).values
-
-    grid = SimulationGrid(config.T, n_ref)
-    times = grid.times
-    dt = grid.dt
-    timeint = config.variant == "timeint"
-
-    # reference path, all chunk paths at once
-    ref = np.empty((mc, n_ref + 1, d))
-    cur = np.broadcast_to(x0, (mc, d)).copy()
-    ref[:, 0] = cur
-    for i in range(n_ref):
-        cur = cur + _drift_term(drift, times[i], dt, cur, timeint) + noise[:, i]
-        ref[:, i + 1] = cur
-
-    out = np.empty((mc, len(config.n_list)))
-    for col, n in enumerate(config.n_list):
-        factor = n_ref // n
-        coarse_times = SimulationGrid(config.T, n).times
-        cur = np.broadcast_to(x0, (mc, d)).copy()
-        anchor = cur
-        sup = np.zeros(mc)
-        for i in range(n_ref):
-            if i % factor == 0:
-                anchor = cur
-            t_arg = coarse_times[i // factor] if not timeint else times[i]
-            cur = cur + _drift_term(drift, t_arg, dt, anchor, timeint) + noise[:, i]
-            gap = np.linalg.norm(ref[:, i + 1] - cur, axis=1)
-            sup = np.maximum(sup, gap)
-        out[:, col] = sup ** p_eff
-    return out
-
-
-def _drift_term(drift: DriftSpec, t_lo: float, dt: float, x, timeint: bool):
-    if not timeint:
-        return drift(t_lo, x) * dt
-    from .engine import _GL4_NODES, _GL4_WEIGHTS
-    acc = 0.0
-    for w, c in zip(_GL4_WEIGHTS, _GL4_NODES):
-        acc = acc + w * drift(t_lo + c * dt, x)
-    return acc * dt
+    noise = np.stack([increments(config.model, config.T, config.n_ref,
+                                 RngStream(config.seed, k + 1)).values
+                      for k in range(lo, hi)])
+    factors = [config.n_ref // n for n in config.n_list]
+    _, sup = euler_ladder(config.drift, config.x0, config.T, noise, factors,
+                          config.variant)
+    return (sup ** p_eff).T
 
 
 def mc_strong_error(config: ExperimentConfig,
@@ -246,12 +203,6 @@ def mc_strong_error(config: ExperimentConfig,
                       paths=m_eff, flagged=flagged)
 
 
-def fit_rate(n_values, means) -> PowerLawFit:
-    """Exponent of n in means ~ C n^(-rate); raises DegenerateExactError on
-    non-positive means."""
-    return fit_decay_rate(n_values, means)
-
-
 def compare_to_theory(fitted_rate: float, predicted_rate: float, tol: float = 0.15) -> str:
     if fitted_rate < predicted_rate - tol:
         return VERDICT_VIOLATES
@@ -269,7 +220,7 @@ def run_experiment(config: ExperimentConfig,
         "drift": config.drift.name,
         "beta": config.drift.beta,
         "eta": config.drift.eta,
-        "x0": list(np.atleast_1d(np.asarray(config.x0, dtype=float))),
+        "x0": list(config.x0),
         "T": config.T,
         "p": config.p,
         "n_list": list(config.n_list),
@@ -283,7 +234,7 @@ def run_experiment(config: ExperimentConfig,
     if config.p_effective() != config.p:
         notes.append(f"p clamped to gamma_inf={config.p_effective()}")
     try:
-        fitted = fit_rate(table.n_values, table.means)
+        fitted = fit_decay_rate(table.n_values, table.means)
     except DegenerateExactError:
         return ConvergenceReport(config_summary=summary, table=table,
                                  prediction=prediction, verdict=VERDICT_DEGENERATE,

@@ -242,9 +242,6 @@ class LevyModel:
                                                gamma_inf_open=sub.delta_inf_open))
 
     # ------------------------------------------------------------------
-    def is_symmetric(self) -> bool:
-        return True  # whole catalog is symmetric by construction
-
     def describe(self) -> str:
         parts = [self.family.value, f"d={self.dim}"]
         for name in ("alpha", "m", "lambda_tail"):
@@ -298,13 +295,17 @@ def char_exponent(model: LevyModel, xi) -> complex:
 _CI_NODES, _CI_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def stable_constant(a: float) -> float:
+    """c with |xi|^a = c int (1 - cos(xi y)) |y|^(-1-a) dy in 1-d."""
+    return (a * 2.0 ** (a - 1.0) * special.gamma((a + 1.0) / 2.0)
+            / (math.sqrt(math.pi) * special.gamma(1.0 - a / 2.0)))
+
+
 def one_minus_cos_constant(a: float) -> float:
     """C_a = int_0^inf (1 - cos u) u^(-1-a) du for a in (0, 2)."""
     if not (0.0 < a < 2.0):
         raise DomainError("constant defined for exponents in (0, 2)")
-    c = (a * 2.0 ** (a - 1.0) * special.gamma((a + 1.0) / 2.0)
-         / (math.sqrt(math.pi) * special.gamma(1.0 - a / 2.0)))
-    return 1.0 / (2.0 * c)
+    return 1.0 / (2.0 * stable_constant(a))
 
 
 def _one_minus_cos_tail(a: float, points: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,8 @@ from scipy import special
 
 from .engine import DriftSpec
 from .errors import DomainError, ResolutionError, ShapeError, StiffnessError
-from .models import Family, LevyModel, char_exponent_radial, kappa_exponent
+from .models import (Family, LevyModel, char_exponent_radial, kappa_exponent,
+                     stable_constant)
 
 
 @dataclass(frozen=True)
@@ -56,20 +58,15 @@ class SpaceGrid:
         return np.pi / self.h
 
 
-_PSI_CACHE: dict = {}
-
-
+@lru_cache(maxsize=8)
 def _psi_on_grid(model: LevyModel, grid: SpaceGrid) -> np.ndarray:
-    key = (model, grid)
-    psi = _PSI_CACHE.get(key)
-    if psi is None:
-        xi = grid.dual
-        half = np.abs(xi[:grid.n_points // 2 + 1])
-        prof = char_exponent_radial(model, half)
-        psi = np.empty_like(xi)
-        psi[:grid.n_points // 2 + 1] = prof
-        psi[grid.n_points // 2 + 1:] = prof[1:grid.n_points // 2][::-1]
-        _PSI_CACHE[key] = psi
+    """psi on the dual grid in FFT order; cached, so callers must not mutate it."""
+    xi = grid.dual
+    half = np.abs(xi[:grid.n_points // 2 + 1])
+    prof = char_exponent_radial(model, half)
+    psi = np.empty_like(xi)
+    psi[:grid.n_points // 2 + 1] = prof
+    psi[grid.n_points // 2 + 1:] = prof[1:grid.n_points // 2][::-1]
     return psi
 
 
@@ -111,13 +108,12 @@ def tail_mass_estimate(model: LevyModel, t: float, R: float) -> float:
         return float(special.erfc(R / (sd * math.sqrt(2.0))))
     if fam is Family.ISOTROPIC_STABLE:
         a = model.alpha
-        c = _stable_constant(a)
-        return 2.0 * t * c * R ** (-a) / a
+        return 2.0 * t * stable_constant(a) * R ** (-a) / a
     if fam is Family.SUBORDINATED_BM:
         from .models import SubFamily
         if model.sub.family is SubFamily.STABLE:
             a = 2.0 * model.sub.rho
-            return 2.0 * t * _stable_constant(a) * R ** (-a) / a
+            return 2.0 * t * stable_constant(a) * R ** (-a) / a
         m = model.sub.m
         return 4.0 * t * math.exp(-m * R) if m > 0 else 1.0
     if fam in (Family.RELATIVISTIC_STABLE, Family.TEMPERED_STABLE, Family.LAMPERTI_STABLE):
@@ -129,12 +125,6 @@ def tail_mass_estimate(model: LevyModel, t: float, R: float) -> float:
         lam = model.lambda_tail
         return 2.0 * t * R ** (-lam) / lam
     return 1.0
-
-
-def _stable_constant(alpha: float) -> float:
-    """c with |xi|^alpha = c int (1 - cos(xi y)) |y|^(-1-alpha) dy in 1-d."""
-    return (alpha * 2.0 ** (alpha - 1.0) * special.gamma((alpha + 1.0) / 2.0)
-            / (math.sqrt(math.pi) * special.gamma(1.0 - alpha / 2.0)))
 
 
 def suggest_grid(model: LevyModel, t_min: float, t_max: float,

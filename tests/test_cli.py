@@ -97,12 +97,29 @@ lambda_tail = 2.5
                 tmp_path, "[drift]\nname = cos\nbeta = 0.5\n")))
 
 
+STABLE_MODEL = "[model]\nfamily = isotropic_stable\nalpha = 1.5\n"
+MODE_SOURCE = STABLE_MODEL + "[drift]\nname = zero\n[kolmogorov]\npoints = 512\nsource = "
+
+
+MALFORMED = [
+    ("check", "[experiment]\nwhat = 1\n", "[experiment] what:"),
+    ("density", STABLE_MODEL + "[density]\nt_list = 0.1,abc\n", "[density] t_list:"),
+    ("kolmogorov", MODE_SOURCE + "mode:xyz\n", "[kolmogorov] source:"),
+    ("kolmogorov", MODE_SOURCE + "mode:512\n", "[kolmogorov] source:"),
+    ("kolmogorov", MODE_SOURCE + "mode:-1\n", "[kolmogorov] source:"),
+    ("converge", BASE_EXPERIMENT + "x0 = nan\n", "[experiment] x0:"),
+    ("converge", BASE_EXPERIMENT.replace("dim = 1", "dim = 2") + "x0 = 0,1,2\n",
+     "[experiment] x0:"),
+]
+
+
 class TestExitCodes:
     def test_malformed_config_exits_one(self, tmp_path, capsys):
-        cfg = write(tmp_path, "[experiment]\nwhat = 1\n")
-        code = cli.main(["check", "--config", cfg])
-        assert code == 1
-        assert "what" in capsys.readouterr().err
+        for command, text, message in MALFORMED:
+            cfg = write(tmp_path, text)
+            code = cli.main([command, "--config", cfg, "--out-dir", str(tmp_path / "out")])
+            assert code == 1, text
+            assert message in capsys.readouterr().err, text
 
     def test_check_balance_pass(self, tmp_path, capsys):
         text = """
@@ -183,6 +200,18 @@ class TestConverge:
         assert code == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["verdict"] == "degenerate-exact"
+
+    @pytest.mark.parametrize("x0_line,x0", [("", [0.0, 0.0]),
+                                            ("x0 = 0.5, -0.5\n", [0.5, -0.5])])
+    def test_two_dimensional_model_runs(self, tmp_path, x0_line, x0):
+        text = BASE_EXPERIMENT.replace("dim = 1", "dim = 2") + x0_line
+        out_dir = tmp_path / "out"
+        code = cli.main(["converge", "--config", write(tmp_path, text),
+                         "--out-dir", str(out_dir)])
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["config"]["x0"] == x0
+        assert report["table"]["flagged"] == 0
 
     def test_cli_results_byte_identical_to_library(self, tmp_path):
         cfg = write(tmp_path, BASE_EXPERIMENT)

@@ -156,25 +156,29 @@ class TestCoupledError:
     def test_cos_drift_matches_independent_two_pass_oracle(self):
         n_fine, n_coarse, T = 32, 8, 1.0
         batch = increments(LevyModel.brownian(), T, n_fine, RngStream(10, 0))
-        got = coupled_sup_error(drift_cos(), 0.1, T, n_fine, n_coarse, batch)
+        # the time-dependent drift checks that the coarse scheme freezes time
+        # at its own nodes
+        for drift, b in ((drift_cos(), lambda t, x: math.cos(x)),
+                         (drift_cos_time(), lambda t, x: math.cos(x + t))):
+            got = coupled_sup_error(drift, 0.1, T, n_fine, n_coarse, batch)
 
-        # oracle: build both paths explicitly with plain python floats
-        dtf = T / n_fine
-        factor = n_fine // n_coarse
-        xs = [0.1]
-        for i in range(n_fine):
-            x = xs[-1]
-            xs.append(x + math.cos(x) * dtf + float(batch.values[i, 0]))
-        ys = [0.1]
-        anchor, anchor_t = 0.1, 0.0
-        for i in range(n_fine):
-            if i % factor == 0:
-                anchor = ys[-1]
-                anchor_t = (i // factor) * (T / n_coarse)
-            ys.append(ys[-1] + math.cos(anchor) * dtf + float(batch.values[i, 0]))
-        oracle = max(abs(a - b) for a, b in zip(xs, ys))
-        assert got == pytest.approx(oracle, abs=1e-12)
-        assert got > 0.0
+            # oracle: build both paths explicitly with plain python floats
+            dtf = T / n_fine
+            factor = n_fine // n_coarse
+            xs = [0.1]
+            for i in range(n_fine):
+                x = xs[-1]
+                xs.append(x + b(i * dtf, x) * dtf + float(batch.values[i, 0]))
+            ys = [0.1]
+            anchor, anchor_t = 0.1, 0.0
+            for i in range(n_fine):
+                if i % factor == 0:
+                    anchor = ys[-1]
+                    anchor_t = (i // factor) * (T / n_coarse)
+                ys.append(ys[-1] + b(anchor_t, anchor) * dtf + float(batch.values[i, 0]))
+            oracle = max(abs(a - b) for a, b in zip(xs, ys))
+            assert got == pytest.approx(oracle, abs=1e-12)
+            assert got > 0.0
 
     def test_translation_equivariance_exact_on_dyadic_data(self):
         # dyadic increments, step and shift keep every float op exact, so the

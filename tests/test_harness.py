@@ -4,16 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from levyem.engine import drift_cos, drift_zero
+from levyem.engine import (VARIANTS, coupled_sup_error, drift_const, drift_cos,
+                           drift_cos_time, drift_zero)
 from levyem.errors import (DegenerateExactError, DomainError,
                            ExperimentAbortedError)
-from levyem.fitting import fit_powerlaw
+from levyem.fitting import fit_decay_rate, fit_powerlaw
 from levyem.harness import (GAUSS_INV_NORM_3D, VERDICT_CONSISTENT,
                             VERDICT_DEGENERATE, VERDICT_FASTER,
                             VERDICT_VIOLATES, ExperimentConfig,
-                            compare_to_theory, fit_rate, inverse_moment_scaling,
+                            compare_to_theory, inverse_moment_scaling,
                             mc_strong_error, run_experiment)
 from levyem.models import LevyModel, SubordinatorSpec
+from levyem.rng import RngStream
+from levyem.samplers import increments
 from levyem.engine import DriftSpec
 
 
@@ -46,13 +49,13 @@ class TestConfig:
 class TestFitRate:
     def test_exact_half(self):
         n = np.array([8, 16, 32, 64, 128])
-        fit = fit_rate(n, n ** -0.5)
+        fit = fit_decay_rate(n, n ** -0.5)
         assert fit.exponent == pytest.approx(0.5, abs=1e-12)
         assert fit.residual_rms < 1e-13
 
     def test_constant_times_inverse(self):
         n = np.array([8, 16, 32, 64])
-        fit = fit_rate(n, 3.0 * n ** -1.0)
+        fit = fit_decay_rate(n, 3.0 * n ** -1.0)
         assert fit.exponent == pytest.approx(1.0, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-12)
 
@@ -60,12 +63,12 @@ class TestFitRate:
         rng = np.random.default_rng(42)
         n = np.array([8, 16, 32, 64, 128, 256])
         means = n ** (-2.0 / 3.0) * np.exp(rng.normal(0.0, 0.05, n.size))
-        fit = fit_rate(n, means)
+        fit = fit_decay_rate(n, means)
         assert fit.exponent == pytest.approx(2.0 / 3.0, abs=0.05)
 
     def test_non_positive_mean_is_degenerate(self):
         with pytest.raises(DegenerateExactError):
-            fit_rate([8, 16, 32], [1.0, 0.0, 0.1])
+            fit_decay_rate([8, 16, 32], [1.0, 0.0, 0.1])
 
     def test_fit_powerlaw_needs_three_points(self):
         with pytest.raises(DomainError):
@@ -93,11 +96,28 @@ class TestMcStrongError:
         assert report.fitted.residual_rms < 1e-13
 
     def test_zero_drift_degenerate_exact(self):
-        cfg = small_config(drift=drift_zero())
-        report = run_experiment(cfg)
-        assert report.verdict == VERDICT_DEGENERATE
-        assert report.slope is None
-        assert all(m == 0.0 for m in report.table.means)
+        # acceptance A4 through the report path: the coupling is exact for
+        # zero and constant drift in both scheme variants
+        for drift in (drift_zero(), drift_const(1.3)):
+            for variant in VARIANTS:
+                report = run_experiment(small_config(drift=drift, variant=variant))
+                assert report.verdict == VERDICT_DEGENERATE
+                assert report.slope is None
+                assert all(m == 0.0 for m in report.table.means)
+
+    @pytest.mark.parametrize("drift,variant", [(drift_cos(), "frozen"),
+                                               (drift_cos_time(), "timeint")])
+    def test_means_match_engine_coupling(self, drift, variant):
+        # the report and the one-path engine call agree bit for bit
+        cfg = small_config(drift=drift, variant=variant, n_list=(8, 16), n_ref=128,
+                           paths=100, chunk=64)
+        table = mc_strong_error(cfg)
+        batches = [increments(cfg.model, cfg.T, cfg.n_ref, RngStream(cfg.seed, k + 1))
+                   for k in range(cfg.paths)]
+        for n, mean in zip(cfg.n_list, table.means):
+            errs = np.array([coupled_sup_error(drift, cfg.x0, cfg.T, cfg.n_ref, n, b,
+                                               variant=variant) for b in batches])
+            assert mean == math.fsum(errs ** cfg.p) / cfg.paths
 
     def test_bit_level_determinism(self):
         a = run_experiment(small_config()).to_dict()
