@@ -26,10 +26,9 @@ from .samplers import (IncrementBatch, TruncationMeta, increments, load_batch,
                        sample_jump_decomposition, sample_stable,
                        sample_stable_subordinator, sample_subordinated_bm,
                        sample_tempered_subordinator, save_batch)
-from .spectral import (DensityTable, PicardSolution, SpaceGrid, apply_generator,
-                       density_fft, grad_l1_norm, gradient_scaling_exponent,
-                       holder_seminorm, kolmogorov_residual, picard_solve,
-                       resolvent_source, second_l1_norm, semigroup_apply,
-                       spectral_gradient, suggest_grid)
+from .spectral import (DensityTable, PicardSolution, SpaceGrid, density_fft,
+                       grad_l1_norm, gradient_scaling_exponent, holder_seminorm,
+                       kolmogorov_residual, picard_solve, resolvent_source,
+                       second_l1_norm, semigroup_apply, suggest_grid)
 
 __version__ = "0.1.0"

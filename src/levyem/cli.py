@@ -210,18 +210,14 @@ def cmd_density(args) -> int:
     t_list = _get(cfg, "density", "t_list", _values(float), required=True)
     half_width = _get(cfg, "density", "half_width", float)
     points = _get(cfg, "density", "points", int)
+    grid = None
     if half_width is not None and points is not None:
         grid = spectral.SpaceGrid(half_width, points)
-    else:
-        # gradient norms tolerate far smaller boxes than unit-mass tails
-        grid = spectral.suggest_grid(model, min(t_list), 2.0 * max(t_list),
-                                     tail_target=3e-6, max_points=2 ** 18)
     result = spectral.gradient_scaling_exponent(model, t_list, grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for t in t_list:
-        spectral.density_fft(model, t, grid).to_csv(out / f"density_t{t:g}.csv",
-                                                    max_rows=4096)
+    for table in result.tables:
+        table.to_csv(out / f"density_t{table.t:g}.csv", max_rows=4096)
     summary = {
         "model": model.describe(),
         "t_list": list(result.t_values),
@@ -231,7 +227,7 @@ def cmd_density(args) -> int:
         "slope_half_width": result.half_width,
         "expected_slope": -1.0 / model.gradient_index,
         "propagation_ok": result.propagation_ok,
-        "grid": {"half_width": grid.half_width, "points": grid.n_points},
+        "grid": {"half_width": result.grid.half_width, "points": result.grid.n_points},
     }
     (out / "density_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"gradient norm slope {result.slope:.4f} "

@@ -28,7 +28,8 @@ from .fitting import PowerLawFit, fit_decay_rate
 from .models import (LevyModel, RatePrediction, SubFamily, SubordinatorSpec,
                      predict_for_model)
 from .rng import RngStream
-from .samplers import increments
+from .samplers import (increments, sample_stable_subordinator,
+                       sample_tempered_subordinator)
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_FASTER = "faster-than-bound"
@@ -51,7 +52,6 @@ class ExperimentConfig:
     variant: str = "frozen"
     threads: int = 0
     chunk: int = 256
-    allow_small_ref: bool = False
 
     def __post_init__(self):
         if self.T <= 0 or self.p <= 0:
@@ -67,7 +67,7 @@ class ExperimentConfig:
         for n in ns:
             if self.n_ref % n:
                 raise DomainError(f"n_ref={self.n_ref} is not divisible by n={n}")
-        if not self.allow_small_ref and self.n_ref < 8 * max(ns):
+        if self.n_ref < 8 * max(ns):
             raise DomainError("n_ref must be at least 8 x max(n_list)")
         object.__setattr__(self, "x0", tuple(as_state(self.x0, self.model.dim).tolist()))
 
@@ -264,7 +264,6 @@ class InverseMomentResult:
 
 
 def _subordinator_draws(sub: SubordinatorSpec, t: float, M: int, rng) -> np.ndarray:
-    from .samplers import sample_stable_subordinator, sample_tempered_subordinator
     if sub.family is SubFamily.STABLE:
         return np.asarray(sample_stable_subordinator(sub.rho, t, rng, size=M))
     if sub.family is SubFamily.TEMPERED_STABLE:

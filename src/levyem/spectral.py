@@ -22,8 +22,9 @@ from scipy import special
 
 from .engine import DriftSpec
 from .errors import DomainError, ResolutionError, ShapeError, StiffnessError
-from .models import (Family, LevyModel, char_exponent_radial, kappa_exponent,
-                     stable_constant)
+from .fitting import fit_powerlaw
+from .models import (Family, LevyModel, SubFamily, char_exponent_radial,
+                     kappa_exponent, stable_constant)
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,6 @@ class SpaceGrid:
         """Angular frequencies in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.h)
 
-    @property
-    def xi_max(self) -> float:
-        return np.pi / self.h
-
 
 @lru_cache(maxsize=8)
 def _psi_on_grid(model: LevyModel, grid: SpaceGrid) -> np.ndarray:
@@ -68,13 +65,6 @@ def _psi_on_grid(model: LevyModel, grid: SpaceGrid) -> np.ndarray:
     psi[:grid.n_points // 2 + 1] = prof
     psi[grid.n_points // 2 + 1:] = prof[1:grid.n_points // 2][::-1]
     return psi
-
-
-def _invert(grid: SpaceGrid, fhat: np.ndarray) -> np.ndarray:
-    """Continuous inverse transform (1/2pi) int e^{-i x xi} fhat(xi) dxi on the nodes."""
-    dxi = np.pi / grid.half_width
-    phase = np.exp(1j * grid.half_width * grid.dual)
-    return (dxi / (2.0 * np.pi)) * np.fft.fft(fhat * phase).real
 
 
 # ----------------------------------------------------------------------
@@ -103,17 +93,17 @@ class DensityTable:
 def tail_mass_estimate(model: LevyModel, t: float, R: float) -> float:
     """Analytic upper estimate of the density mass outside [-R, R]."""
     fam = model.family
-    if fam is Family.BROWNIAN or (fam is Family.ISOTROPIC_STABLE and model.alpha == 2.0):
-        sd = math.sqrt(2.0 * t)
-        return float(special.erfc(R / (sd * math.sqrt(2.0))))
+    a = None  # stable index, for the families whose psi is |xi|^a
     if fam is Family.ISOTROPIC_STABLE:
         a = model.alpha
+    elif fam is Family.SUBORDINATED_BM and model.sub.family is SubFamily.STABLE:
+        a = 2.0 * model.sub.rho
+    if fam is Family.BROWNIAN or a == 2.0:
+        sd = math.sqrt(2.0 * t)
+        return float(special.erfc(R / (sd * math.sqrt(2.0))))
+    if a is not None:
         return 2.0 * t * stable_constant(a) * R ** (-a) / a
     if fam is Family.SUBORDINATED_BM:
-        from .models import SubFamily
-        if model.sub.family is SubFamily.STABLE:
-            a = 2.0 * model.sub.rho
-            return 2.0 * t * stable_constant(a) * R ** (-a) / a
         m = model.sub.m
         return 4.0 * t * math.exp(-m * R) if m > 0 else 1.0
     if fam in (Family.RELATIVISTIC_STABLE, Family.TEMPERED_STABLE, Family.LAMPERTI_STABLE):
@@ -162,7 +152,15 @@ def density_fft(model: LevyModel, t: float, grid: SpaceGrid) -> DensityTable:
         raise ResolutionError(
             "exp(-t psi) has not decayed at the Nyquist frequency; enlarge n_points "
             "or shrink half_width")
-    vals = _invert(grid, phat.astype(complex))
+    xi = grid.dual
+    phase = np.exp(1j * grid.half_width * xi)
+    dxi = np.pi / grid.half_width
+
+    def invert(fhat: np.ndarray) -> np.ndarray:
+        """Continuous inverse transform (1/2pi) int e^{-i x xi} fhat(xi) dxi on the nodes."""
+        return (dxi / (2.0 * np.pi)) * np.fft.fft(fhat * phase).real
+
+    vals = invert(phat.astype(complex))
     low = float(vals.min())
     if low < -1e-10:
         raise ResolutionError(
@@ -173,8 +171,8 @@ def density_fft(model: LevyModel, t: float, grid: SpaceGrid) -> DensityTable:
     if abs(mass - 1.0) > 1e-6:
         raise ResolutionError(
             f"density mass {mass} deviates from 1; increase half_width or n_points")
-    d1 = _invert(grid, (-1j * grid.dual) * phat)
-    d2 = _invert(grid, (-(grid.dual ** 2)) * phat.astype(complex))
+    d1 = invert((-1j * xi) * phat)
+    d2 = invert((-(xi ** 2)) * phat.astype(complex))
     return DensityTable(model=model, t=t, grid=grid, values=vals, deriv1=d1,
                         deriv2=d2, mass=mass,
                         tail_estimate=tail_mass_estimate(model, t, grid.half_width))
@@ -197,12 +195,15 @@ class GradientScaling:
     slope: float
     half_width: float
     propagation_ok: bool     # ||p''_{2t}|| <= ||p'_t||^2 (1 + 1e-3) on every t
+    grid: SpaceGrid
+    tables: tuple            # the density table at each t in t_values
 
 
 def gradient_scaling_exponent(model: LevyModel, t_list,
                               grid: Optional[SpaceGrid] = None) -> GradientScaling:
     """Fitted slope of log ||p_t'||_L1 against log t, plus the second-derivative
-    propagation check at doubled times."""
+    propagation check at doubled times.  One table is computed per distinct
+    time in t_list and 2 t_list."""
     t_list = tuple(sorted(float(t) for t in t_list))
     if len(t_list) < 4 or t_list[0] <= 0:
         raise DomainError("need at least 4 positive t values")
@@ -211,16 +212,16 @@ def gradient_scaling_exponent(model: LevyModel, t_list,
         # much smaller box suffices here than for unit-mass density work
         grid = suggest_grid(model, t_list[0], 2.0 * t_list[-1],
                             tail_target=3e-6, max_points=2 ** 18)
-    grads, seconds = [], []
-    for t in t_list:
-        grads.append(grad_l1_norm(density_fft(model, t, grid)))
-        seconds.append(second_l1_norm(density_fft(model, 2.0 * t, grid)))
-    from .fitting import fit_powerlaw
+    tables = {t: density_fft(model, t, grid)
+              for t in sorted(set(t_list) | {2.0 * t for t in t_list})}
+    grads = [grad_l1_norm(tables[t]) for t in t_list]
+    seconds = [second_l1_norm(tables[2.0 * t]) for t in t_list]
     fit = fit_powerlaw(np.asarray(t_list), np.asarray(grads))
     prop = all(s2 <= g * g * (1.0 + 1e-3) for s2, g in zip(seconds, grads))
     return GradientScaling(t_values=t_list, grad_norms=tuple(grads),
                            second_norms_2t=tuple(seconds), slope=fit.exponent,
-                           half_width=fit.half_width, propagation_ok=prop)
+                           half_width=fit.half_width, propagation_ok=prop,
+                           grid=grid, tables=tuple(tables[t] for t in t_list))
 
 
 # ----------------------------------------------------------------------
@@ -309,16 +310,6 @@ def resolvent_source(g, t: float, model: LevyModel, grid: SpaceGrid,
     return np.fft.ifft(uhat).real
 
 
-def spectral_gradient(values: np.ndarray, grid: SpaceGrid) -> np.ndarray:
-    return np.fft.ifft(1j * grid.dual * np.fft.fft(values)).real
-
-
-def apply_generator(values: np.ndarray, model: LevyModel, grid: SpaceGrid) -> np.ndarray:
-    """A u = inverse transform of -psi * u-hat."""
-    psi = _psi_on_grid(model, grid)
-    return np.fft.ifft(-psi * np.fft.fft(values)).real
-
-
 def holder_seminorm(values: np.ndarray, theta: float, spacing: float,
                     max_sep: float = 2.0) -> float:
     """Max Hoelder quotient over node pairs at dyadic separations <= max_sep.
@@ -373,6 +364,12 @@ def _source_table(g, times: np.ndarray, grid: SpaceGrid) -> np.ndarray:
     return np.stack([np.asarray(g(float(t)), dtype=float) for t in times])
 
 
+def _drift_table(drift: DriftSpec, times: np.ndarray, grid: SpaceGrid) -> np.ndarray:
+    """b(t, x) on the grid nodes, one row per time."""
+    nodes = grid.nodes
+    return np.stack([np.asarray(drift(float(t), nodes), dtype=float) for t in times])
+
+
 def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGrid,
                  n_time: int = 128, max_iter: int = 60, tol: float = 1e-8,
                  max_halvings: int = 5, target_ratio: float = 0.95,
@@ -392,7 +389,6 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
             f"singularity exponent kappa={kappa:.4f} >= 1: the drift/noise pair "
             "violates the balance condition (pass force_unbalanced=True to attempt)")
     psi = _psi_on_grid(model, grid)
-    nodes = grid.nodes
 
     horizon = float(T)
     halvings = 0
@@ -400,7 +396,7 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         times = horizon * np.arange(n_time + 1) / n_time
         delta = horizon / n_time
         g_tab = _source_table(g, times, grid)
-        b_tab = np.stack([np.asarray(drift(float(t), nodes), dtype=float) for t in times])
+        b_tab = _drift_table(drift, times, grid)
         g_norm = float(np.max(np.abs(g_tab)))
         if g_norm == 0.0:
             u = np.zeros((n_time + 1, grid.n_points))
@@ -480,19 +476,17 @@ def kolmogorov_residual(solution: PicardSolution, drift: DriftSpec, g,
     grid = solution.grid
     times = solution.times
     u = solution.u
-    n_time = times.size - 1
     delta = times[1] - times[0]
     g_tab = _source_table(g, times, grid)
     g_sup = float(np.max(np.abs(g_tab)))
     if g_sup == 0.0:
         g_sup = 1.0
-    worst = 0.0
-    for j in range(1, n_time):
-        du_dt = (u[j + 1] - u[j - 1]) / (2.0 * delta)
-        au = apply_generator(u[j], model, grid)
-        bgrad = np.asarray(drift(float(times[j]), grid.nodes), dtype=float) \
-            * solution.grad_u[j]
-        res = float(np.max(np.abs(du_dt + au + bgrad + g_tab[j])))
-        if res > worst:
-            worst = res
+    if times.size < 3:
+        return 0.0  # no interior time row
+    inner = slice(1, times.size - 1)
+    du_dt = (u[2:] - u[:-2]) / (2.0 * delta)
+    psi = _psi_on_grid(model, grid)
+    au = np.fft.ifft(-psi * np.fft.fft(u[inner], axis=1), axis=1).real
+    bgrad = _drift_table(drift, times[inner], grid) * solution.grad_u[inner]
+    worst = float(np.max(np.abs(du_dt + au + bgrad + g_tab[inner])))
     return worst / g_sup

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levyem import cli
+from levyem import cli, spectral
 from levyem.errors import ConfigError
 from levyem.harness import ExperimentConfig, run_experiment
 from levyem.models import LevyModel
@@ -240,7 +240,15 @@ class TestConverge:
 
 
 class TestDensityCommand:
-    def test_stable_density_run(self, tmp_path):
+    def test_stable_density_run(self, tmp_path, monkeypatch):
+        calls = []
+        density_fft = spectral.density_fft
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return density_fft(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "density_fft", counted)
         text = """
 [model]
 family = isotropic_stable
@@ -256,7 +264,15 @@ t_list = 0.05,0.1,0.2,0.4,0.8
         summary = json.loads((out / "density_summary.json").read_text())
         assert abs(summary["slope"] - (-1.0 / 1.5)) <= 0.01
         assert summary["propagation_ok"] is True
-        assert (out / "density_t0.05.csv").exists()
+        # one table per distinct time of t_list and 2 t_list: 0.05, ..., 0.8, 1.6
+        assert len(calls) == 6
+        # the CSVs hold the tables on the grid the summary names
+        grid = spectral.SpaceGrid(summary["grid"]["half_width"], summary["grid"]["points"])
+        model = LevyModel.isotropic_stable(1.5)
+        for t in summary["t_list"]:
+            expected = tmp_path / f"expected_t{t:g}.csv"
+            density_fft(model, t, grid).to_csv(expected, max_rows=4096)
+            assert (out / f"density_t{t:g}.csv").read_bytes() == expected.read_bytes()
 
 
 class TestKolmogorovCommand:

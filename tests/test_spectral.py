@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levyem.engine import DriftSpec, drift_cos, drift_rough
+from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough
 from levyem.errors import DomainError, ResolutionError, StiffnessError
 from levyem.models import (LevyModel, SubordinatorSpec, balance_check,
                            char_exponent_radial, kappa_exponent)
@@ -11,7 +11,7 @@ from levyem.spectral import (SpaceGrid, density_fft, grad_l1_norm,
                              gradient_scaling_exponent, holder_seminorm,
                              kolmogorov_residual, picard_solve,
                              resolvent_source, second_l1_norm, semigroup_apply,
-                             suggest_grid)
+                             suggest_grid, tail_mass_estimate)
 
 STABLE15 = LevyModel.isotropic_stable(1.5)
 
@@ -54,6 +54,16 @@ class TestDensity:
         grid = suggest_grid(model, 0.1, 0.4)
         tab = density_fft(model, 0.4, grid)
         assert tab.tail_estimate < 1e-8
+
+    def test_rho_one_subordinated_bm_tail_is_brownian(self):
+        # a stable subordinator of index 1 time-changes BM into BM itself
+        sub_bm = LevyModel.subordinated_bm(SubordinatorSpec.stable(1.0))
+        bm = LevyModel.brownian()
+        estimate = tail_mass_estimate(sub_bm, 1.6, 8.0)
+        assert estimate > 0.0
+        assert estimate == tail_mass_estimate(bm, 1.6, 8.0)
+        assert suggest_grid(sub_bm, 0.05, 1.6, tail_target=3e-6) == \
+            suggest_grid(bm, 0.05, 1.6, tail_target=3e-6)
 
 
 class TestGradientNorms:
@@ -303,6 +313,31 @@ class TestKolmogorovResidual:
         sol_f = picard_solve(drift_cos(), src_f, 0.25, STABLE15, g_fine, n_time=256)
         res_fine = kolmogorov_residual(sol_f, drift_cos(), src_f, STABLE15)
         assert res_fine <= res_coarse / 2.0
+
+    @pytest.mark.parametrize("n_time", [1, 2, 64])
+    def test_matches_row_by_row_oracle(self, n_time):
+        # the residual of each interior time row, computed one row at a time
+        grid = SpaceGrid(16 * math.pi, 512)
+        drift = drift_cos_time()
+        model = STABLE15
+
+        def src(t):
+            return np.cos(grid.nodes + 2.0 * t)
+
+        sol = picard_solve(drift, src, 0.25, model, grid, n_time=n_time)
+        times, u = sol.times, sol.u
+        delta = times[1] - times[0]
+        psi = char_exponent_radial(model, np.abs(grid.dual))
+        worst = 0.0
+        for j in range(1, times.size - 1):
+            du_dt = (u[j + 1] - u[j - 1]) / (2.0 * delta)
+            au = np.fft.ifft(-psi * np.fft.fft(u[j])).real
+            bgrad = drift(float(times[j]), grid.nodes) * sol.grad_u[j]
+            res = float(np.max(np.abs(du_dt + au + bgrad + src(float(times[j])))))
+            worst = max(worst, res)
+        g_sup = max(float(np.max(np.abs(src(float(t))))) for t in times)
+        assert (worst > 0.0) == (n_time > 1)
+        assert kolmogorov_residual(sol, drift, src, model) == worst / g_sup
 
 
 class TestBalanceWitness:
