@@ -248,6 +248,11 @@ def cmd_kolmogorov(args) -> int:
     max_iter = _get(cfg, "kolmogorov", "max_iter", int, default=60)
     target_ratio = _get(cfg, "kolmogorov", "target_ratio", float, default=0.95)
     force = _get(cfg, "kolmogorov", "force_unbalanced", bool, default=False)
+    if n_time < 2:
+        raise ConfigError("kolmogorov", "n_time",
+                          f"{n_time} is below 2; the residual needs an interior time row")
+    if max_iter < 1:
+        raise ConfigError("kolmogorov", "max_iter", f"{max_iter} is below 1")
     grid = spectral.SpaceGrid(half_width, points)
 
     if source == "drift":

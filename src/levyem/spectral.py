@@ -67,6 +67,18 @@ def _psi_on_grid(model: LevyModel, grid: SpaceGrid) -> np.ndarray:
     return psi
 
 
+# A block of rows of complex128 this size stays in cache while it is
+# transformed, swept and written back; 8 rows at 4096 points.
+_BLOCK_BYTES = 1 << 19
+
+
+def _row_blocks(start: int, stop: int, n_points: int) -> list:
+    """Slices that cover rows [start, stop) in order, each about _BLOCK_BYTES
+    of complex128 rows long."""
+    rows = max(1, _BLOCK_BYTES // (16 * n_points))
+    return [slice(i, min(i + rows, stop)) for i in range(start, stop, rows)]
+
+
 # ----------------------------------------------------------------------
 # transition densities
 # ----------------------------------------------------------------------
@@ -310,6 +322,39 @@ def resolvent_source(g, t: float, model: LevyModel, grid: SpaceGrid,
     return np.fft.ifft(uhat).real
 
 
+def _dyadic_peaks(rows: np.ndarray, spacing: float, max_sep: float) -> list:
+    """(separation, max |v[i + step] - v[i]|) at each dyadic step with
+    step * spacing <= max_sep, the max taken over every row of ``rows`` that
+    has no NaN at that step; the rows are visited in cache-sized blocks."""
+    n_rows, n_points = rows.shape
+    steps = []
+    step = 1
+    while step * spacing <= max_sep and step < n_points:
+        steps.append(step)
+        step *= 2
+    if not steps:
+        return []
+    peaks = [0.0] * len(steps)
+    for blk in _row_blocks(0, n_rows, n_points):
+        part = rows[blk]
+        for i, step in enumerate(steps):
+            diff = np.abs(part[:, step:] - part[:, :-step])
+            peaks[i] = float(np.fmax.reduce(diff.max(axis=1), initial=peaks[i]))
+    return [(step * spacing, peak) for step, peak in zip(steps, peaks)]
+
+
+def _holder_quotient(peaks: list, theta: float) -> float:
+    """Max Hoelder quotient peak / sep^theta over the dyadic peaks."""
+    if not (0.0 < theta <= 1.0):
+        raise DomainError("theta must lie in (0, 1]")
+    best = 0.0
+    for sep, peak in peaks:
+        q = peak / sep ** theta
+        if q > best:
+            best = q
+    return best
+
+
 def holder_seminorm(values: np.ndarray, theta: float, spacing: float,
                     max_sep: float = 2.0) -> float:
     """Max Hoelder quotient over node pairs at dyadic separations <= max_sep.
@@ -317,19 +362,8 @@ def holder_seminorm(values: np.ndarray, theta: float, spacing: float,
     A grid seminorm is a lower bound of the continuum one; certificates built
     from it are measured-on-grid statements.
     """
-    if not (0.0 < theta <= 1.0):
-        raise DomainError("theta must lie in (0, 1]")
-    values = np.asarray(values, dtype=float)
-    best = 0.0
-    step = 1
-    while step * spacing <= max_sep and step < values.size:
-        sep = step * spacing
-        diff = np.abs(values[step:] - values[:-step])
-        q = float(diff.max()) / sep ** theta
-        if q > best:
-            best = q
-        step *= 2
-    return best
+    values = np.asarray(values, dtype=float).reshape(1, -1)
+    return _holder_quotient(_dyadic_peaks(values, spacing, max_sep), theta)
 
 
 # ----------------------------------------------------------------------
@@ -383,12 +417,17 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
     """
     if T <= 0:
         raise DomainError("T must be positive")
+    if n_time < 1:
+        raise DomainError("n_time must be at least 1")
+    if max_iter < 1:
+        raise DomainError("max_iter must be at least 1")
     kappa = kappa_exponent(model.gradient_index, model.moments.gamma0, drift.beta)
     if kappa >= 1.0 and not force_unbalanced:
         raise DomainError(
             f"singularity exponent kappa={kappa:.4f} >= 1: the drift/noise pair "
             "violates the balance condition (pass force_unbalanced=True to attempt)")
     psi = _psi_on_grid(model, grid)
+    ik = 1j * grid.dual
 
     horizon = float(T)
     halvings = 0
@@ -413,16 +452,7 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         diffs = []
         converged = False
         for _ in range(max_iter):
-            h_tab = b_tab * grad + g_tab
-            hhat = np.fft.fft(h_tab, axis=1)
-            uhat = np.zeros((n_time + 1, grid.n_points), dtype=complex)
-            for j in range(n_time - 1, -1, -1):
-                local = hhat[j] * w_lo + (hhat[j + 1] - hhat[j]) * w_hi_minus_lo
-                uhat[j] = decay * uhat[j + 1] + local
-            u_new = np.fft.ifft(uhat, axis=1).real
-            d = float(np.max(np.abs(u_new - u)))
-            u = u_new
-            grad = np.fft.ifft(1j * grid.dual * uhat, axis=1).real
+            d = _picard_sweep(b_tab, g_tab, u, grad, decay, w_lo, w_hi_minus_lo, ik)
             if d < tol * g_norm:
                 converged = True
                 break
@@ -442,18 +472,54 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         halvings += 1
 
 
+def _picard_sweep(b_tab: np.ndarray, g_tab: np.ndarray, u: np.ndarray,
+                  grad: np.ndarray, decay: np.ndarray, w_lo: np.ndarray,
+                  w_hi_minus_lo: np.ndarray, ik: np.ndarray) -> float:
+    """One Picard iteration, in place: u <- the exponential-quadrature solve
+    with source b grad u + g and u(T, .) = 0, and grad <- its spectral
+    gradient.  Returns max |u_new - u|.
+
+    The time rows are swept backward in cache-sized blocks: each block is
+    transformed, run through the recurrence row by row (the transforms of
+    the row after the block carried over from the previous block) and
+    transformed back before the next block is touched, so no whole complex
+    table is ever built.  The arithmetic of every row is the whole-table
+    iteration's, so the result is identical to it bit for bit.
+    """
+    n_rows, n_points = u.shape
+    d = 0.0
+    h_next = u_next = None  # transforms of the row after the current one
+    for blk in reversed(_row_blocks(0, n_rows, n_points)):
+        hhat = np.fft.fft(b_tab[blk] * grad[blk] + g_tab[blk], axis=1)
+        uhat = np.empty_like(hhat)
+        for k in range(hhat.shape[0] - 1, -1, -1):
+            if u_next is None:
+                uhat[k] = 0.0  # terminal row
+            else:
+                local = hhat[k] * w_lo + (h_next - hhat[k]) * w_hi_minus_lo
+                uhat[k] = decay * u_next + local
+            h_next, u_next = hhat[k], uhat[k]
+        u_new = np.fft.ifft(uhat, axis=1).real
+        d = float(np.maximum(d, np.max(np.abs(u_new - u[blk]))))  # NaN carries
+        u[blk] = u_new
+        grad[blk] = np.fft.ifft(ik * uhat, axis=1).real
+    return d
+
+
 def _finish(model, grid, horizon, halvings, times, u, diffs, converged, certified,
             kappa, drift: DriftSpec, g_tab: np.ndarray) -> PicardSolution:
-    uhat = np.fft.fft(u, axis=1)
-    grad = np.fft.ifft(1j * grid.dual * uhat, axis=1).real
+    ik = 1j * grid.dual
+    grad = np.empty_like(u)
+    for blk in _row_blocks(0, u.shape[0], grid.n_points):
+        grad[blk] = np.fft.ifft(ik * np.fft.fft(u[blk], axis=1), axis=1).real
     gamma0 = model.moments.gamma0
-    h = grid.h
-    sem_beta = max(holder_seminorm(row, drift.beta, h) for row in grad)
-    sem_g0 = max(holder_seminorm(row, min(1.0, gamma0 / 2.0), h) for row in grad)
+    grad_peaks = _dyadic_peaks(grad, grid.h, 2.0)
+    sem_beta = _holder_quotient(grad_peaks, drift.beta)
+    sem_g0 = _holder_quotient(grad_peaks, min(1.0, gamma0 / 2.0))
     sup_u = float(np.max(np.abs(u)))
     sup_grad = float(np.max(np.abs(grad)))
     g_sup = float(np.max(np.abs(g_tab)))
-    g_sem = max(holder_seminorm(row, drift.beta, h) for row in g_tab)
+    g_sem = _holder_quotient(_dyadic_peaks(g_tab, grid.h, 2.0), drift.beta)
     g_holder = g_sup + g_sem
     numerator = sup_u + (sup_grad + sem_beta) + (sup_grad + sem_g0)
     cert = {
@@ -483,10 +549,13 @@ def kolmogorov_residual(solution: PicardSolution, drift: DriftSpec, g,
         g_sup = 1.0
     if times.size < 3:
         return 0.0  # no interior time row
-    inner = slice(1, times.size - 1)
-    du_dt = (u[2:] - u[:-2]) / (2.0 * delta)
-    psi = _psi_on_grid(model, grid)
-    au = np.fft.ifft(-psi * np.fft.fft(u[inner], axis=1), axis=1).real
-    bgrad = _drift_table(drift, times[inner], grid) * solution.grad_u[inner]
-    worst = float(np.max(np.abs(du_dt + au + bgrad + g_tab[inner])))
+    neg_psi = -_psi_on_grid(model, grid)
+    worst = 0.0
+    for blk in _row_blocks(1, times.size - 1, grid.n_points):
+        lo, hi = blk.start, blk.stop
+        du_dt = (u[lo + 1:hi + 1] - u[lo - 1:hi - 1]) / (2.0 * delta)
+        au = np.fft.ifft(neg_psi * np.fft.fft(u[blk], axis=1), axis=1).real
+        bgrad = _drift_table(drift, times[blk], grid) * solution.grad_u[blk]
+        peak = np.max(np.abs(du_dt + au + bgrad + g_tab[blk]))
+        worst = float(np.maximum(worst, peak))  # NaN carries
     return worst / g_sup

@@ -107,6 +107,10 @@ MALFORMED = [
     ("kolmogorov", MODE_SOURCE + "mode:xyz\n", "[kolmogorov] source:"),
     ("kolmogorov", MODE_SOURCE + "mode:512\n", "[kolmogorov] source:"),
     ("kolmogorov", MODE_SOURCE + "mode:-1\n", "[kolmogorov] source:"),
+    ("kolmogorov", MODE_SOURCE + "mode:1\nn_time = 0\n", "[kolmogorov] n_time:"),
+    ("kolmogorov", MODE_SOURCE + "mode:1\nn_time = -3\n", "[kolmogorov] n_time:"),
+    ("kolmogorov", MODE_SOURCE + "mode:1\nn_time = 1\n", "[kolmogorov] n_time:"),
+    ("kolmogorov", MODE_SOURCE + "mode:1\nmax_iter = 0\n", "[kolmogorov] max_iter:"),
     ("converge", BASE_EXPERIMENT + "x0 = nan\n", "[experiment] x0:"),
     ("converge", BASE_EXPERIMENT.replace("dim = 1", "dim = 2") + "x0 = 0,1,2\n",
      "[experiment] x0:"),

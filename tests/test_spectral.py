@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levyem import spectral
 from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough
 from levyem.errors import DomainError, ResolutionError, StiffnessError
 from levyem.models import (LevyModel, SubordinatorSpec, balance_check,
@@ -284,6 +285,126 @@ class TestPicard:
         with pytest.raises(StiffnessError):
             picard_solve(huge, np.cos(grid.nodes), 4.0, STABLE15, grid,
                          n_time=32, max_halvings=2)
+
+    @pytest.mark.parametrize("kwargs", [{"n_time": 0}, {"n_time": -3},
+                                        {"max_iter": 0}])
+    def test_bad_n_time_or_max_iter_rejected(self, kwargs):
+        grid = SpaceGrid(16 * math.pi, 256)
+        with pytest.raises(DomainError):
+            picard_solve(drift_cos(), np.cos(grid.nodes), 0.25, STABLE15, grid,
+                         **kwargs)
+
+
+def _row_holder(values, theta, spacing, max_sep=2.0):
+    """Per-row Hoelder quotient, as the certificate once computed it."""
+    best = 0.0
+    step = 1
+    while step * spacing <= max_sep and step < values.size:
+        sep = step * spacing
+        q = float(np.abs(values[step:] - values[:-step]).max()) / sep ** theta
+        if q > best:
+            best = q
+        step *= 2
+    return best
+
+
+def _whole_table_picard(drift, g, T, model, grid, n_time, tol=1e-8,
+                        max_iter=60, max_halvings=5, target_ratio=0.95):
+    """The Picard iteration on whole (n_time + 1) x N tables, and its
+    certificate from per-row Hoelder quotients: the reference the row-block
+    sweep must reproduce bit for bit."""
+    psi = spectral._psi_on_grid(model, grid)
+    horizon, halvings = float(T), 0
+    while True:
+        times = horizon * np.arange(n_time + 1) / n_time
+        delta = horizon / n_time
+        g_tab = spectral._source_table(g, times, grid)
+        b_tab = spectral._drift_table(drift, times, grid)
+        g_norm = float(np.max(np.abs(g_tab)))
+        z = delta * psi
+        decay = np.exp(-z)
+        w_lo = delta * spectral._phi1(z)
+        w_hi_minus_lo = delta * spectral._phi2(z)
+        u = np.zeros((n_time + 1, grid.n_points))
+        grad = np.zeros_like(u)
+        diffs = []
+        converged = False
+        for _ in range(max_iter):
+            hhat = np.fft.fft(b_tab * grad + g_tab, axis=1)
+            uhat = np.zeros((n_time + 1, grid.n_points), dtype=complex)
+            for j in range(n_time - 1, -1, -1):
+                local = hhat[j] * w_lo + (hhat[j + 1] - hhat[j]) * w_hi_minus_lo
+                uhat[j] = decay * uhat[j + 1] + local
+            u_new = np.fft.ifft(uhat, axis=1).real
+            d = float(np.max(np.abs(u_new - u)))
+            u = u_new
+            grad = np.fft.ifft(1j * grid.dual * uhat, axis=1).real
+            if d < tol * g_norm:
+                converged = True
+                break
+            diffs.append(d)
+            if d > 1e9 * g_norm:
+                break
+        ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
+        if converged and (not ratios or max(ratios[-2:]) < target_ratio):
+            break
+        assert halvings < max_halvings
+        horizon *= 0.5
+        halvings += 1
+    grad = np.fft.ifft(1j * grid.dual * np.fft.fft(u, axis=1), axis=1).real
+    h = grid.h
+    sem_beta = max(_row_holder(row, drift.beta, h) for row in grad)
+    sem_g0 = max(_row_holder(row, min(1.0, model.moments.gamma0 / 2.0), h)
+                 for row in grad)
+    sup_u = float(np.max(np.abs(u)))
+    sup_grad = float(np.max(np.abs(grad)))
+    g_holder = float(np.max(np.abs(g_tab))) + max(
+        _row_holder(row, drift.beta, h) for row in g_tab)
+    numerator = sup_u + (sup_grad + sem_beta) + (sup_grad + sem_g0)
+    cert = {"sup_u": sup_u, "sup_grad": sup_grad, "grad_seminorm_beta": sem_beta,
+            "grad_seminorm_gamma0_half": sem_g0, "source_holder_norm": g_holder,
+            "c_of_T": numerator / g_holder}
+    return u, grad, tuple(diffs), horizon, halvings, cert
+
+
+class TestPicardSweep:
+    """The row-block sweep against the whole-table iteration, exactly, with
+    blocks of one row, of three rows (partial blocks and block edges) and
+    of more rows than the solve has."""
+
+    @staticmethod
+    def _assert_matches_oracle(drift, g, T, grid, n_time, **kwargs):
+        sol = picard_solve(drift, g, T, STABLE15, grid, n_time=n_time, **kwargs)
+        u, grad, diffs, horizon, halvings, cert = _whole_table_picard(
+            drift, g, T, STABLE15, grid, n_time, **kwargs)
+        assert np.array_equal(sol.u, u)
+        assert np.array_equal(sol.grad_u, grad)
+        assert sol.diffs == diffs
+        assert sol.horizon == horizon
+        assert sol.halvings == halvings
+        assert sol.certificate == cert
+        return sol
+
+    @pytest.mark.parametrize("rows", [1, 3, 100])
+    @pytest.mark.parametrize("n_time", [1, 2, 37])
+    def test_matches_whole_table_iteration(self, n_time, rows, monkeypatch):
+        grid = SpaceGrid(16 * math.pi, 512)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * grid.n_points * rows)
+
+        def src(t):
+            return np.cos(grid.nodes + 2.0 * t)
+
+        sol = self._assert_matches_oracle(drift_cos_time(), src, 0.25, grid, n_time)
+        assert sol.converged and len(sol.diffs) >= 2
+
+    @pytest.mark.parametrize("rows", [1, 3, 100])
+    def test_matches_whole_table_iteration_through_halvings(self, rows, monkeypatch):
+        grid = SpaceGrid(16 * math.pi, 512)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * grid.n_points * rows)
+        strong = DriftSpec(lambda t, x: 5.0 * np.cos(x + t), 1.0, 1.0, 5.0)
+        sol = self._assert_matches_oracle(strong, np.cos(grid.nodes), 0.5, grid, 37,
+                                          target_ratio=0.5)
+        assert sol.halvings == 2 and sol.converged
 
 
 class TestKolmogorovResidual:
