@@ -10,17 +10,16 @@ Subpackages:
 * :mod:`levyem.cli`      -- batch front end
 """
 
-from .engine import (DriftSpec, GridPath, SimulationGrid, coarsen,
-                     coupled_sup_error, drift_const, drift_cos, drift_cos_time,
-                     drift_rough, drift_zero, em_path)
+from .engine import (DriftSpec, GridPath, SimulationGrid, coupled_sup_error,
+                     drift_const, drift_cos, drift_cos_time, drift_rough,
+                     drift_zero, em_path)
 from .harness import (ConvergenceReport, ExperimentConfig, compare_to_theory,
                       inverse_moment_scaling, mc_strong_error, run_experiment)
 from .models import (Family, LevyModel, MomentIndices, RatePrediction,
                      SubordinatorSpec, balance_check, balance_margin,
-                     bernstein_eval, char_exponent, char_exponent_radial,
-                     kappa_exponent, lamperti_bernstein, predict_for_model,
-                     predicted_rate, radial_density, stable_drift_admissible,
-                     verify_levy_moment)
+                     bernstein_eval, char_exponent_radial, kappa_exponent,
+                     lamperti_bernstein, predict_for_model, predicted_rate,
+                     radial_density, verify_levy_moment)
 from .rng import RngStream
 from .samplers import (IncrementBatch, TruncationMeta, increments, load_batch,
                        sample_jump_decomposition, sample_stable,

@@ -28,7 +28,7 @@ _SECTION_KEYS = {
     "model": {"family", "alpha", "m", "lambda_tail", "dim", "rho"},
     "drift": {"name", "beta", "eta", "c"},
     "experiment": {"t", "p", "n_list", "n_ref", "paths", "seed", "tol", "variant",
-                   "x0", "threads"},
+                   "x0"},
     "density": {"t_list", "half_width", "points"},
     "kolmogorov": {"t", "n_time", "points", "half_width", "source", "tol",
                    "max_iter", "target_ratio", "force_unbalanced"},
@@ -105,20 +105,6 @@ def build_model(cfg) -> models.LevyModel:
     raise ConfigError("model", "family", f"unknown family {family!r}")
 
 
-def model_section(model: models.LevyModel) -> dict:
-    """Serialise a catalog model back to its [model] config keys."""
-    out = {"family": model.family.value, "dim": str(model.dim)}
-    for key in ("alpha", "m", "lambda_tail"):
-        value = getattr(model, key)
-        if value is not None:
-            out[key] = repr(value)
-    if model.sub is not None:
-        out["rho"] = repr(model.sub.rho)
-        if model.sub.m:
-            out["m"] = repr(model.sub.m)
-    return out
-
-
 def build_drift(cfg) -> engine.DriftSpec:
     name = _get(cfg, "drift", "name", required=True)
     if name not in engine.DRIFT_CATALOG:
@@ -138,7 +124,7 @@ def build_drift(cfg) -> engine.DriftSpec:
     return engine.DRIFT_CATALOG[name](**kwargs)
 
 
-def build_experiment(cfg, seed_override=None, threads=None) -> harness.ExperimentConfig:
+def build_experiment(cfg, seed_override=None, threads=0) -> harness.ExperimentConfig:
     model = build_model(cfg)
     drift = build_drift(cfg)
     n_values = _get(cfg, "experiment", "n_list", _values(int), required=True)
@@ -161,8 +147,7 @@ def build_experiment(cfg, seed_override=None, threads=None) -> harness.Experimen
         seed=seed,
         tol=_get(cfg, "experiment", "tol", float, default=0.15),
         variant=_get(cfg, "experiment", "variant", str, default="frozen"),
-        threads=threads if threads is not None
-        else _get(cfg, "experiment", "threads", int, default=0),
+        threads=threads,
     )
 
 
@@ -337,8 +322,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--seed-override", type=int, default=None)
+        if name == "converge":
+            p.add_argument("--threads", type=int, default=0)
+        if name in ("converge", "sample"):
+            p.add_argument("--seed-override", type=int, default=None)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

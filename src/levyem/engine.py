@@ -37,7 +37,7 @@ VARIANTS = ("frozen", "timeint")
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Uniform grid on [0, T] with n steps and left-endpoint step map."""
+    """Uniform grid on [0, T] with n steps."""
 
     T: float
     n: int
@@ -53,24 +53,6 @@ class SimulationGrid:
     @property
     def times(self) -> np.ndarray:
         return self.T * np.arange(self.n + 1) / self.n
-
-    def step_index(self, s) -> np.ndarray:
-        """Index i with times[i] <= s < times[i+1] (exact at grid points)."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0) or np.any(s > self.T):
-            raise DomainError("s must lie in [0, T]")
-        idx = np.minimum(np.floor(self.n * s / self.T).astype(int), self.n - 1)
-        t = self.times
-        # repair one-off floating errors of the floor so grid points map exactly
-        idx = np.where((idx + 1 <= self.n - 1) & (t[np.minimum(idx + 1, self.n - 1)] <= s),
-                       idx + 1, idx)
-        idx = np.where(t[idx] > s, idx - 1, idx)
-        return idx
-
-    def eta(self, s):
-        """Step map: the last grid time <= s."""
-        out = self.times[self.step_index(s)]
-        return float(out) if np.ndim(s) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -166,12 +148,6 @@ class GridPath:
     grid: SimulationGrid
     states: np.ndarray  # (n+1, d)
 
-    def to_csv(self, path) -> None:
-        d = self.states.shape[1]
-        header = "t," + ",".join(f"x_{i + 1}" for i in range(d))
-        data = np.column_stack([self.grid.times, self.states])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", newline="\n")
-
 
 def as_state(x0, d: int) -> np.ndarray:
     """x0 as a finite vector of length d; a single value fills every coordinate."""
@@ -262,27 +238,6 @@ def em_path(drift: DriftSpec, x0, grid: SimulationGrid, batch: IncrementBatch,
         raise ShapeError(f"batch has {batch.n} increments, grid needs {grid.n}")
     states, _ = _one_path(drift, x0, grid.T, batch, (), variant)
     return GridPath(grid=grid, states=states)
-
-
-def coarsen(batch: IncrementBatch, factor: int) -> IncrementBatch:
-    """Aggregate consecutive increments; repeated halving for dyadic factors so
-    coarsen(coarsen(b, 2), 2) equals coarsen(b, 4) bit for bit."""
-    if factor < 2:
-        raise DomainError("factor must be >= 2")
-    if batch.n % factor:
-        raise ShapeError(f"factor {factor} does not divide {batch.n} rows")
-    vals = batch.values
-    dt = batch.dt
-    f = factor
-    while f % 2 == 0:
-        vals = vals[0::2] + vals[1::2]
-        dt *= 2.0
-        f //= 2
-    if f > 1:
-        vals = vals.reshape(-1, f, vals.shape[1]).sum(axis=1)
-        dt *= f
-    return IncrementBatch(dt=dt, values=vals, model=batch.model, meta=batch.meta,
-                          seed=batch.seed, stream_id=batch.stream_id)
 
 
 def coupled_sup_error(drift: DriftSpec, x0, T: float, n_fine: int, n_coarse: int,

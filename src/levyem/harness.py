@@ -25,11 +25,10 @@ import numpy as np
 from .engine import VARIANTS, DriftSpec, as_state, euler_ladder
 from .errors import DegenerateExactError, DomainError, ExperimentAbortedError
 from .fitting import PowerLawFit, fit_decay_rate
-from .models import (LevyModel, RatePrediction, SubFamily, SubordinatorSpec,
+from .models import (LevyModel, RatePrediction, SubordinatorSpec,
                      predict_for_model)
 from .rng import RngStream
-from .samplers import (increments, sample_stable_subordinator,
-                       sample_tempered_subordinator)
+from .samplers import increments, sample_subordinator
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_FASTER = "faster-than-bound"
@@ -58,6 +57,9 @@ class ExperimentConfig:
             raise DomainError("need T > 0 and p > 0")
         if self.paths < 100:
             raise DomainError("need at least 100 paths")
+        if self.threads < 0:
+            raise DomainError(f"threads must be >= 0, got {self.threads}")
+        RngStream(self.seed)  # rejects a seed outside the 64-bit key range
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}")
         ns = tuple(int(n) for n in self.n_list)
@@ -71,16 +73,14 @@ class ExperimentConfig:
             raise DomainError("n_ref must be at least 8 x max(n_list)")
         object.__setattr__(self, "x0", tuple(as_state(self.x0, self.model.dim).tolist()))
 
-    def p_effective(self) -> float:
-        gi = self.model.moments.gamma_inf
-        if self.p > gi:
-            warnings.warn(f"moment order p={self.p} exceeds gamma_inf={gi}; clamping",
-                          stacklevel=2)
-            return gi
-        return self.p
-
     def prediction(self) -> RatePrediction:
-        return predict_for_model(self.model, self.drift.beta, self.drift.eta, self.p)
+        """The predicted rate; its ``p`` is the moment order the Monte Carlo
+        uses, clamped to gamma_inf with a warning."""
+        pred = predict_for_model(self.model, self.drift.beta, self.drift.eta, self.p)
+        if pred.p_clamped:
+            warnings.warn(f"moment order p={self.p} exceeds gamma_inf={pred.p}; "
+                          "clamping", stacklevel=2)
+        return pred
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def mc_strong_error(config: ExperimentConfig,
 
     ``injected`` replaces the per-path error functional by a deterministic
     value per n (harness self-test mode)."""
-    p_eff = config.p_effective()
+    p_eff = config.prediction().p
     M = config.paths
     cols = len(config.n_list)
     values = np.empty((M, cols))
@@ -231,8 +231,8 @@ def run_experiment(config: ExperimentConfig,
         "variant": config.variant,
     }
     notes = []
-    if config.p_effective() != config.p:
-        notes.append(f"p clamped to gamma_inf={config.p_effective()}")
+    if prediction.p_clamped:
+        notes.append(f"p clamped to gamma_inf={prediction.p}")
     try:
         fitted = fit_decay_rate(table.n_values, table.means)
     except DegenerateExactError:
@@ -263,14 +263,6 @@ class InverseMomentResult:
     diverged: bool = False
 
 
-def _subordinator_draws(sub: SubordinatorSpec, t: float, M: int, rng) -> np.ndarray:
-    if sub.family is SubFamily.STABLE:
-        return np.asarray(sample_stable_subordinator(sub.rho, t, rng, size=M))
-    if sub.family is SubFamily.TEMPERED_STABLE:
-        return np.asarray(sample_tempered_subordinator(sub.rho, sub.m, t, rng, size=M))
-    raise DomainError("inverse-moment diagnostic needs a stable or tempered subordinator")
-
-
 def inverse_moment_scaling(sub: SubordinatorSpec, d: int, t_list, M: int,
                            seed: int) -> InverseMomentResult:
     """Fit the t-exponent of E[S_t^(-1/2)] E|B_1^(d+2)|^(-1).
@@ -290,7 +282,7 @@ def inverse_moment_scaling(sub: SubordinatorSpec, d: int, t_list, M: int,
 
     estimates = []
     for k, t in enumerate(t_list):
-        s = _subordinator_draws(sub, t, M, RngStream(seed, k + 1))
+        s = sample_subordinator(sub, t, RngStream(seed, k + 1), size=M)
         with np.errstate(divide="ignore"):
             inv = s ** (-0.5)
         estimates.append(float(np.mean(inv)) * const)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 from scipy import integrate, special
@@ -37,7 +37,6 @@ class Family(str, enum.Enum):
 class SubFamily(str, enum.Enum):
     STABLE = "stable"
     TEMPERED_STABLE = "tempered_stable"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -77,13 +76,10 @@ class SubordinatorSpec:
     delta_inf: float = math.inf
     delta0_open: bool = True
     delta_inf_open: bool = False
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not (0 < self.rho <= 1.0):
             raise DomainError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.family is SubFamily.CUSTOM and self.fn is None:
-            raise DomainError("custom subordinator requires a Bernstein callable")
 
     @staticmethod
     def stable(rho: float) -> "SubordinatorSpec":
@@ -97,11 +93,6 @@ class SubordinatorSpec:
         return SubordinatorSpec(SubFamily.TEMPERED_STABLE, rho, m=m,
                                 delta0=rho, delta_inf=math.inf, delta0_open=True)
 
-    @staticmethod
-    def custom(fn, rho: float, delta0: float, delta_inf: float) -> "SubordinatorSpec":
-        return SubordinatorSpec(SubFamily.CUSTOM, rho, delta0=delta0,
-                                delta_inf=delta_inf, fn=fn)
-
 
 def bernstein_eval(sub: SubordinatorSpec, lam):
     """Evaluate the Laplace exponent f(lam) of a subordinator, lam >= 0."""
@@ -110,11 +101,9 @@ def bernstein_eval(sub: SubordinatorSpec, lam):
         raise DomainError("Bernstein functions are defined on [0, inf)")
     if sub.family is SubFamily.STABLE:
         out = lam ** sub.rho
-    elif sub.family is SubFamily.TEMPERED_STABLE:
+    else:
         m2 = sub.m * sub.m
         out = (lam + m2) ** sub.rho - m2 ** sub.rho
-    else:
-        out = np.asarray(sub.fn(lam), dtype=float)
     return out if out.ndim else float(out)
 
 
@@ -282,14 +271,6 @@ def char_exponent_radial(model: LevyModel, s):
     else:  # pragma: no cover
         raise UnsupportedModelError(f"unknown family {fam}")
     return float(out[0]) if scalar else out
-
-
-def char_exponent(model: LevyModel, xi) -> complex:
-    """psi(xi) for a frequency vector xi of length model.dim."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (model.dim,):
-        raise DomainError(f"xi must have length {model.dim}, got shape {xi.shape}")
-    return complex(char_exponent_radial(model, float(np.linalg.norm(xi))))
 
 
 _CI_NODES, _CI_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -579,15 +560,6 @@ def _check_balance_domain(alpha, gamma0, beta):
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
 
 
-def stable_drift_admissible(alpha: float, beta: float) -> bool:
-    """Drift admissibility for stable-like noise: beta > 2/alpha - 1.
-
-    Evaluated through the balance margin at gamma0 = alpha (the open-infimum
-    limit), so it agrees with :func:`balance_check` bit for bit.
-    """
-    return balance_margin(alpha, alpha, beta) > 0.0
-
-
 @dataclass(frozen=True)
 class RatePrediction:
     """Predicted exponent of n in the strong error bound."""
@@ -619,18 +591,15 @@ def predicted_rate(p: float, beta: float, eta: float, gamma0: float,
 
 
 def predict_for_model(model: LevyModel, beta: float, eta: float, p: float) -> RatePrediction:
-    """Model-aware prediction: clamps p to gamma_inf and uses the effective gamma0."""
+    """Model-aware prediction: clamps p to gamma_inf and uses the effective gamma0.
+
+    The only place p is clamped: the Monte Carlo harness raises sup-errors
+    to the returned ``p``.
+    """
     mi = model.moments
-    p_eff = p
-    clamped = False
-    if p > mi.gamma_inf:
-        p_eff = mi.gamma_inf
-        clamped = True
-    pred = predicted_rate(p_eff, beta, eta, mi.gamma0,
+    pred = predicted_rate(min(p, mi.gamma_inf), beta, eta, mi.gamma0,
                           alpha=model.gradient_index, gamma0_is_open=mi.gamma0_open)
-    if clamped:
-        pred = RatePrediction(**{**pred.__dict__, "p_clamped": True})
-    return pred
+    return replace(pred, p_clamped=p > mi.gamma_inf)
 
 
 # ----------------------------------------------------------------------

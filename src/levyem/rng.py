@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -27,15 +29,12 @@ class RngStream:
 
     def __post_init__(self):
         if not (0 <= self.seed < 2**64) or not (0 <= self.stream_id < 2**64):
-            raise ValueError("seed and stream_id must fit in 64 bits")
+            raise DomainError("seed and stream_id must lie in [0, 2**64), got "
+                              f"seed={self.seed}, stream_id={self.stream_id}")
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, k: int) -> "RngStream":
-        """Derive a related stream; distinct k give independent streams."""
-        return RngStream(self.seed, (self.stream_id * 0x9E3779B97F4A7C15 + k + 1) % 2**64)
 
 
 def as_generator(rng) -> np.random.Generator:

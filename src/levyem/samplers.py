@@ -34,7 +34,8 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, ShapeError, UnsupportedModelError
-from .models import Family, LevyModel, SubFamily, radial_density
+from .models import (Family, LevyModel, SubFamily, SubordinatorSpec,
+                     radial_density)
 from .rng import RngStream, as_generator
 
 # expected large-jump count per increment is capped: the pure bias rule
@@ -115,6 +116,16 @@ def sample_tempered_subordinator(rho: float, m: float, t: float, rng,
             pending = pending[~acc]
         total += piece
     return float(total[0]) if size is None else total
+
+
+def sample_subordinator(sub: SubordinatorSpec, t: float, rng,
+                        size: Optional[int] = None):
+    """Increments over time t of the subordinator ``sub``, by its family's
+    sampler; a rho = 1 stable subordinator is the identity time and draws
+    nothing."""
+    if sub.family is SubFamily.STABLE:
+        return sample_stable_subordinator(sub.rho, t, rng, size)
+    return sample_tempered_subordinator(sub.rho, sub.m, t, rng, size)
 
 
 def sample_subordinated_bm(sub_sample, d: int, rng) -> np.ndarray:
@@ -277,25 +288,17 @@ def increments(model: LevyModel, T: float, n: int, rng,
 
     if fam is Family.BROWNIAN:
         vals = gen.standard_normal((n, d)) * math.sqrt(2.0 * dt)
+    elif fam is Family.ISOTROPIC_STABLE and d == 1:
+        vals = sample_stable(model.alpha, dt ** (1.0 / model.alpha), n, gen)[:, None]
     elif fam is Family.ISOTROPIC_STABLE:
-        if d == 1:
-            vals = sample_stable(model.alpha, dt ** (1.0 / model.alpha), n, gen)[:, None]
-        elif model.alpha == 2.0:
-            vals = gen.standard_normal((n, d)) * math.sqrt(2.0 * dt)
-        else:
-            s = sample_stable_subordinator(model.alpha / 2.0, dt, gen, size=n)
-            vals = sample_subordinated_bm(s, d, gen)
+        s = sample_subordinator(SubordinatorSpec.stable(model.alpha / 2.0), dt, gen, n)
+        vals = sample_subordinated_bm(s, d, gen)
     elif fam is Family.RELATIVISTIC_STABLE:
-        s = sample_tempered_subordinator(model.alpha / 2.0, model.m, dt, gen, size=n)
+        s = sample_subordinator(SubordinatorSpec.tempered(model.alpha / 2.0, model.m),
+                                dt, gen, n)
         vals = sample_subordinated_bm(s, d, gen)
     elif fam is Family.SUBORDINATED_BM:
-        sub = model.sub
-        if sub.family is SubFamily.STABLE:
-            s = sample_stable_subordinator(sub.rho, dt, gen, size=n)
-        elif sub.family is SubFamily.TEMPERED_STABLE:
-            s = sample_tempered_subordinator(sub.rho, sub.m, dt, gen, size=n)
-        else:
-            raise UnsupportedModelError("no sampler for a custom subordinator")
+        s = sample_subordinator(model.sub, dt, gen, n)
         vals = sample_subordinated_bm(s, d, gen)
     elif fam in (Family.TEMPERED_STABLE, Family.TRUNCATED_STABLE, Family.LAYERED_STABLE):
         eps = default_epsilon(model, dt) if epsilon is None else epsilon

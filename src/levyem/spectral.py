@@ -116,8 +116,7 @@ def tail_mass_estimate(model: LevyModel, t: float, R: float) -> float:
     if a is not None:
         return 2.0 * t * stable_constant(a) * R ** (-a) / a
     if fam is Family.SUBORDINATED_BM:
-        m = model.sub.m
-        return 4.0 * t * math.exp(-m * R) if m > 0 else 1.0
+        return 4.0 * t * math.exp(-model.sub.m * R)
     if fam in (Family.RELATIVISTIC_STABLE, Family.TEMPERED_STABLE, Family.LAMPERTI_STABLE):
         return 4.0 * t * math.exp(-model.m * R)
     if fam is Family.TRUNCATED_STABLE:
@@ -391,10 +390,12 @@ class PicardSolution:
 
 
 def _source_table(g, times: np.ndarray, grid: SpaceGrid) -> np.ndarray:
+    """g on the grid nodes, one row per time; a time-constant array source
+    gives a read-only broadcast view of ``g``, not a copy per row."""
     if isinstance(g, np.ndarray):
         if g.shape != (grid.n_points,):
             raise ShapeError("source must be sampled on the grid")
-        return np.broadcast_to(g, (times.size, grid.n_points)).copy()
+        return np.broadcast_to(g, (times.size, grid.n_points))
     return np.stack([np.asarray(g(float(t)), dtype=float) for t in times])
 
 

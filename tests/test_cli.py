@@ -7,7 +7,7 @@ import pytest
 from levyem import cli, spectral
 from levyem.errors import ConfigError
 from levyem.harness import ExperimentConfig, run_experiment
-from levyem.models import LevyModel
+from levyem.models import LevyModel, SubordinatorSpec
 from levyem.rng import RngStream
 from levyem.samplers import increments, load_batch
 from levyem.engine import drift_cos
@@ -58,29 +58,18 @@ class TestConfigParsing:
         assert "seed" in str(err.value)
 
     def test_model_round_trip(self, tmp_path):
-        text = """
-[model]
-family = layered_stable
-alpha = 1.5
-lambda_tail = 2.5
-"""
-        model = cli.build_model(cli.load_config(write(tmp_path, text)))
-        assert model == LevyModel.layered_stable(1.5, 2.5)
-
-    @pytest.mark.parametrize("model", [
-        LevyModel.brownian(dim=2),
-        LevyModel.isotropic_stable(1.5),
-        LevyModel.tempered_stable(1.7, 0.5),
-        LevyModel.layered_stable(1.5, 2.5),
-        LevyModel.subordinated_bm(
-            __import__("levyem.models", fromlist=["SubordinatorSpec"])
-            .SubordinatorSpec.tempered(0.75, 2.0)),
-    ])
-    def test_model_serialisation_round_trips(self, tmp_path, model):
-        section = cli.model_section(model)
-        text = "[model]\n" + "\n".join(f"{k} = {v}" for k, v in section.items())
-        rebuilt = cli.build_model(cli.load_config(write(tmp_path, text)))
-        assert rebuilt == model
+        for keys, model in (
+                ("family = layered_stable\nalpha = 1.5\nlambda_tail = 2.5\n",
+                 LevyModel.layered_stable(1.5, 2.5)),
+                ("family = brownian\ndim = 2\n", LevyModel.brownian(dim=2)),
+                ("family = isotropic_stable\nalpha = 1.5\n",
+                 LevyModel.isotropic_stable(1.5)),
+                ("family = tempered_stable\nalpha = 1.7\nm = 0.5\n",
+                 LevyModel.tempered_stable(1.7, 0.5)),
+                ("family = subordinated_bm\nrho = 0.75\nm = 2.0\n",
+                 LevyModel.subordinated_bm(SubordinatorSpec.tempered(0.75, 2.0)))):
+            rebuilt = cli.build_model(cli.load_config(write(tmp_path, "[model]\n" + keys)))
+            assert rebuilt == model, keys
 
     def test_subordinated_dispatch(self, tmp_path):
         stable = cli.build_model(cli.load_config(write(
@@ -114,6 +103,8 @@ MALFORMED = [
     ("converge", BASE_EXPERIMENT + "x0 = nan\n", "[experiment] x0:"),
     ("converge", BASE_EXPERIMENT.replace("dim = 1", "dim = 2") + "x0 = 0,1,2\n",
      "[experiment] x0:"),
+    ("converge", BASE_EXPERIMENT.replace("seed = 77", "seed = -1"), "seed=-1"),
+    ("sample", "[model]\nfamily = brownian\n[sample]\nn = 8\nseed = -1\n", "seed=-1"),
 ]
 
 
@@ -124,6 +115,26 @@ class TestExitCodes:
             code = cli.main([command, "--config", cfg, "--out-dir", str(tmp_path / "out")])
             assert code == 1, text
             assert message in capsys.readouterr().err, text
+
+    @pytest.mark.parametrize("flag,message", [("--seed-override", "seed=-1"),
+                                              ("--threads", "threads must be >= 0")])
+    def test_negative_converge_flag_exits_one(self, tmp_path, capsys, flag, message):
+        # 300 paths span two chunks, the case that used to reach the thread pool
+        cfg = write(tmp_path, BASE_EXPERIMENT.replace("paths = 200", "paths = 300"))
+        code = cli.main(["converge", "--config", cfg, "--out-dir", str(tmp_path / "out"),
+                         flag, "-1"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_flags_refused_where_they_do_nothing(self, tmp_path):
+        cfg = write(tmp_path, BASE_EXPERIMENT)
+        for command, flag in (("check", "--threads"), ("check", "--seed-override"),
+                              ("density", "--threads"), ("density", "--seed-override"),
+                              ("kolmogorov", "--threads"),
+                              ("kolmogorov", "--seed-override"), ("sample", "--threads")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--config", cfg, flag, "3"])
+            assert exc.value.code == 2, (command, flag)
 
     def test_check_balance_pass(self, tmp_path, capsys):
         text = """

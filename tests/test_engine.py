@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from levyem.engine import (DriftSpec, SimulationGrid, coarsen,
-                           coupled_sup_error, drift_const, drift_cos,
-                           drift_cos_time, drift_diagnostics, drift_rough,
-                           drift_zero, em_path)
+from levyem.engine import (DriftSpec, SimulationGrid, coupled_sup_error,
+                           drift_const, drift_cos, drift_cos_time,
+                           drift_diagnostics, drift_rough, drift_zero, em_path)
 from levyem.errors import DomainError, OverflowPathError, ShapeError
 from levyem.models import LevyModel
 from levyem.rng import RngStream
@@ -19,26 +18,11 @@ def zero_batch(n, d=1, dt=0.125):
 
 
 class TestSimulationGrid:
-    def test_step_map_brackets_s(self):
-        grid = SimulationGrid(1.7, 13)
-        rng = np.random.default_rng(0)
-        s = rng.uniform(0.0, 1.7, 1000)
-        eta = grid.eta(s)
-        assert np.all(eta <= s)
-        assert np.all(s < eta + grid.dt + 1e-15)
-
-    @pytest.mark.parametrize("T,n", [(1.0, 3), (1.0, 7), (math.pi, 5), (0.7, 12)])
-    def test_step_map_exact_at_grid_points(self, T, n):
-        grid = SimulationGrid(T, n)
-        for i, t in enumerate(grid.times[:-1]):
-            assert grid.eta(t) == t
-            assert grid.step_index(t) == i
-
     def test_domain(self):
         with pytest.raises(DomainError):
             SimulationGrid(0.0, 4)
         with pytest.raises(DomainError):
-            SimulationGrid(1.0, 4).eta(2.0)
+            SimulationGrid(1.0, 0)
 
 
 class TestEmPath:
@@ -91,52 +75,6 @@ class TestEmPath:
                        variant="timeint")
         assert np.allclose(path.states[:, 0], np.sin(SimulationGrid(1.0, n).times),
                            atol=1e-10)
-
-    def test_csv_export(self, tmp_path):
-        batch = increments(LevyModel.brownian(dim=2), 1.0, 4, RngStream(4, 0))
-        path = em_path(drift_zero(), np.zeros(2), SimulationGrid(1.0, 4), batch)
-        f = tmp_path / "path.csv"
-        path.to_csv(f)
-        lines = f.read_text().strip().split("\n")
-        assert lines[0] == "t,x_1,x_2"
-        assert len(lines) == 6
-
-
-class TestCoarsen:
-    def test_example_all_ones(self):
-        batch = IncrementBatch(dt=0.125, values=np.ones((8, 1)),
-                               model=LevyModel.brownian())
-        out = coarsen(batch, 2)
-        assert np.array_equal(out.values, 2.0 * np.ones((4, 1)))
-        assert out.dt == 0.25
-
-    def test_halving_composition_is_exact(self):
-        vals = RngStream(5, 0).generator().standard_normal((16, 2))
-        batch = IncrementBatch(dt=0.0625, values=vals, model=LevyModel.brownian(dim=2))
-        twice = coarsen(coarsen(batch, 2), 2)
-        once = coarsen(batch, 4)
-        assert np.array_equal(twice.values, once.values)
-
-    def test_total_sum_preserved(self):
-        vals = RngStream(6, 0).generator().standard_normal((32, 1))
-        batch = IncrementBatch(dt=1 / 32, values=vals, model=LevyModel.brownian())
-        out = coarsen(batch, 8)
-
-        def pairwise_total(v):
-            v = v.copy()
-            while v.shape[0] > 1:
-                if v.shape[0] % 2:
-                    v = np.vstack([v[:-1:2] + v[1::2], v[-1:]])
-                else:
-                    v = v[::2] + v[1::2]
-            return v[0]
-
-        assert np.array_equal(pairwise_total(out.values), pairwise_total(batch.values))
-
-    def test_non_divisible_rejected(self):
-        batch = zero_batch(9)
-        with pytest.raises(ShapeError):
-            coarsen(batch, 2)
 
 
 class TestCoupledError:

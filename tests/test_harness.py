@@ -37,9 +37,15 @@ class TestConfig:
             small_config(n_list=(8, 256), n_ref=512)
 
     def test_p_clamped_with_warning(self):
-        cfg = small_config(model=LevyModel.isotropic_stable(1.5), p=2.0)
+        # the prediction's clamped p is the Monte Carlo exponent and the note
+        model = LevyModel.isotropic_stable(1.5)
+        cfg = small_config(model=model, p=2.0)
         with pytest.warns(UserWarning):
-            assert cfg.p_effective() == 1.5
+            pred = cfg.prediction()
+            report = run_experiment(cfg)
+        assert pred.p == 1.5 and pred.p_clamped
+        assert report.notes == ("p clamped to gamma_inf=1.5",)
+        assert report.table == mc_strong_error(small_config(model=model, p=1.5))
 
     def test_minimum_paths(self):
         with pytest.raises(DomainError):
@@ -191,10 +197,15 @@ class TestInverseMoment:
                                      (0.01, 0.03, 0.1, 0.3, 1.0), 200_000, 11)
         assert abs(res.slope - (-1.0 / 1.5)) <= 0.05
 
-    def test_custom_subordinator_rejected(self):
-        sub = SubordinatorSpec.custom(lambda lam: lam ** 0.8, 0.8, 0.8, math.inf)
-        with pytest.raises(DomainError):
-            inverse_moment_scaling(sub, 1, (0.1, 0.5), 1000, 0)
+    def test_estimates_reproduce_recorded_draws(self):
+        # recorded when the diagnostic still picked the subordinator sampler itself
+        for sub, expected in (
+                (SubordinatorSpec.stable(0.75),
+                 (3.758615028662299, 1.7943718811032883, 0.8646716948070201)),
+                (SubordinatorSpec.tempered(0.75, 2.0),
+                 (4.166210944695914, 2.188448698387108, 1.2042357925457137))):
+            res = inverse_moment_scaling(sub, 1, (0.1, 0.3, 0.9), 2000, 17)
+            assert res.estimates == expected
 
     def test_t_domain(self):
         with pytest.raises(DomainError):

@@ -6,11 +6,10 @@ from scipy import integrate
 
 from levyem.errors import DensityError, DomainError
 from levyem.models import (LevyModel, SubordinatorSpec, balance_check,
-                           balance_margin, bernstein_eval, char_exponent,
-                           char_exponent_radial, kappa_exponent,
-                           lamperti_bernstein, one_minus_cos_constant,
-                           predict_for_model, predicted_rate, radial_density,
-                           stable_drift_admissible, verify_levy_moment)
+                           balance_margin, bernstein_eval, char_exponent_radial,
+                           kappa_exponent, lamperti_bernstein,
+                           one_minus_cos_constant, predict_for_model,
+                           predicted_rate, radial_density, verify_levy_moment)
 
 
 def catalog():
@@ -30,13 +29,13 @@ def catalog():
 
 class TestCharExponent:
     def test_isotropic_stable_alpha2_at_one(self):
-        assert char_exponent(LevyModel.isotropic_stable(2.0), 1.0) == 1.0 + 0.0j
+        assert char_exponent_radial(LevyModel.isotropic_stable(2.0), 1.0) == 1.0
 
     def test_relativistic_at_zero(self):
-        assert char_exponent(LevyModel.relativistic_stable(1.5, 1.0), 0.0) == 0.0j
+        assert char_exponent_radial(LevyModel.relativistic_stable(1.5, 1.0), 0.0) == 0.0
 
     def test_tempered_at_zero(self):
-        assert abs(char_exponent(LevyModel.tempered_stable(1.5, 1.0), 0.0)) < 1e-15
+        assert abs(char_exponent_radial(LevyModel.tempered_stable(1.5, 1.0), 0.0)) < 1e-15
 
     def test_zero_nonnegative_and_symmetric_on_grid(self):
         xi = np.linspace(-50.0, 50.0, 1000)
@@ -46,15 +45,15 @@ class TestCharExponent:
             assert np.all(psi >= -1e-12)
             # symmetric families have a real, even exponent
             for x in (0.7, 3.3, 17.0):
-                val = char_exponent(model, x)
-                assert val.imag == 0.0
-                assert val == char_exponent(model, -x)
+                val = char_exponent_radial(model, x)
+                assert isinstance(val, float)
+                assert val == char_exponent_radial(model, -x)
 
     def test_subordination_identity(self):
         sub = SubordinatorSpec.tempered(0.75, 1.0)
         model = LevyModel.subordinated_bm(sub)
         for x in (0.0, 0.5, 2.0, 11.0):
-            lhs = char_exponent(model, x)
+            lhs = char_exponent_radial(model, x)
             rhs = bernstein_eval(sub, x * x)
             assert abs(lhs - rhs) <= 1e-12
 
@@ -63,7 +62,7 @@ class TestCharExponent:
         model = LevyModel.relativistic_stable(alpha, m)
         sub = SubordinatorSpec.tempered(alpha / 2.0, m)
         for x in (0.3, 1.0, 4.0):
-            assert char_exponent(model, x).real == pytest.approx(
+            assert char_exponent_radial(model, x) == pytest.approx(
                 bernstein_eval(sub, x * x), abs=1e-12)
 
     def test_tempered_closed_form_matches_levy_density(self):
@@ -106,10 +105,6 @@ class TestCharExponent:
             ref += 1.0 / (a * 200.0 ** a)  # mass beyond the cutoff, oscillation negligible
             assert one_minus_cos_constant(a) == pytest.approx(ref, rel=1e-4)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            char_exponent(LevyModel.brownian(dim=2), 1.0)
-
 
 class TestBernstein:
     def test_stable_examples(self):
@@ -124,20 +119,26 @@ class TestBernstein:
         with pytest.raises(DomainError):
             bernstein_eval(SubordinatorSpec.stable(0.75), -1.0)
 
+    @staticmethod
+    def assert_bernstein_on_grid(f):
+        lam = np.logspace(-6, 6, 200)
+        vals = f(lam)
+        assert f(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert np.all(vals >= 0)
+        assert np.all(np.diff(vals) >= -1e-12)
+        slopes = np.diff(vals) / np.diff(lam)
+        assert np.all(np.diff(slopes) <= 1e-10)
+
     @pytest.mark.parametrize("sub", [
         SubordinatorSpec.stable(0.6),
         SubordinatorSpec.stable(0.9),
         SubordinatorSpec.tempered(0.75, 1.0),
-        SubordinatorSpec.custom(lamperti_bernstein(1.5, 1.0), 0.75, 0.75, math.inf),
     ])
     def test_bernstein_property_on_grid(self, sub):
-        lam = np.logspace(-6, 6, 200)
-        f = bernstein_eval(sub, lam)
-        assert bernstein_eval(sub, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert np.all(f >= 0)
-        assert np.all(np.diff(f) >= -1e-12)
-        slopes = np.diff(f) / np.diff(lam)
-        assert np.all(np.diff(slopes) <= 1e-10)
+        self.assert_bernstein_on_grid(lambda lam: bernstein_eval(sub, lam))
+
+    def test_lamperti_bernstein_property_on_grid(self):
+        self.assert_bernstein_on_grid(lamperti_bernstein(1.5, 1.0))
 
     def test_stable_growth_index_sharp(self):
         # f(lam)/lam^rho == 1 for every lam, so the liminf at infinity is 1
@@ -186,16 +187,18 @@ class TestBalanceAndRate:
             assert predicted_rate(p, beta, eta, g2).rate <= predicted_rate(p, beta, eta, g1).rate
 
     def test_stable_admissibility_examples(self):
-        assert stable_drift_admissible(1.5, 0.34) is True
-        assert stable_drift_admissible(1.5, 1.0 / 3.0) is False
-        assert stable_drift_admissible(2.0, 0.01) is True
+        # stable-like noise: balance at gamma0 = alpha
+        assert balance_check(1.5, 1.5, 0.34) is True
+        assert balance_check(1.5, 1.5, 1.0 / 3.0) is False
+        assert balance_check(2.0, 2.0, 0.01) is True
 
     def test_admissibility_matches_balance_at_gamma0_alpha(self):
+        # balance at gamma0 = alpha is the stable admissibility beta > 2/alpha - 1
         rng = np.random.default_rng(11)
         for _ in range(500):
             alpha = rng.uniform(1.0 + 1e-9, 2.0)
             beta = rng.uniform(0.0, 1.0)
-            assert stable_drift_admissible(alpha, beta) == balance_check(alpha, alpha, beta)
+            assert balance_check(alpha, alpha, beta) == (beta > 2.0 / alpha - 1.0)
 
     def test_kappa_identity_with_balance(self):
         rng = np.random.default_rng(13)

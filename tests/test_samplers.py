@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -36,9 +37,10 @@ class TestStreams:
         r = np.corrcoef(u0, u1)[0, 1]
         assert abs(r) < 0.01
 
-    def test_substream_distinct(self):
-        s = RngStream(9, 3)
-        assert s.substream(0) != s.substream(1)
+    def test_out_of_range_seed_is_a_domain_error(self):
+        for seed, stream in ((-1, 0), (2**64, 0), (0, -1)):
+            with pytest.raises(DomainError):
+                RngStream(seed, stream)
 
 
 class TestStableSampler:
@@ -142,6 +144,34 @@ class TestSubordinatedBM:
     def test_negative_subordinator_rejected(self):
         with pytest.raises(DomainError):
             sample_subordinated_bm(-0.1, 1, RngStream(0, 0))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("dt", [1.0, 0.1, 1.0 / 3.0, 2.0 ** -11])
+    def test_isotropic_alpha2_is_the_brownian_line(self, d, dt):
+        # a rho = 1 stable subordinator draws nothing, so the subordination
+        # route gives the Brownian increments from the same stream
+        n = 64
+        vals = increments(LevyModel.isotropic_stable(2.0, dim=d), dt * n, n,
+                          RngStream(8, 2)).values
+        expected = RngStream(8, 2).generator().standard_normal((n, d)) * math.sqrt(2.0 * dt)
+        assert np.array_equal(vals, expected)
+
+    def test_subordination_route_reproduces_recorded_draws(self):
+        # sha256 of the increments, recorded when each family still called
+        # its subordinator sampler directly
+        for model, digest in (
+                (LevyModel.isotropic_stable(1.5, dim=3),
+                 "02e74db4f9a3834c1092a23f651e17323dbdde59da95ce7520141e5614912a2c"),
+                (LevyModel.relativistic_stable(1.5, 1.0),
+                 "561cb58dadd4b90ad6115a785add18c8923484cf0ca044a6a99eb5ed688d8652"),
+                (LevyModel.relativistic_stable(1.2, 2.0, dim=2),
+                 "7c684dab63481a95e655933cba62060ac95e76f75cb760de3539ee9fdd643012"),
+                (LevyModel.subordinated_bm(SubordinatorSpec.stable(0.8)),
+                 "b5950b52c0255d962d3a16968f78be0b4ea65bfaa738d3eb561a0c2175ff1fca"),
+                (LevyModel.subordinated_bm(SubordinatorSpec.tempered(0.75, 2.0), dim=2),
+                 "57601542ff4654ab4247501b49728be9deafca75b5b40be325dc00df8d1a9962")):
+            vals = increments(model, 2.0, 64, RngStream(31, 4)).values
+            assert hashlib.sha256(vals.tobytes()).hexdigest() == digest, model.describe()
 
     def test_relativistic_pipeline_cf(self):
         model = LevyModel.relativistic_stable(1.5, 1.0)
@@ -270,9 +300,6 @@ class TestIncrements:
     def test_unsupported_families(self):
         with pytest.raises(UnsupportedModelError):
             increments(LevyModel.lamperti_stable(1.5, 1.0), 1.0, 8, RngStream(0, 0))
-        custom = SubordinatorSpec.custom(lambda lam: lam ** 0.75, 0.75, 0.75, math.inf)
-        with pytest.raises(UnsupportedModelError):
-            increments(LevyModel.subordinated_bm(custom), 1.0, 8, RngStream(0, 0))
 
     def test_heavy_tail_moment_behaviour(self):
         # p = 1 < alpha: the empirical mean of |L_1| settles as M grows

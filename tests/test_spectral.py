@@ -406,6 +406,13 @@ class TestPicardSweep:
                                           target_ratio=0.5)
         assert sol.halvings == 2 and sol.converged
 
+    def test_array_source_table_is_a_view_of_g(self):
+        grid = SpaceGrid(16 * math.pi, 512)
+        g = np.cos(grid.nodes)
+        tab = spectral._source_table(g, np.linspace(0.0, 0.25, 9), grid)
+        assert tab.shape == (9, grid.n_points)
+        assert np.shares_memory(tab, g) and not tab.flags.writeable
+
 
 class TestKolmogorovResidual:
     def test_zero_everything(self):
