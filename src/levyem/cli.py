@@ -6,7 +6,7 @@ Configs are flat key=value sections, one experiment per file; seeds are
 mandatory wherever randomness is involved.
 
 Exit codes: 0 success / consistent, 2 theory violation or balance failure,
-1 operational error.
+1 operational or usage error.
 """
 
 from __future__ import annotations
@@ -327,7 +327,10 @@ def main(argv=None) -> int:
         if name in ("converge", "sample"):
             p.add_argument("--seed-override", type=int, default=None)
         p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the usage and error
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except (LevyemError, OSError) as exc:

@@ -18,13 +18,13 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .engine import VARIANTS, DriftSpec, as_state, euler_ladder
 from .errors import DegenerateExactError, DomainError, ExperimentAbortedError
-from .fitting import PowerLawFit, fit_decay_rate
+from .fitting import PowerLawFit, fit_decay_rate, fit_powerlaw
 from .models import (LevyModel, RatePrediction, SubordinatorSpec,
                      predict_for_model)
 from .rng import RngStream
@@ -75,12 +75,8 @@ class ExperimentConfig:
 
     def prediction(self) -> RatePrediction:
         """The predicted rate; its ``p`` is the moment order the Monte Carlo
-        uses, clamped to gamma_inf with a warning."""
-        pred = predict_for_model(self.model, self.drift.beta, self.drift.eta, self.p)
-        if pred.p_clamped:
-            warnings.warn(f"moment order p={self.p} exceeds gamma_inf={pred.p}; "
-                          "clamping", stacklevel=2)
-        return pred
+        uses, clamped to gamma_inf."""
+        return predict_for_model(self.model, self.drift.beta, self.drift.eta, self.p)
 
 
 @dataclass(frozen=True)
@@ -157,32 +153,32 @@ def _path_block(config: ExperimentConfig, p_eff: float, lo: int, hi: int):
     return (sup ** p_eff).T
 
 
-def mc_strong_error(config: ExperimentConfig,
-                    injected: Optional[Callable[[int], float]] = None) -> ErrorTable:
-    """Per-n sample mean and standard error of sup-error^p over config.paths.
-
-    ``injected`` replaces the per-path error functional by a deterministic
-    value per n (harness self-test mode)."""
-    p_eff = config.prediction().p
+def _error_powers(config: ExperimentConfig, p_eff: float) -> np.ndarray:
+    """Sup-error^p of every path (rows) at every ladder entry (columns)."""
     M = config.paths
-    cols = len(config.n_list)
-    values = np.empty((M, cols))
-
-    if injected is not None:
-        for col, n in enumerate(config.n_list):
-            values[:, col] = injected(n)
+    values = np.empty((M, len(config.n_list)))
+    spans = [(lo, min(lo + config.chunk, M)) for lo in range(0, M, config.chunk)]
+    if config.threads and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            futures = [pool.submit(_path_block, config, p_eff, lo, hi)
+                       for lo, hi in spans]
+            for (lo, hi), fut in zip(spans, futures):
+                values[lo:hi] = fut.result()
     else:
-        spans = [(lo, min(lo + config.chunk, M)) for lo in range(0, M, config.chunk)]
-        if config.threads and len(spans) > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                futures = [pool.submit(_path_block, config, p_eff, lo, hi)
-                           for lo, hi in spans]
-                for (lo, hi), fut in zip(spans, futures):
-                    values[lo:hi] = fut.result()
-        else:
-            for lo, hi in spans:
-                values[lo:hi] = _path_block(config, p_eff, lo, hi)
+        for lo, hi in spans:
+            values[lo:hi] = _path_block(config, p_eff, lo, hi)
+    return values
 
+
+def mc_strong_error(config: ExperimentConfig) -> ErrorTable:
+    """Per-n sample mean and standard error of sup-error^p over config.paths;
+    warns when p is clamped to gamma_inf."""
+    pred = config.prediction()
+    if pred.p_clamped:
+        warnings.warn(f"moment order p={config.p} exceeds gamma_inf={pred.p}; clamping",
+                      stacklevel=2)
+    values = _error_powers(config, pred.p)
+    M = config.paths
     good = np.all(np.isfinite(values), axis=1)
     flagged = int(M - good.sum())
     if flagged > 0.001 * M:
@@ -211,9 +207,8 @@ def compare_to_theory(fitted_rate: float, predicted_rate: float, tol: float = 0.
     return VERDICT_CONSISTENT
 
 
-def run_experiment(config: ExperimentConfig,
-                   injected: Optional[Callable[[int], float]] = None) -> ConvergenceReport:
-    table = mc_strong_error(config, injected=injected)
+def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
+    table = mc_strong_error(config)
     prediction = config.prediction()
     summary = {
         "model": config.model.describe(),
@@ -292,8 +287,7 @@ def inverse_moment_scaling(sub: SubordinatorSpec, d: int, t_list, M: int,
                                    slope=None, target_slope=target,
                                    norm_constant=const, norm_stderr=const_se,
                                    diverged=True)
-    fit = fit_decay_rate(np.asarray(t_list), np.asarray(estimates))
-    # fit_decay_rate returns the positive decay exponent in 1/t; the slope in t is its negative
+    fit = fit_powerlaw(np.asarray(t_list), np.asarray(estimates))
     return InverseMomentResult(t_values=t_list, estimates=tuple(estimates),
-                               slope=-fit.exponent, target_slope=target,
+                               slope=fit.exponent, target_slope=target,
                                norm_constant=const, norm_stderr=const_se)

@@ -64,34 +64,26 @@ class MomentIndices:
 class SubordinatorSpec:
     """A subordinator described by its Laplace exponent (Bernstein function) f.
 
-    rho is the lower growth index: liminf f(lam)/lam^rho > 0.  delta0 and
-    delta_inf are the moment indices of the subordinator's Levy measure on
-    (0,1) and (1,inf).
-    """
+    rho is the lower growth index: liminf f(lam)/lam^rho > 0.  The family and
+    rho fix the moment indices of its Levy measure."""
 
     family: SubFamily
     rho: float
     m: float = 0.0  # tilt: tempered family has f(lam) = (lam + m^2)^rho - m^(2 rho)
-    delta0: float = 0.0
-    delta_inf: float = math.inf
-    delta0_open: bool = True
-    delta_inf_open: bool = False
 
     def __post_init__(self):
         if not (0 < self.rho <= 1.0):
             raise DomainError(f"rho must lie in (0, 1], got {self.rho}")
+        if not (self.m > 0 if self.family is SubFamily.TEMPERED_STABLE else self.m == 0):
+            raise DomainError(f"tilt m={self.m}: tempered needs m > 0, stable m = 0")
 
     @staticmethod
     def stable(rho: float) -> "SubordinatorSpec":
-        return SubordinatorSpec(SubFamily.STABLE, rho, delta0=rho, delta_inf=rho,
-                                delta0_open=True, delta_inf_open=True)
+        return SubordinatorSpec(SubFamily.STABLE, rho)
 
     @staticmethod
     def tempered(rho: float, m: float) -> "SubordinatorSpec":
-        if m <= 0:
-            raise DomainError("tempered subordinator needs tilt m > 0")
-        return SubordinatorSpec(SubFamily.TEMPERED_STABLE, rho, m=m,
-                                delta0=rho, delta_inf=math.inf, delta0_open=True)
+        return SubordinatorSpec(SubFamily.TEMPERED_STABLE, rho, m)
 
 
 def bernstein_eval(sub: SubordinatorSpec, lam):
@@ -124,9 +116,20 @@ def lamperti_bernstein(alpha: float, m: float):
     return f
 
 
+# the parameters each family takes; every other parameter must be None
+_PARAMETERS = {
+    Family.BROWNIAN: (), Family.ISOTROPIC_STABLE: ("alpha",),
+    Family.RELATIVISTIC_STABLE: ("alpha", "m"), Family.TEMPERED_STABLE: ("alpha", "m"),
+    Family.LAMPERTI_STABLE: ("alpha", "m"), Family.TRUNCATED_STABLE: ("alpha",),
+    Family.LAYERED_STABLE: ("alpha", "lambda_tail"), Family.SUBORDINATED_BM: ("sub",),
+}
+_ONE_DIMENSIONAL = (Family.TEMPERED_STABLE, Family.TRUNCATED_STABLE, Family.LAYERED_STABLE)
+
+
 @dataclass(frozen=True)
 class LevyModel:
-    """A driving Levy process: family tag, parameters and derived indices."""
+    """A driving Levy process: family tag and parameters.  The gradient index
+    and the moment indices are derived from them."""
 
     family: Family
     dim: int = 1
@@ -134,103 +137,88 @@ class LevyModel:
     m: Optional[float] = None
     lambda_tail: Optional[float] = None
     sub: Optional[SubordinatorSpec] = None
-    gradient_index: float = 2.0
-    moments: MomentIndices = field(default_factory=lambda: MomentIndices(2.0, math.inf))
+    gradient_index: float = field(init=False)
+    moments: MomentIndices = field(init=False)
 
     def __post_init__(self):
+        # Brownian motion is the alpha = 2 member of the isotropic stable family
+        fam, a = self.family, 2.0 if self.family is Family.BROWNIAN else self.alpha
         if self.dim < 1:
             raise DomainError("dim must be a positive integer")
+        for name in ("alpha", "m", "lambda_tail", "sub"):
+            takes = name in _PARAMETERS[fam]
+            if (getattr(self, name) is not None) != takes:
+                raise DomainError(f"{fam.value} {'needs' if takes else 'takes no'} {name}")
         if self.m is not None and self.m <= 0:
             raise DomainError("m must be positive")
-        if not (1.0 < self.gradient_index <= 2.0):
-            raise DomainError("gradient index must lie in (1, 2]")
+        if fam in _ONE_DIMENSIONAL and self.dim != 1:
+            raise DomainError(f"{fam.value} is one-dimensional")
+        if fam is Family.SUBORDINATED_BM:
+            rho, stable = self.sub.rho, self.sub.family is SubFamily.STABLE
+            if rho <= 0.5:
+                raise DomainError("subordinated BM needs rho > 1/2 for gradient index > 1")
+            # twice the subordinator's indices: rho (open) at 0, rho (open, stable) or inf at inf
+            grad = min(2.0, 2.0 * rho)
+            moments = MomentIndices(grad, 2.0 * rho if stable else math.inf,
+                                    gamma0_open=True, gamma_inf_open=stable)
+        elif fam in (Family.BROWNIAN, Family.ISOTROPIC_STABLE):
+            if not (0.0 < a <= 2.0):
+                raise DomainError(f"alpha must lie in (0.0, 2], got {a}")
+            # alpha = 2 is the Gaussian reference, with all moments
+            grad = a if a > 1.0 else 1.0 + 1e-9
+            moments = MomentIndices(2.0, math.inf) if a == 2.0 else \
+                MomentIndices(max(1.0, a), a, gamma0_open=True, gamma_inf_open=True)
+        elif not (1.0 < a < 2.0):
+            raise DomainError(f"alpha must lie in (1, 2), got {a}")
+        elif fam is Family.LAYERED_STABLE and not self.lambda_tail > 0:
+            raise DomainError("lambda_tail must be positive")
+        else:
+            layered = fam is Family.LAYERED_STABLE
+            grad, moments = a, MomentIndices(a, self.lambda_tail if layered else math.inf,
+                                             gamma0_open=True, gamma_inf_open=layered)
+        object.__setattr__(self, "gradient_index", grad)
+        object.__setattr__(self, "moments", moments)
 
-    # ------------------------------------------------------------------
-    # factories
-    # ------------------------------------------------------------------
     @staticmethod
     def brownian(dim: int = 1) -> "LevyModel":
-        return LevyModel(Family.BROWNIAN, dim=dim, gradient_index=2.0,
-                         moments=MomentIndices(2.0, math.inf))
+        return LevyModel(Family.BROWNIAN, dim=dim)
 
     @staticmethod
     def isotropic_stable(alpha: float, dim: int = 1, strict: bool = True) -> "LevyModel":
         """psi(xi) = |xi|^alpha.  strict=False admits alpha in (0, 2] for
         analysis-only uses (e.g. the Cauchy density); the convergence theory
         requires alpha > 1."""
-        lo = 1.0 if strict else 0.0
-        if not (lo < alpha <= 2.0):
-            raise DomainError(f"alpha must lie in ({lo}, 2], got {alpha}")
-        if alpha == 2.0:
-            # degenerate stable: the Gaussian reference with all moments
-            moments = MomentIndices(2.0, math.inf)
-        else:
-            moments = MomentIndices(max(1.0, alpha), alpha,
-                                    gamma0_open=True, gamma_inf_open=True)
-        grad = alpha if alpha > 1 else 1.0 + 1e-9
-        return LevyModel(Family.ISOTROPIC_STABLE, dim=dim, alpha=alpha,
-                         gradient_index=min(grad, 2.0), moments=moments)
+        if strict and not alpha > 1.0:
+            raise DomainError(f"alpha must lie in (1.0, 2], got {alpha}")
+        return LevyModel(Family.ISOTROPIC_STABLE, dim=dim, alpha=alpha)
 
     @staticmethod
     def relativistic_stable(alpha: float, m: float, dim: int = 1) -> "LevyModel":
-        if not (1.0 < alpha < 2.0):
-            raise DomainError(f"alpha must lie in (1, 2), got {alpha}")
-        return LevyModel(Family.RELATIVISTIC_STABLE, dim=dim, alpha=alpha, m=m,
-                         gradient_index=alpha,
-                         moments=MomentIndices(alpha, math.inf, gamma0_open=True))
+        return LevyModel(Family.RELATIVISTIC_STABLE, dim=dim, alpha=alpha, m=m)
 
     @staticmethod
     def tempered_stable(alpha: float, m: float) -> "LevyModel":
-        if not (1.0 < alpha < 2.0):
-            raise DomainError(f"alpha must lie in (1, 2), got {alpha}")
-        return LevyModel(Family.TEMPERED_STABLE, dim=1, alpha=alpha, m=m,
-                         gradient_index=alpha,
-                         moments=MomentIndices(alpha, math.inf, gamma0_open=True))
+        return LevyModel(Family.TEMPERED_STABLE, alpha=alpha, m=m)
 
     @staticmethod
     def lamperti_stable(alpha: float, m: float, dim: int = 1) -> "LevyModel":
-        if not (1.0 < alpha < 2.0):
-            raise DomainError(f"alpha must lie in (1, 2), got {alpha}")
-        return LevyModel(Family.LAMPERTI_STABLE, dim=dim, alpha=alpha, m=m,
-                         gradient_index=alpha,
-                         moments=MomentIndices(alpha, math.inf, gamma0_open=True))
+        return LevyModel(Family.LAMPERTI_STABLE, dim=dim, alpha=alpha, m=m)
 
     @staticmethod
     def truncated_stable(alpha: float) -> "LevyModel":
         """Radial density r^(-1-alpha) on (0, 1), no jumps beyond radius 1."""
-        if not (1.0 < alpha < 2.0):
-            raise DomainError(f"alpha must lie in (1, 2), got {alpha}")
-        return LevyModel(Family.TRUNCATED_STABLE, dim=1, alpha=alpha,
-                         gradient_index=alpha,
-                         moments=MomentIndices(alpha, math.inf, gamma0_open=True))
+        return LevyModel(Family.TRUNCATED_STABLE, alpha=alpha)
 
     @staticmethod
     def layered_stable(alpha: float, lambda_tail: float) -> "LevyModel":
         """Radial density r^(-1-alpha) on (0,1) and r^(-1-lambda_tail) on [1,inf)."""
-        if not (1.0 < alpha < 2.0):
-            raise DomainError(f"alpha must lie in (1, 2), got {alpha}")
-        if lambda_tail <= 0:
-            raise DomainError("lambda_tail must be positive")
-        return LevyModel(Family.LAYERED_STABLE, dim=1, alpha=alpha,
-                         lambda_tail=lambda_tail, gradient_index=alpha,
-                         moments=MomentIndices(alpha, lambda_tail,
-                                               gamma0_open=True, gamma_inf_open=True))
+        return LevyModel(Family.LAYERED_STABLE, alpha=alpha, lambda_tail=lambda_tail)
 
     @staticmethod
     def subordinated_bm(sub: SubordinatorSpec, dim: int = 1) -> "LevyModel":
         """Brownian motion time-changed by ``sub``: psi(xi) = f(|xi|^2)."""
-        if sub.rho <= 0.5:
-            raise DomainError("subordinated BM needs rho > 1/2 for gradient index > 1")
-        gamma0 = min(2.0, 2.0 * sub.delta0) if sub.delta0 > 0 else 1.0
-        gamma0 = max(1.0, gamma0)
-        gamma_inf = 2.0 * sub.delta_inf if math.isfinite(sub.delta_inf) else math.inf
-        return LevyModel(Family.SUBORDINATED_BM, dim=dim, sub=sub,
-                         gradient_index=min(2.0, 2.0 * sub.rho),
-                         moments=MomentIndices(gamma0, gamma_inf,
-                                               gamma0_open=sub.delta0_open,
-                                               gamma_inf_open=sub.delta_inf_open))
+        return LevyModel(Family.SUBORDINATED_BM, dim=dim, sub=sub)
 
-    # ------------------------------------------------------------------
     def describe(self) -> str:
         parts = [self.family.value, f"d={self.dim}"]
         for name in ("alpha", "m", "lambda_tail"):

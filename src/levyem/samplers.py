@@ -62,8 +62,8 @@ def sample_stable(alpha: float, scale: float, count: int, rng) -> np.ndarray:
     return scale * x
 
 
-def sample_stable_subordinator(rho: float, t: float, rng, size: Optional[int] = None):
-    """Increments of the stable subordinator, Laplace transform exp(-t lam^rho).
+def sample_stable_subordinator(rho: float, t: float, rng, size: int) -> np.ndarray:
+    """``size`` stable-subordinator increments, Laplace transform exp(-t lam^rho).
 
     rho = 1 is the degenerate deterministic time change S_t = t.
     """
@@ -71,24 +71,21 @@ def sample_stable_subordinator(rho: float, t: float, rng, size: Optional[int] = 
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
     if t < 0:
         raise DomainError("t must be nonnegative")
-    n = 1 if size is None else size
     if rho == 1.0:
-        out = np.full(n, float(t))
-        return float(out[0]) if size is None else out
+        return np.full(size, float(t))
     gen = as_generator(rng)
-    u = gen.uniform(0.0, np.pi, n)
-    w = gen.standard_exponential(n)
+    u = gen.uniform(0.0, np.pi, size)
+    w = gen.standard_exponential(size)
     # Kanter's representation: S_1 = (A(U)/W)^((1-rho)/rho)
     a = (np.sin(rho * u) ** rho * np.sin((1.0 - rho) * u) ** (1.0 - rho)
          / np.sin(u)) ** (1.0 / (1.0 - rho))
     s1 = (a / w) ** ((1.0 - rho) / rho)
-    out = t ** (1.0 / rho) * s1
-    return float(out[0]) if size is None else out
+    return t ** (1.0 / rho) * s1
 
 
 def sample_tempered_subordinator(rho: float, m: float, t: float, rng,
-                                 size: Optional[int] = None):
-    """Subordinator increments with Laplace transform exp(-t ((lam+m^2)^rho - m^(2 rho))).
+                                 size: int) -> np.ndarray:
+    """``size`` increments with Laplace transform exp(-t ((lam+m^2)^rho - m^(2 rho))).
 
     Proposals are stable increments accepted with probability exp(-m^2 S);
     the horizon is split into k = ceil(t m^(2 rho) / 0.7) pieces so the
@@ -101,28 +98,26 @@ def sample_tempered_subordinator(rho: float, m: float, t: float, rng,
     if t < 0:
         raise DomainError("t must be nonnegative")
     gen = as_generator(rng)
-    n = 1 if size is None else size
     k = max(1, math.ceil(t * m ** (2.0 * rho) / 0.7))
     tau = t / k
     m2 = m * m
-    total = np.zeros(n)
+    total = np.zeros(size)
     for _ in range(k):
-        pending = np.arange(n)
-        piece = np.empty(n)
+        pending = np.arange(size)
+        piece = np.empty(size)
         while pending.size:
             prop = sample_stable_subordinator(rho, tau, gen, size=pending.size)
             acc = gen.uniform(size=pending.size) < np.exp(-m2 * prop)
             piece[pending[acc]] = prop[acc]
             pending = pending[~acc]
         total += piece
-    return float(total[0]) if size is None else total
+    return total
 
 
-def sample_subordinator(sub: SubordinatorSpec, t: float, rng,
-                        size: Optional[int] = None):
-    """Increments over time t of the subordinator ``sub``, by its family's
-    sampler; a rho = 1 stable subordinator is the identity time and draws
-    nothing."""
+def sample_subordinator(sub: SubordinatorSpec, t: float, rng, size: int) -> np.ndarray:
+    """``size`` increments over time t of the subordinator ``sub``, by its
+    family's sampler; a rho = 1 stable subordinator is the identity time and
+    draws nothing."""
     if sub.family is SubFamily.STABLE:
         return sample_stable_subordinator(sub.rho, t, rng, size)
     return sample_tempered_subordinator(sub.rho, sub.m, t, rng, size)
@@ -205,11 +200,11 @@ def _decomposition_stats(model: LevyModel, epsilon: float):
 
 
 def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
-                              size: Optional[int] = None, return_counts: bool = False):
-    """One-dimensional increments over dt: matched Gaussian for jumps below
-    epsilon plus compound Poisson above.  Returns (values, TruncationMeta);
-    ``return_counts`` additionally exposes the per-increment jump counts for
-    diagnostics."""
+                              size: int, return_counts: bool = False):
+    """``size`` one-dimensional increments over dt: matched Gaussian for jumps
+    below epsilon plus compound Poisson above.  Returns (values,
+    TruncationMeta); ``return_counts`` additionally exposes the per-increment
+    jump counts for diagnostics."""
     if model.dim != 1:
         raise UnsupportedModelError("jump decomposition is one-dimensional")
     if not (0.0 < epsilon <= 1.0):
@@ -221,20 +216,16 @@ def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
     meta = TruncationMeta(epsilon=epsilon, sigma2=sigma2, intensity=intensity)
 
     gen = as_generator(rng)
-    n = 1 if size is None else size
-    values = gen.standard_normal(n) * math.sqrt(dt * sigma2)
-    counts = np.zeros(n, dtype=int)
+    values = gen.standard_normal(size) * math.sqrt(dt * sigma2)
+    counts = np.zeros(size, dtype=int)
     if intensity > 0:
-        counts = gen.poisson(dt * intensity, n)
+        counts = gen.poisson(dt * intensity, size)
         total = int(counts.sum())
         if total:
             radii = rd.sample_tail(epsilon, total, gen)
             signs = gen.integers(0, 2, total) * 2.0 - 1.0
-            owner = np.repeat(np.arange(n), counts)
-            values = values + np.bincount(owner, weights=radii * signs, minlength=n)
-    if size is None:
-        out = (float(values[0]), meta)
-        return out + (counts,) if return_counts else out
+            owner = np.repeat(np.arange(size), counts)
+            values = values + np.bincount(owner, weights=radii * signs, minlength=size)
     return (values, meta, counts) if return_counts else (values, meta)
 
 
@@ -267,13 +258,12 @@ class IncrementBatch:
         return self.values.shape[0]
 
 
-def increments(model: LevyModel, T: float, n: int, rng,
-               epsilon: Optional[float] = None) -> IncrementBatch:
+def increments(model: LevyModel, T: float, n: int, rng) -> IncrementBatch:
     """Draw the n driving increments of L over [0, T] at step dt = T/n.
 
     Uses the exact family sampler where one exists; the radial pure-jump
-    families fall back to the decomposition sampler with threshold
-    ``epsilon`` (defaulted by :func:`default_epsilon`).
+    families fall back to the decomposition sampler with the threshold of
+    :func:`default_epsilon`.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -301,8 +291,7 @@ def increments(model: LevyModel, T: float, n: int, rng,
         s = sample_subordinator(model.sub, dt, gen, n)
         vals = sample_subordinated_bm(s, d, gen)
     elif fam in (Family.TEMPERED_STABLE, Family.TRUNCATED_STABLE, Family.LAYERED_STABLE):
-        eps = default_epsilon(model, dt) if epsilon is None else epsilon
-        flat, meta = sample_jump_decomposition(model, eps, dt, gen, size=n)
+        flat, meta = sample_jump_decomposition(model, default_epsilon(model, dt), dt, gen, n)
         vals = flat[:, None]
     else:
         raise UnsupportedModelError(f"no increment sampler for family {fam.value}")

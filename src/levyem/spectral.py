@@ -129,14 +129,13 @@ def tail_mass_estimate(model: LevyModel, t: float, R: float) -> float:
 
 
 def suggest_grid(model: LevyModel, t_min: float, t_max: float,
-                 tail_target: float = 1e-8, deriv_order: int = 2,
-                 max_points: int = 2 ** 21) -> SpaceGrid:
+                 tail_target: float = 1e-8, max_points: int = 2 ** 21) -> SpaceGrid:
     """Pick (R, N) so exp(-t_min psi) decays below 1e-16 at the Nyquist
-    frequency (with xi^deriv_order headroom) and the density tail outside
-    [-R, R] is estimated below tail_target; N is capped at max_points."""
+    frequency (with xi^2 headroom) and the density tail outside [-R, R] is
+    estimated below tail_target; N is capped at max_points."""
     xi = 4.0
     while True:
-        decay = t_min * char_exponent_radial(model, xi) - deriv_order * math.log(xi)
+        decay = t_min * char_exponent_radial(model, xi) - 2 * math.log(xi)
         if decay >= 38.0:
             break
         xi *= 1.3
@@ -436,12 +435,13 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         times = horizon * np.arange(n_time + 1) / n_time
         delta = horizon / n_time
         g_tab = _source_table(g, times, grid)
+        g_rows = g[None] if isinstance(g, np.ndarray) else g_tab  # an array source is one row
         b_tab = _drift_table(drift, times, grid)
-        g_norm = float(np.max(np.abs(g_tab)))
+        g_norm = float(np.max(np.abs(g_rows)))
         if g_norm == 0.0:
             u = np.zeros((n_time + 1, grid.n_points))
             return _finish(model, grid, horizon, halvings, times, u, (), True,
-                           not force_unbalanced and kappa < 1.0, kappa, drift, g_tab)
+                           not force_unbalanced and kappa < 1.0, kappa, drift, g_rows)
 
         z = delta * psi
         decay = np.exp(-z)
@@ -464,7 +464,7 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         contracting = not ratios or max(ratios[-2:]) < target_ratio
         if converged and contracting:
             return _finish(model, grid, horizon, halvings, times, u, tuple(diffs),
-                           True, kappa < 1.0, kappa, drift, g_tab)
+                           True, kappa < 1.0, kappa, drift, g_rows)
         if halvings >= max_halvings:
             raise StiffnessError(
                 f"no contraction after halving the horizon {halvings} times "
@@ -508,7 +508,7 @@ def _picard_sweep(b_tab: np.ndarray, g_tab: np.ndarray, u: np.ndarray,
 
 
 def _finish(model, grid, horizon, halvings, times, u, diffs, converged, certified,
-            kappa, drift: DriftSpec, g_tab: np.ndarray) -> PicardSolution:
+            kappa, drift: DriftSpec, g_rows: np.ndarray) -> PicardSolution:
     ik = 1j * grid.dual
     grad = np.empty_like(u)
     for blk in _row_blocks(0, u.shape[0], grid.n_points):
@@ -519,8 +519,8 @@ def _finish(model, grid, horizon, halvings, times, u, diffs, converged, certifie
     sem_g0 = _holder_quotient(grad_peaks, min(1.0, gamma0 / 2.0))
     sup_u = float(np.max(np.abs(u)))
     sup_grad = float(np.max(np.abs(grad)))
-    g_sup = float(np.max(np.abs(g_tab)))
-    g_sem = _holder_quotient(_dyadic_peaks(g_tab, grid.h, 2.0), drift.beta)
+    g_sup = float(np.max(np.abs(g_rows)))
+    g_sem = _holder_quotient(_dyadic_peaks(g_rows, grid.h, 2.0), drift.beta)
     g_holder = g_sup + g_sem
     numerator = sup_u + (sup_grad + sem_beta) + (sup_grad + sem_g0)
     cert = {
@@ -545,7 +545,7 @@ def kolmogorov_residual(solution: PicardSolution, drift: DriftSpec, g,
     u = solution.u
     delta = times[1] - times[0]
     g_tab = _source_table(g, times, grid)
-    g_sup = float(np.max(np.abs(g_tab)))
+    g_sup = float(np.max(np.abs(g if isinstance(g, np.ndarray) else g_tab)))
     if g_sup == 0.0:
         g_sup = 1.0
     if times.size < 3:

@@ -137,15 +137,23 @@ class TestExitCodes:
         assert code == 1
         assert message in capsys.readouterr().err
 
-    def test_flags_refused_where_they_do_nothing(self, tmp_path):
+    def test_flags_refused_where_they_do_nothing(self, tmp_path, capsys):
+        # usage errors exit 1: code 2 is reserved for a theory violation
         cfg = write(tmp_path, BASE_EXPERIMENT)
         for command, flag in (("check", "--threads"), ("check", "--seed-override"),
                               ("density", "--threads"), ("density", "--seed-override"),
                               ("kolmogorov", "--threads"),
                               ("kolmogorov", "--seed-override"), ("sample", "--threads")):
-            with pytest.raises(SystemExit) as exc:
-                cli.main([command, "--config", cfg, flag, "3"])
-            assert exc.value.code == 2, (command, flag)
+            assert cli.main([command, "--config", cfg, flag, "3"]) == 1, (command, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err, (command, flag)
+        for command in ("check", "converge", "density", "kolmogorov", "sample"):
+            assert cli.main([command]) == 1, command
+            assert "the following arguments are required: --config" \
+                in capsys.readouterr().err, command
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["converge", "--help"]) == 0
+        assert "--threads" in capsys.readouterr().out
 
     def test_check_balance_pass(self, tmp_path, capsys):
         text = """

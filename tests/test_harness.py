@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from levyem.models import LevyModel, SubordinatorSpec
 from levyem.rng import RngStream
 from levyem.samplers import increments
 from levyem.engine import DriftSpec
+from levyem import harness
 
 
 def small_config(**overrides):
@@ -46,6 +48,14 @@ class TestConfig:
         assert pred.p == 1.5 and pred.p_clamped
         assert report.notes == ("p clamped to gamma_inf=1.5",)
         assert report.table == mc_strong_error(small_config(model=model, p=1.5))
+
+    def test_clamping_warns_once_per_run(self):
+        cfg = small_config(model=LevyModel.isotropic_stable(1.5), p=2.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        assert [str(w.message) for w in caught] == [
+            "moment order p=2.0 exceeds gamma_inf=1.5; clamping"]
 
     def test_minimum_paths(self):
         with pytest.raises(DomainError):
@@ -89,15 +99,18 @@ class TestVerdicts:
 
 
 class TestMcStrongError:
-    def test_injection_mode_reproduces_exactly(self):
-        # a power-of-two path count keeps the pairwise mean of identical
+    def test_injection_mode_reproduces_exactly(self, monkeypatch):
+        # the per-path errors are replaced by n^-1/2 on every path; a
+        # power-of-two path count keeps the pairwise mean of identical
         # values exact in floating point
+        monkeypatch.setattr(harness, "_error_powers", lambda config, p: np.tile(
+            [n ** -0.5 for n in config.n_list], (config.paths, 1)))
         cfg = small_config(paths=256)
-        table = mc_strong_error(cfg, injected=lambda n: n ** -0.5)
+        table = mc_strong_error(cfg)
         for n, mean, se in zip(table.n_values, table.means, table.stderrs):
             assert mean == n ** -0.5
             assert se == 0.0
-        report = run_experiment(cfg, injected=lambda n: n ** -0.5)
+        report = run_experiment(cfg)
         assert report.slope == pytest.approx(0.5, abs=1e-12)
         assert report.fitted.residual_rms < 1e-13
 

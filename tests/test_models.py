@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy import integrate
 
 from levyem.errors import DensityError, DomainError
-from levyem.models import (LevyModel, SubordinatorSpec, balance_check,
+from levyem.models import (Family, LevyModel, SubFamily, SubordinatorSpec,
+                           balance_check,
                            balance_margin, bernstein_eval, char_exponent_radial,
                            kappa_exponent, lamperti_bernstein,
                            one_minus_cos_constant, predict_for_model,
@@ -296,6 +298,93 @@ class TestModelValidation:
         sub_model = LevyModel.subordinated_bm(SubordinatorSpec.stable(0.75))
         assert sub_model.moments.gamma0 == 1.5
         assert sub_model.gradient_index == 1.5
+
+    INF = math.inf
+
+    # (constructor arguments, factory model, recorded indices: gradient index,
+    # gamma0, gamma_inf, gamma0_open, gamma_inf_open)
+    @pytest.mark.parametrize("kwargs,factory_model,indices", [
+        (dict(family=Family.BROWNIAN, dim=2), LevyModel.brownian(2),
+         (2.0, 2.0, INF, False, False)),
+        (dict(family=Family.ISOTROPIC_STABLE, alpha=1.5), LevyModel.isotropic_stable(1.5),
+         (1.5, 1.5, 1.5, True, True)),
+        (dict(family=Family.ISOTROPIC_STABLE, alpha=2.0), LevyModel.isotropic_stable(2.0),
+         (2.0, 2.0, INF, False, False)),
+        (dict(family=Family.ISOTROPIC_STABLE, alpha=1.0),
+         LevyModel.isotropic_stable(1.0, strict=False), (1.0 + 1e-9, 1.0, 1.0, True, True)),
+        (dict(family=Family.RELATIVISTIC_STABLE, dim=2, alpha=1.5, m=1.0),
+         LevyModel.relativistic_stable(1.5, 1.0, dim=2), (1.5, 1.5, INF, True, False)),
+        (dict(family=Family.TEMPERED_STABLE, alpha=1.5, m=1.0),
+         LevyModel.tempered_stable(1.5, 1.0), (1.5, 1.5, INF, True, False)),
+        (dict(family=Family.LAMPERTI_STABLE, alpha=1.5, m=1.0),
+         LevyModel.lamperti_stable(1.5, 1.0), (1.5, 1.5, INF, True, False)),
+        (dict(family=Family.TRUNCATED_STABLE, alpha=1.7), LevyModel.truncated_stable(1.7),
+         (1.7, 1.7, INF, True, False)),
+        (dict(family=Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5),
+         LevyModel.layered_stable(1.5, 2.5), (1.5, 1.5, 2.5, True, True)),
+        (dict(family=Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 0.75)),
+         LevyModel.subordinated_bm(SubordinatorSpec.stable(0.75)), (1.5, 1.5, 1.5, True, True)),
+        (dict(family=Family.SUBORDINATED_BM,
+              sub=SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.8, 1.0)),
+         LevyModel.subordinated_bm(SubordinatorSpec.tempered(0.8, 1.0)),
+         (1.6, 1.6, INF, True, False)),
+    ], ids=["brownian", "stable", "stable2", "cauchy", "relativistic", "tempered",
+            "lamperti", "truncated", "layered", "sub_stable", "sub_tempered"])
+    def test_constructor_matches_factory(self, kwargs, factory_model, indices):
+        # the indices are derived from the family and its parameters, so the
+        # plain constructor and the factory give the same model
+        model = LevyModel(**kwargs)
+        assert model == factory_model and hash(model) == hash(factory_model)
+        mi = model.moments
+        assert (model.gradient_index, mi.gamma0, mi.gamma_inf, mi.gamma0_open,
+                mi.gamma_inf_open) == indices
+        assert predict_for_model(model, 0.5, 1.0, 1.0) == \
+            predict_for_model(factory_model, 0.5, 1.0, 1.0)
+
+    def test_indices_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            LevyModel(Family.BROWNIAN, gradient_index=2.0)
+        with pytest.raises(TypeError):
+            LevyModel(Family.BROWNIAN, moments=LevyModel.brownian().moments)
+
+    def test_replace_recomputes_indices(self):
+        model = dataclasses.replace(LevyModel.isotropic_stable(1.5), alpha=1.8)
+        assert model == LevyModel.isotropic_stable(1.8)
+        assert model.gradient_index == 1.8 and model.moments.gamma0 == 1.8
+        sub_model = dataclasses.replace(
+            LevyModel.subordinated_bm(SubordinatorSpec.stable(0.75)),
+            sub=SubordinatorSpec.stable(0.9))
+        assert sub_model.gradient_index == 1.8 and sub_model.moments.gamma_inf == 1.8
+
+    def test_subordinator_constructor_matches_factory(self):
+        sub = SubordinatorSpec(SubFamily.STABLE, 0.75)
+        assert sub == SubordinatorSpec.stable(0.75)
+        assert SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, 1.0) == \
+            SubordinatorSpec.tempered(0.75, 1.0)
+        pred = predict_for_model(LevyModel.subordinated_bm(sub), 0.5, 1.0, 1.0)
+        assert pred.gamma0_eff == 1.5 and pred.rate == 0.5 / 1.5
+
+    @pytest.mark.parametrize("build", [
+        lambda: SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75),
+        lambda: SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, -1.0),
+        lambda: SubordinatorSpec(SubFamily.STABLE, 0.75, 1.0),
+        lambda: LevyModel(Family.TEMPERED_STABLE, alpha=1.5),
+        lambda: LevyModel(Family.LAYERED_STABLE, alpha=1.5),
+        lambda: LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=0.0),
+        lambda: LevyModel(Family.SUBORDINATED_BM),
+        lambda: LevyModel(Family.BROWNIAN, alpha=1.5),
+        lambda: LevyModel(Family.TRUNCATED_STABLE, alpha=1.5, m=1.0),
+        lambda: LevyModel(Family.TRUNCATED_STABLE, dim=2, alpha=1.5),
+        lambda: LevyModel(Family.RELATIVISTIC_STABLE, alpha=2.0, m=1.0),
+        lambda: LevyModel(Family.ISOTROPIC_STABLE, alpha=2.5),
+        lambda: LevyModel(Family.ISOTROPIC_STABLE, alpha=0.0),
+    ], ids=["tempered_sub_no_m", "tempered_sub_negative_m", "stable_sub_with_m",
+            "tempered_no_m", "layered_no_lambda", "layered_lambda_zero", "sub_bm_no_sub",
+            "brownian_with_alpha", "truncated_with_m", "truncated_2d",
+            "relativistic_alpha2", "stable_alpha_above_2", "stable_alpha_zero"])
+    def test_bad_parameters_rejected_at_construction(self, build):
+        with pytest.raises(DomainError):
+            build()
 
     def test_models_hashable_and_comparable(self):
         a = LevyModel.layered_stable(1.5, 2.5)

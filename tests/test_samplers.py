@@ -310,8 +310,8 @@ class TestIncrements:
         assert abs(small.mean() - large.mean()) <= 5 * se
         # the tempered family keeps fourth moments, stable under doubling
         model = LevyModel.tempered_stable(1.5, 1.0)
-        a = increments(model, 50_000.0, 50_000, RngStream(26, 0), epsilon=0.05).values ** 4
-        b = increments(model, 100_000.0, 100_000, RngStream(26, 1), epsilon=0.05).values ** 4
+        a = sample_jump_decomposition(model, 0.05, 1.0, RngStream(26, 0), size=50_000)[0] ** 4
+        b = sample_jump_decomposition(model, 0.05, 1.0, RngStream(26, 1), size=100_000)[0] ** 4
         assert abs(a.mean() - b.mean()) / b.mean() < 0.25
 
 
