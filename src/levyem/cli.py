@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, harness, models, samplers, spectral
-from .errors import ConfigError, LevyemError
+from .errors import ConfigError, DomainError, LevyemError
 from .rng import RngStream
 
 _SECTION_KEYS = {
@@ -71,38 +71,32 @@ def _values(conv):
 
 
 def build_model(cfg) -> models.LevyModel:
-    family = _get(cfg, "model", "family", required=True)
-    alpha = _get(cfg, "model", "alpha", float)
-    m = _get(cfg, "model", "m", float)
-    lam = _get(cfg, "model", "lambda_tail", float)
+    """The [model] section as a LevyModel; a key the family does not take is
+    refused, never dropped."""
+    name = _get(cfg, "model", "family", required=True)
+    try:
+        family = models.Family(name)
+    except ValueError:
+        raise ConfigError("model", "family", f"unknown family {name!r}") from None
+    params = {key: _get(cfg, "model", key, float) for key in ("alpha", "m", "lambda_tail")}
     dim = _get(cfg, "model", "dim", int, default=1)
     rho = _get(cfg, "model", "rho", float)
-
-    def need(name, value):
-        if value is None:
-            raise ConfigError("model", name, f"required for family {family}")
-        return value
-
-    if family == "brownian":
-        return models.LevyModel.brownian(dim=dim)
-    if family == "isotropic_stable":
-        return models.LevyModel.isotropic_stable(need("alpha", alpha), dim=dim)
-    if family == "relativistic_stable":
-        return models.LevyModel.relativistic_stable(need("alpha", alpha), need("m", m), dim=dim)
-    if family == "tempered_stable":
-        return models.LevyModel.tempered_stable(need("alpha", alpha), need("m", m))
-    if family == "lamperti_stable":
-        return models.LevyModel.lamperti_stable(need("alpha", alpha), need("m", m), dim=dim)
-    if family == "truncated_stable":
-        return models.LevyModel.truncated_stable(need("alpha", alpha))
-    if family == "layered_stable":
-        return models.LevyModel.layered_stable(need("alpha", alpha), need("lambda_tail", lam))
-    if family == "subordinated_bm":
-        rho = need("rho", rho)
-        sub = models.SubordinatorSpec.tempered(rho, m) if m is not None \
-            else models.SubordinatorSpec.stable(rho)
-        return models.LevyModel.subordinated_bm(sub, dim=dim)
-    raise ConfigError("model", "family", f"unknown family {family!r}")
+    try:
+        if family is models.Family.SUBORDINATED_BM:
+            if rho is None:
+                raise ConfigError("model", "rho", f"required for family {name}")
+            m = params.pop("m")  # the subordinator's tilt
+            params["sub"] = models.SubordinatorSpec.stable(rho) if m is None \
+                else models.SubordinatorSpec.tempered(rho, m)
+        elif rho is not None:
+            raise ConfigError("model", "rho", f"family {name} takes no rho")
+        model = models.LevyModel(family, dim=dim, **params)
+    except DomainError as exc:
+        raise ConfigError("model", "", str(exc)) from exc
+    # the convergence theory needs alpha > 1; LevyModel admits (0, 2] for analysis
+    if family is models.Family.ISOTROPIC_STABLE and not model.alpha > 1.0:
+        raise ConfigError("model", "alpha", f"must lie in (1.0, 2], got {model.alpha}")
+    return model
 
 
 def build_drift(cfg) -> engine.DriftSpec:

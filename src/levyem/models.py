@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DensityError, DomainError, UnsupportedModelError
 
@@ -105,6 +104,7 @@ def lamperti_bernstein(alpha: float, m: float):
     Growth lam^(alpha/2) at infinity, so the subordinated process has the
     same gradient index alpha as the isotropic stable one.
     """
+    from scipy import special
     a = 0.5 * alpha
 
     def f(lam):
@@ -266,6 +266,7 @@ _CI_NODES, _CI_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 def stable_constant(a: float) -> float:
     """c with |xi|^a = c int (1 - cos(xi y)) |y|^(-1-a) dy in 1-d."""
+    from scipy import special
     return (a * 2.0 ** (a - 1.0) * special.gamma((a + 1.0) / 2.0)
             / (math.sqrt(math.pi) * special.gamma(1.0 - a / 2.0)))
 
@@ -285,6 +286,7 @@ def _one_minus_cos_tail(a: float, points: np.ndarray) -> np.ndarray:
     backwards over Gauss-Legendre panels, subdividing any gap that is wide
     against the cosine period or the power-law variation.
     """
+    from scipy import integrate
     x_max = float(points[-1])
     osc, _ = integrate.quad(lambda u: u ** (-1.0 - a), x_max, np.inf,
                             weight="cos", wvar=1.0)
@@ -420,6 +422,7 @@ class _Piece:
         u_lo = math.log(a)
         if u_hi <= u_lo:
             return 0.0
+        from scipy import integrate
         val, _ = integrate.quad(
             lambda u: math.exp((p + 1.0) * u - self.m * math.exp(u)),
             u_lo, u_hi, limit=400)
@@ -512,6 +515,7 @@ def radial_density(model: LevyModel) -> RadialDensity:
         return RadialDensity((_Piece(1.0, a, 0.0, 0.0, 1.0),
                               _Piece(1.0, model.lambda_tail, 0.0, 1.0, math.inf)))
     if fam is Family.TEMPERED_STABLE:
+        from scipy import special
         c = a * (a - 1.0) / special.gamma(2.0 - a)
         return RadialDensity((_Piece(c, a, model.m, 0.0, math.inf),))
     raise UnsupportedModelError(f"no closed-form radial density for {fam.value}")

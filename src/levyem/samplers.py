@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, ShapeError, UnsupportedModelError
 from .models import (Family, LevyModel, SubFamily, SubordinatorSpec,
@@ -116,9 +115,10 @@ def sample_tempered_subordinator(rho: float, m: float, t: float, rng,
 
 def sample_subordinator(sub: SubordinatorSpec, t: float, rng, size: int) -> np.ndarray:
     """``size`` increments over time t of the subordinator ``sub``, by its
-    family's sampler; a rho = 1 stable subordinator is the identity time and
-    draws nothing."""
-    if sub.family is SubFamily.STABLE:
+    family's sampler.  At rho = 1 the tilt cancels, (lam + m^2) - m^2 = lam,
+    so either family is the identity time and the stable sampler draws
+    nothing."""
+    if sub.family is SubFamily.STABLE or sub.rho == 1.0:
         return sample_stable_subordinator(sub.rho, t, rng, size)
     return sample_tempered_subordinator(sub.rho, sub.m, t, rng, size)
 
@@ -183,6 +183,7 @@ def default_epsilon(model: LevyModel, dt: float,
                 return lo
             if ghi >= 0:
                 return hi
+        from scipy import optimize
         return math.exp(optimize.brentq(gap, math.log(lo), math.log(hi)))
 
     # sigma(eps) grows with eps; the jump intensity shrinks with eps

@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .engine import DriftSpec
 from .errors import DomainError, ResolutionError, ShapeError, StiffnessError
@@ -111,6 +110,7 @@ def tail_mass_estimate(model: LevyModel, t: float, R: float) -> float:
     elif fam is Family.SUBORDINATED_BM and model.sub.family is SubFamily.STABLE:
         a = 2.0 * model.sub.rho
     if fam is Family.BROWNIAN or a == 2.0:
+        from scipy import special
         sd = math.sqrt(2.0 * t)
         return float(special.erfc(R / (sd * math.sqrt(2.0))))
     if a is not None:

@@ -96,6 +96,25 @@ lambda_tail = 2.5
             cli.build_drift(cli.load_config(write(
                 tmp_path, "[drift]\nname = cos\nbeta = 0.5\n")))
 
+    @pytest.mark.parametrize("keys,message", [
+        ("family = tempered_stable\nalpha = 1.5\nm = 1.0\ndim = 2\n",
+         "tempered_stable is one-dimensional"),
+        ("family = isotropic_stable\nalpha = 1.5\nm = 1.0\nrho = 0.7\n",
+         "isotropic_stable takes no"),
+        ("family = isotropic_stable\nalpha = 1.5\nrho = 0.7\n",
+         "[model] rho: family isotropic_stable takes no rho"),
+        ("family = brownian\nalpha = 1.5\n", "brownian takes no alpha"),
+        ("family = layered_stable\nalpha = 1.5\n", "layered_stable needs lambda_tail"),
+        ("family = subordinated_bm\nm = 2.0\n", "[model] rho: required"),
+        ("family = isotropic_stable\nalpha = 0.8\n", "[model] alpha: must lie in (1.0, 2]"),
+    ])
+    def test_refused_model_keys_exit_one(self, tmp_path, capsys, keys, message):
+        cfg = write(tmp_path, "[model]\n" + keys + "[drift]\nname = cos\n")
+        with pytest.raises(ConfigError):
+            cli.build_model(cli.load_config(cfg))
+        assert cli.main(["check", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+
 
 STABLE_MODEL = "[model]\nfamily = isotropic_stable\nalpha = 1.5\n"
 MODE_SOURCE = STABLE_MODEL + "[drift]\nname = zero\n[kolmogorov]\npoints = 512\nsource = "

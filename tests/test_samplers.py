@@ -128,6 +128,14 @@ class TestTemperedSubordinator:
         se = vals.std(ddof=1) / math.sqrt(mm)
         assert abs(vals.mean() - target) <= 3 * se
 
+    def test_rho_one_is_the_identity_time_in_either_family(self):
+        # (lam + m^2) - m^2 = lam: a tilted rho = 1 subordinator is S_t = t
+        tempered = increments(LevyModel.subordinated_bm(SubordinatorSpec.tempered(1.0, 2.0)),
+                              1.0, 4, RngStream(0, 0))
+        stable = increments(LevyModel.subordinated_bm(SubordinatorSpec.stable(1.0)),
+                            1.0, 4, RngStream(0, 0))
+        assert np.array_equal(tempered.values, stable.values)
+
 
 class TestSubordinatedBM:
     def test_zero_time_gives_zero(self):
