@@ -93,10 +93,10 @@ def build_model(cfg) -> models.LevyModel:
         model = models.LevyModel(family, dim=dim, **params)
     except DomainError as exc:
         raise ConfigError("model", "", str(exc)) from exc
-    # the convergence theory needs alpha > 1; LevyModel admits (0, 2] for analysis
-    if family is models.Family.ISOTROPIC_STABLE and not model.alpha > 1.0:
-        raise ConfigError("model", "alpha", f"must lie in (1.0, 2], got {model.alpha}")
-    return model
+    try:
+        return models.check_rate_scope(model)
+    except DomainError as exc:
+        raise ConfigError("model", "alpha", str(exc).removeprefix("alpha ")) from exc
 
 
 def build_drift(cfg) -> engine.DriftSpec:

@@ -26,7 +26,7 @@ from .engine import VARIANTS, DriftSpec, as_state, euler_ladder
 from .errors import DegenerateExactError, DomainError, ExperimentAbortedError
 from .fitting import PowerLawFit, fit_decay_rate, fit_powerlaw
 from .models import (LevyModel, RatePrediction, SubordinatorSpec,
-                     predict_for_model)
+                     check_rate_scope, predict_for_model)
 from .rng import RngStream
 from .samplers import increments, sample_subordinator
 
@@ -53,6 +53,7 @@ class ExperimentConfig:
     chunk: int = 256
 
     def __post_init__(self):
+        check_rate_scope(self.model)
         if self.T <= 0 or self.p <= 0:
             raise DomainError("need T > 0 and p > 0")
         if self.paths < 100:

@@ -185,12 +185,10 @@ class LevyModel:
 
     @staticmethod
     def isotropic_stable(alpha: float, dim: int = 1, strict: bool = True) -> "LevyModel":
-        """psi(xi) = |xi|^alpha.  strict=False admits alpha in (0, 2] for
-        analysis-only uses (e.g. the Cauchy density); the convergence theory
-        requires alpha > 1."""
-        if strict and not alpha > 1.0:
-            raise DomainError(f"alpha must lie in (1.0, 2], got {alpha}")
-        return LevyModel(Family.ISOTROPIC_STABLE, dim=dim, alpha=alpha)
+        """psi(xi) = |xi|^alpha.  strict=False skips ``check_rate_scope`` and
+        admits alpha in (0, 2] for analysis-only uses (e.g. the Cauchy density)."""
+        model = LevyModel(Family.ISOTROPIC_STABLE, dim=dim, alpha=alpha)
+        return check_rate_scope(model) if strict else model
 
     @staticmethod
     def relativistic_stable(alpha: float, m: float, dim: int = 1) -> "LevyModel":
@@ -230,6 +228,14 @@ class LevyModel:
         return "|".join(parts)
 
 
+def check_rate_scope(model: LevyModel) -> LevyModel:
+    """``model`` itself if the convergence theory covers it.  The theory needs
+    alpha > 1, while LevyModel admits isotropic stable alpha in (0, 2]."""
+    if model.family is Family.ISOTROPIC_STABLE and not model.alpha > 1.0:
+        raise DomainError(f"alpha must lie in (1.0, 2], got {model.alpha}")
+    return model
+
+
 # ----------------------------------------------------------------------
 # characteristic exponents
 # ----------------------------------------------------------------------
@@ -264,11 +270,52 @@ def char_exponent_radial(model: LevyModel, s):
 _CI_NODES, _CI_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+# Cephes rational approximation of Gamma on [2, 3), highest degree first
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
+            1.04213797561761569935e-2, 4.76367800457137231464e-2,
+            2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
+            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
+            3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for 0 <= x <= 33, operation for operation the Cephes routine
+    behind ``scipy.special.gamma``, so the two agree bit for bit (math.gamma
+    does not).  The Stirling branch above 33 and the reflection for x < 0
+    are not ported."""
+    if not 0.0 <= x <= 33.0:
+        raise DomainError(f"gamma is evaluated on [0, 33] only, got {x}")
+    if x == 0.0:
+        return math.copysign(math.inf, x)
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
+
 def stable_constant(a: float) -> float:
     """c with |xi|^a = c int (1 - cos(xi y)) |y|^(-1-a) dy in 1-d."""
-    from scipy import special
-    return (a * 2.0 ** (a - 1.0) * special.gamma((a + 1.0) / 2.0)
-            / (math.sqrt(math.pi) * special.gamma(1.0 - a / 2.0)))
+    return (a * 2.0 ** (a - 1.0) * _gamma((a + 1.0) / 2.0)
+            / (math.sqrt(math.pi) * _gamma(1.0 - a / 2.0)))
 
 
 def one_minus_cos_constant(a: float) -> float:
@@ -515,8 +562,7 @@ def radial_density(model: LevyModel) -> RadialDensity:
         return RadialDensity((_Piece(1.0, a, 0.0, 0.0, 1.0),
                               _Piece(1.0, model.lambda_tail, 0.0, 1.0, math.inf)))
     if fam is Family.TEMPERED_STABLE:
-        from scipy import special
-        c = a * (a - 1.0) / special.gamma(2.0 - a)
+        c = a * (a - 1.0) / _gamma(2.0 - a)
         return RadialDensity((_Piece(c, a, model.m, 0.0, math.inf),))
     raise UnsupportedModelError(f"no closed-form radial density for {fam.value}")
 

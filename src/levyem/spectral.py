@@ -436,12 +436,12 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         delta = horizon / n_time
         g_tab = _source_table(g, times, grid)
         g_rows = g[None] if isinstance(g, np.ndarray) else g_tab  # an array source is one row
-        b_tab = _drift_table(drift, times, grid)
         g_norm = float(np.max(np.abs(g_rows)))
         if g_norm == 0.0:
             u = np.zeros((n_time + 1, grid.n_points))
-            return _finish(model, grid, horizon, halvings, times, u, (), True,
-                           not force_unbalanced and kappa < 1.0, kappa, drift, g_rows)
+            return _finish(model, grid, horizon, halvings, times, u, np.empty_like(u), (),
+                           True, not force_unbalanced and kappa < 1.0, kappa, drift, g_rows)
+        b_tab = _drift_table(drift, times, grid)
 
         z = delta * psi
         decay = np.exp(-z)
@@ -463,7 +463,8 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
         contracting = not ratios or max(ratios[-2:]) < target_ratio
         if converged and contracting:
-            return _finish(model, grid, horizon, halvings, times, u, tuple(diffs),
+            del b_tab  # the certificate needs only u and the gradient
+            return _finish(model, grid, horizon, halvings, times, u, grad, tuple(diffs),
                            True, kappa < 1.0, kappa, drift, g_rows)
         if halvings >= max_halvings:
             raise StiffnessError(
@@ -507,10 +508,11 @@ def _picard_sweep(b_tab: np.ndarray, g_tab: np.ndarray, u: np.ndarray,
     return d
 
 
-def _finish(model, grid, horizon, halvings, times, u, diffs, converged, certified,
+def _finish(model, grid, horizon, halvings, times, u, grad, diffs, converged, certified,
             kappa, drift: DriftSpec, g_rows: np.ndarray) -> PicardSolution:
+    """The solution and its certificate; ``grad`` is overwritten with the
+    spectral gradient of ``u``."""
     ik = 1j * grid.dual
-    grad = np.empty_like(u)
     for blk in _row_blocks(0, u.shape[0], grid.n_points):
         grad[blk] = np.fft.ifft(ik * np.fft.fft(u[blk], axis=1), axis=1).real
     gamma0 = model.moments.gamma0

@@ -15,7 +15,7 @@ from levyem.harness import (GAUSS_INV_NORM_3D, VERDICT_CONSISTENT,
                             VERDICT_VIOLATES, ExperimentConfig,
                             compare_to_theory, inverse_moment_scaling,
                             mc_strong_error, run_experiment)
-from levyem.models import LevyModel, SubordinatorSpec
+from levyem.models import Family, LevyModel, SubordinatorSpec
 from levyem.rng import RngStream
 from levyem.samplers import increments
 from levyem.engine import DriftSpec
@@ -56,6 +56,13 @@ class TestConfig:
             run_experiment(cfg)
         assert [str(w.message) for w in caught] == [
             "moment order p=2.0 exceeds gamma_inf=1.5; clamping"]
+
+    @pytest.mark.parametrize("model", [LevyModel(Family.ISOTROPIC_STABLE, alpha=0.8),
+                                       LevyModel.isotropic_stable(1.0, strict=False)])
+    def test_alpha_outside_the_theory_refused(self, model):
+        # at alpha = 0.8 a run would fit slope 0.80 against rate 0.8 and say consistent
+        with pytest.raises(DomainError, match=r"alpha must lie in \(1\.0, 2\], got"):
+            small_config(model=model, p=1.0, n_list=(4, 8, 16), n_ref=128, paths=100)
 
     def test_minimum_paths(self):
         with pytest.raises(DomainError):

@@ -50,3 +50,13 @@ def test_stable_spectral_loads_neither_integrate_nor_optimize(tmp_path):
         + run_cli(tmp_path, "kolmogorov", kolmogorov)
     loaded = scipy_modules_after(tmp_path, body)
     assert not [k for k in loaded if k.startswith(("scipy.integrate", "scipy.optimize"))], loaded
+
+
+def test_stable_spectral_loads_no_scipy(tmp_path):
+    # the stable constants use a private port of scipy's Gamma, not scipy.special
+    density = STABLE_MODEL + "[density]\nt_list = 0.1,0.2,0.4,0.8\n"
+    kolmogorov = (STABLE_MODEL + "[drift]\nname = cos\n[kolmogorov]\nt = 0.1\n"
+                  "points = 256\nn_time = 16\n")
+    body = run_cli(tmp_path, "density", density) + "\n" \
+        + run_cli(tmp_path, "kolmogorov", kolmogorov)
+    assert scipy_modules_after(tmp_path, body) == []

@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from levyem.errors import DensityError, DomainError
 from levyem.models import (Family, LevyModel, SubFamily, SubordinatorSpec,
-                           balance_check,
+                           _gamma, balance_check,
                            balance_margin, bernstein_eval, char_exponent_radial,
                            kappa_exponent, lamperti_bernstein,
                            one_minus_cos_constant, predict_for_model,
-                           predicted_rate, radial_density, verify_levy_moment)
+                           predicted_rate, radial_density, stable_constant,
+                           verify_levy_moment)
 
 
 def catalog():
@@ -106,6 +107,41 @@ class TestCharExponent:
                                     0, 200.0, limit=2000)
             ref += 1.0 / (a * 200.0 ** a)  # mass beyond the cutoff, oscillation negligible
             assert one_minus_cos_constant(a) == pytest.approx(ref, rel=1e-4)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestGamma:
+    """The private Gamma is scipy's Cephes routine, bit for bit."""
+
+    def test_equals_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        xs = np.concatenate([
+            rng.uniform(0.0, 33.0, 100_000),
+            10.0 ** rng.uniform(-320.0, 0.0, 10_000),  # the x < 1e-9 branch and below
+            np.linspace(0.0, 3.0, 3001),  # integers and the [2, 3) edges
+            [0.0, 5e-324, 1e-9, np.nextafter(1e-9, 0.0), 33.0],
+        ])
+        mine = np.array([_gamma(float(x)) for x in xs])
+        np.testing.assert_array_equal(bits(mine), bits(special.gamma(xs)))
+        assert _gamma(0.0) == math.inf
+
+    @pytest.mark.parametrize("x", [-1e-300, -0.5, -2.0, 33.000001, 171.0, math.inf, math.nan])
+    def test_outside_the_ported_domain_refused(self, x):
+        with pytest.raises(DomainError):
+            _gamma(x)
+
+    def test_constants_equal_the_scipy_formulas(self):
+        for a in np.linspace(0.01, 1.99, 199):
+            a = float(a)
+            old = (a * 2.0 ** (a - 1.0) * special.gamma((a + 1.0) / 2.0)
+                   / (math.sqrt(math.pi) * special.gamma(1.0 - a / 2.0)))
+            assert bits(stable_constant(a)) == bits(old)
+            if a > 1.0:
+                c = radial_density(LevyModel.tempered_stable(a, 1.0)).pieces[0].c
+                assert bits(c) == bits(a * (a - 1.0) / special.gamma(2.0 - a))
 
 
 class TestBernstein:
