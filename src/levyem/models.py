@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -469,10 +470,9 @@ class _Piece:
         u_lo = math.log(a)
         if u_hi <= u_lo:
             return 0.0
-        from scipy import integrate
-        val, _ = integrate.quad(
-            lambda u: math.exp((p + 1.0) * u - self.m * math.exp(u)),
-            u_lo, u_hi, limit=400)
+        from ._quadpack import quad  # on first use: stable runs never compile it
+        val, _ = quad(lambda u: math.exp((p + 1.0) * u - self.m * math.exp(u)),
+                      u_lo, u_hi, limit=400)
         return val
 
 
@@ -504,49 +504,66 @@ class RadialDensity:
 
     def sample_tail(self, eps: float, size: int, gen: np.random.Generator) -> np.ndarray:
         """Draw ``size`` radii from Q restricted to [eps, inf), normalised."""
-        weights = []
-        samplers = []
-        for p in self.pieces:
-            lo = max(eps, p.lo)
-            hi = p.hi
-            if hi <= lo:
-                continue
-            w = p.moment(0.0, lo, hi)
-            if w <= 0:
-                continue
-            weights.append(w)
-            samplers.append((p, lo, hi))
-        if not weights:
+        pieces, probs = _tail_split(self, eps)
+        if not pieces:
             return np.empty(0)
-        weights = np.asarray(weights)
-        probs = weights / weights.sum()
         counts = gen.multinomial(size, probs)
-        chunks = []
-        for (p, lo, hi), cnt in zip(samplers, counts):
-            if cnt == 0:
-                continue
-            chunks.append(_sample_piece(p, lo, hi, cnt, gen))
-        out = np.concatenate(chunks) if chunks else np.empty(0)
+        chunks = [_sample_piece(p, lo, hi, cnt, gen)
+                  for (p, lo, hi), cnt in zip(pieces, counts) if cnt]
+        # a single chunk (always, for the one-piece tempered density) is not copied
+        out = chunks[0] if len(chunks) == 1 else np.concatenate([np.empty(0), *chunks])
         gen.shuffle(out)
         return out
 
 
+@lru_cache(maxsize=256)
+def _tail_split(density: RadialDensity, eps: float):
+    """The pieces (piece, lo, hi) of ``density`` that carry mass on
+    [eps, inf), and the probability of each."""
+    weights = []
+    pieces = []
+    for p in density.pieces:
+        lo = max(eps, p.lo)
+        hi = p.hi
+        if hi <= lo:
+            continue
+        w = p.moment(0.0, lo, hi)
+        if w <= 0:
+            continue
+        weights.append(w)
+        pieces.append((p, lo, hi))
+    if not weights:
+        return (), None
+    weights = np.asarray(weights)
+    return tuple(pieces), weights / weights.sum()
+
+
 def _sample_piece(p: _Piece, lo: float, hi: float, size: int, gen) -> np.ndarray:
+    lo_p = lo ** (-p.s)
+    hi_p = 0.0 if not math.isfinite(hi) else hi ** (-p.s)
+
+    def inverse_cdf(u):
+        # (lo_p - u (lo_p - hi_p))^(-1/s), the exact inverse CDF of r^(-1-s)
+        # on [lo, hi], computed in place in the uniforms u
+        np.multiply(u, lo_p - hi_p, out=u)
+        np.subtract(lo_p, u, out=u)
+        u **= -1.0 / p.s
+        return u
+
+    def accepted(r):
+        # the tilt's acceptance test, uniform < exp(-m (r - lo))
+        test = np.subtract(r, lo)
+        np.multiply(test, -p.m, out=test)
+        return gen.uniform(size=r.size) < np.exp(test, out=test)
+
+    out = inverse_cdf(gen.uniform(size=size))
     if p.m == 0.0:
-        # exact inverse CDF of r^(-1-s) on [lo, hi]
-        u = gen.uniform(size=size)
-        lo_p = lo ** (-p.s)
-        hi_p = 0.0 if not math.isfinite(hi) else hi ** (-p.s)
-        return (lo_p - u * (lo_p - hi_p)) ** (-1.0 / p.s)
-    # tilted piece: propose from the pure power, accept with exp(-m (r - lo))
-    out = np.empty(size)
-    need = np.arange(size)
+        return out
+    # tilted piece: propose from the pure power; a rejected slot is redrawn
+    need = np.flatnonzero(~accepted(out))
     while need.size:
-        u = gen.uniform(size=need.size)
-        lo_p = lo ** (-p.s)
-        hi_p = 0.0 if not math.isfinite(hi) else hi ** (-p.s)
-        prop = (lo_p - u * (lo_p - hi_p)) ** (-1.0 / p.s)
-        acc = gen.uniform(size=need.size) < np.exp(-p.m * (prop - lo))
+        prop = inverse_cdf(gen.uniform(size=need.size))
+        acc = accepted(prop)
         out[need[acc]] = prop[acc]
         need = need[~acc]
     return out

@@ -183,8 +183,8 @@ def default_epsilon(model: LevyModel, dt: float,
                 return lo
             if ghi >= 0:
                 return hi
-        from scipy import optimize
-        return math.exp(optimize.brentq(gap, math.log(lo), math.log(hi)))
+        from ._quadpack import brentq
+        return math.exp(brentq(gap, math.log(lo), math.log(hi)))
 
     # sigma(eps) grows with eps; the jump intensity shrinks with eps
     eps_sigma = bracket_root(
@@ -224,9 +224,10 @@ def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
         total = int(counts.sum())
         if total:
             radii = rd.sample_tail(epsilon, total, gen)
-            signs = gen.integers(0, 2, total) * 2.0 - 1.0
+            # a fair sign per jump: negative where the draw is 0
+            np.negative(radii, out=radii, where=gen.integers(0, 2, total) == 0)
             owner = np.repeat(np.arange(size), counts)
-            values = values + np.bincount(owner, weights=radii * signs, minlength=size)
+            values += np.bincount(owner, weights=radii, minlength=size)
     return (values, meta, counts) if return_counts else (values, meta)
 
 

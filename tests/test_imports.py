@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 STABLE_MODEL = "[model]\nfamily = isotropic_stable\nalpha = 1.5\n"
@@ -59,4 +61,23 @@ def test_stable_spectral_loads_no_scipy(tmp_path):
                   "points = 256\nn_time = 16\n")
     body = run_cli(tmp_path, "density", density) + "\n" \
         + run_cli(tmp_path, "kolmogorov", kolmogorov)
+    assert scipy_modules_after(tmp_path, body) == []
+
+
+DECOMPOSITION_MODELS = {
+    "tempered": "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = 1.0\n",
+    "truncated": "[model]\nfamily = truncated_stable\nalpha = 1.5\n",
+    "layered": "[model]\nfamily = layered_stable\nalpha = 1.5\nlambda_tail = 2.5\n",
+}
+
+
+@pytest.mark.parametrize("family", sorted(DECOMPOSITION_MODELS))
+def test_decomposition_converge_and_sample_load_no_scipy(tmp_path, family):
+    # the truncation threshold and the tail masses use private QUADPACK and
+    # Brent ports, not scipy.integrate and scipy.optimize
+    model = DECOMPOSITION_MODELS[family]
+    converge = (model + "[drift]\nname = cos\n[experiment]\np = 1.0\n"
+                "n_list = 4,8,16\nn_ref = 128\npaths = 100\nseed = 3\n")
+    sample = model + "[sample]\nn = 64\nseed = 3\ncsv = true\n"
+    body = run_cli(tmp_path, "converge", converge) + "\n" + run_cli(tmp_path, "sample", sample)
     assert scipy_modules_after(tmp_path, body) == []
