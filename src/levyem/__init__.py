@@ -10,9 +10,8 @@ Subpackages:
 * :mod:`levyem.cli`      -- batch front end
 """
 
-from .engine import (DriftSpec, GridPath, SimulationGrid, coupled_sup_error,
-                     drift_const, drift_cos, drift_cos_time, drift_rough,
-                     drift_zero, em_path)
+from .engine import (DriftSpec, drift_const, drift_cos, drift_cos_time,
+                     drift_rough, drift_zero, euler_ladder)
 from .harness import (ConvergenceReport, ExperimentConfig, compare_to_theory,
                       inverse_moment_scaling, mc_strong_error, run_experiment)
 from .models import (Family, LevyModel, MomentIndices, RatePrediction,

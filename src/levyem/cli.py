@@ -65,6 +65,14 @@ def _get(cfg, section, key, conv=str, default=None, required=False):
         raise ConfigError(section, key, f"cannot parse {raw!r}") from exc
 
 
+def _finite(raw) -> float:
+    """A float key's converter: nan and inf are refused like unparsable text."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 def _values(conv):
     """Converter for a comma-separated list of values."""
     return lambda raw: tuple(conv(v) for v in raw.replace(" ", "").split(","))
@@ -78,9 +86,9 @@ def build_model(cfg) -> models.LevyModel:
         family = models.Family(name)
     except ValueError:
         raise ConfigError("model", "family", f"unknown family {name!r}") from None
-    params = {key: _get(cfg, "model", key, float) for key in ("alpha", "m", "lambda_tail")}
+    params = {key: _get(cfg, "model", key, _finite) for key in ("alpha", "m", "lambda_tail")}
     dim = _get(cfg, "model", "dim", int, default=1)
-    rho = _get(cfg, "model", "rho", float)
+    rho = _get(cfg, "model", "rho", _finite)
     try:
         if family is models.Family.SUBORDINATED_BM:
             if rho is None:
@@ -105,8 +113,8 @@ def build_drift(cfg) -> engine.DriftSpec:
         raise ConfigError("drift", "name",
                           f"unknown drift {name!r}; catalog: {sorted(engine.DRIFT_CATALOG)}")
     kwargs = {}
-    beta = _get(cfg, "drift", "beta", float)
-    c = _get(cfg, "drift", "c", float)
+    beta = _get(cfg, "drift", "beta", _finite)
+    c = _get(cfg, "drift", "c", _finite)
     if beta is not None:
         if name != "rough_sin":
             raise ConfigError("drift", "beta", "only the rough_sin drift takes beta")
@@ -122,7 +130,7 @@ def build_experiment(cfg, seed_override=None, threads=0) -> harness.ExperimentCo
     model = build_model(cfg)
     drift = build_drift(cfg)
     n_values = _get(cfg, "experiment", "n_list", _values(int), required=True)
-    x0 = _get(cfg, "experiment", "x0", _values(float), default=0.0)
+    x0 = _get(cfg, "experiment", "x0", _values(_finite), default=0.0)
     try:
         x0 = engine.as_state(x0, model.dim)
     except ValueError as exc:
@@ -133,13 +141,13 @@ def build_experiment(cfg, seed_override=None, threads=0) -> harness.ExperimentCo
         model=model,
         drift=drift,
         x0=x0,
-        T=_get(cfg, "experiment", "t", float, default=1.0),
-        p=_get(cfg, "experiment", "p", float, required=True),
+        T=_get(cfg, "experiment", "t", _finite, default=1.0),
+        p=_get(cfg, "experiment", "p", _finite, required=True),
         n_list=n_values,
         n_ref=_get(cfg, "experiment", "n_ref", int, required=True),
         paths=_get(cfg, "experiment", "paths", int, required=True),
         seed=seed,
-        tol=_get(cfg, "experiment", "tol", float, default=0.15),
+        tol=_get(cfg, "experiment", "tol", _finite, default=0.15),
         variant=_get(cfg, "experiment", "variant", str, default="frozen"),
         threads=threads,
     )
@@ -153,7 +161,7 @@ def cmd_check(args) -> int:
     cfg = load_config(args.config)
     model = build_model(cfg)
     drift = build_drift(cfg)
-    p = _get(cfg, "experiment", "p", float, default=1.0)
+    p = _get(cfg, "experiment", "p", _finite, default=1.0)
     pred = models.predict_for_model(model, drift.beta, drift.eta, p)
     mi = model.moments
     margin = models.balance_margin(model.gradient_index, pred.gamma0_eff, drift.beta)
@@ -186,8 +194,8 @@ def cmd_converge(args) -> int:
 def cmd_density(args) -> int:
     cfg = load_config(args.config)
     model = build_model(cfg)
-    t_list = _get(cfg, "density", "t_list", _values(float), required=True)
-    half_width = _get(cfg, "density", "half_width", float)
+    t_list = _get(cfg, "density", "t_list", _values(_finite), required=True)
+    half_width = _get(cfg, "density", "half_width", _finite)
     points = _get(cfg, "density", "points", int)
     grid = None
     if half_width is not None and points is not None:
@@ -218,14 +226,14 @@ def cmd_kolmogorov(args) -> int:
     cfg = load_config(args.config)
     model = build_model(cfg)
     drift = build_drift(cfg)
-    T = _get(cfg, "kolmogorov", "t", float, default=0.25)
+    T = _get(cfg, "kolmogorov", "t", _finite, default=0.25)
     n_time = _get(cfg, "kolmogorov", "n_time", int, default=128)
     points = _get(cfg, "kolmogorov", "points", int, default=2048)
-    half_width = _get(cfg, "kolmogorov", "half_width", float, default=16 * math.pi)
+    half_width = _get(cfg, "kolmogorov", "half_width", _finite, default=16 * math.pi)
     source = _get(cfg, "kolmogorov", "source", str, default="drift")
-    tol = _get(cfg, "kolmogorov", "tol", float, default=1e-8)
+    tol = _get(cfg, "kolmogorov", "tol", _finite, default=1e-8)
     max_iter = _get(cfg, "kolmogorov", "max_iter", int, default=60)
-    target_ratio = _get(cfg, "kolmogorov", "target_ratio", float, default=0.95)
+    target_ratio = _get(cfg, "kolmogorov", "target_ratio", _finite, default=0.95)
     force = _get(cfg, "kolmogorov", "force_unbalanced", bool, default=False)
     if n_time < 2:
         raise ConfigError("kolmogorov", "n_time",
@@ -289,7 +297,7 @@ def cmd_kolmogorov(args) -> int:
 def cmd_sample(args) -> int:
     cfg = load_config(args.config)
     model = build_model(cfg)
-    T = _get(cfg, "sample", "t", float, default=1.0)
+    T = _get(cfg, "sample", "t", _finite, default=1.0)
     n = _get(cfg, "sample", "n", int, required=True)
     seed = args.seed_override if args.seed_override is not None \
         else _get(cfg, "sample", "seed", int, required=True)

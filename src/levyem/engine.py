@@ -10,10 +10,9 @@ Strong discretisation error is measured by running the coarse scheme on the
 fine grid under the same increments: within each coarse step the drift
 argument is held at the last coarse node while noise is added per fine
 increment, so the gap to the fine path isolates the drift-freezing error
-and is exactly zero for constant drift.  :func:`euler_ladder` is the only
-stepping loop: it advances the fine path and every coarse level together,
-and :func:`em_path`, :func:`coupled_sup_error` and the Monte Carlo harness
-all call it.
+and is exactly zero for constant drift.  :func:`euler_ladder` is the one
+way to simulate: it advances a batch of fine paths and every coarse level
+together, and the Monte Carlo harness calls it once per chunk of paths.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OverflowPathError, ShapeError
-from .samplers import IncrementBatch
+from .errors import DomainError, ShapeError
 
 # 4-point Gauss-Legendre on [0, 1], used by the time-integrated drift variant
 _GL4_NODES = 0.5 * (1.0 + np.array([-0.8611363115940526, -0.3399810435848563,
@@ -33,26 +31,6 @@ _GL4_WEIGHTS = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                                0.6521451548625461, 0.3478548451374538])
 
 VARIANTS = ("frozen", "timeint")
-
-
-@dataclass(frozen=True)
-class SimulationGrid:
-    """Uniform grid on [0, T] with n steps."""
-
-    T: float
-    n: int
-
-    def __post_init__(self):
-        if self.T <= 0 or self.n < 1:
-            raise DomainError("need T > 0 and n >= 1")
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.n
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.T * np.arange(self.n + 1) / self.n
 
 
 @dataclass(frozen=True)
@@ -141,14 +119,6 @@ def drift_diagnostics(drift: DriftSpec, rng, n_pairs: int = 10_000,
     }
 
 
-@dataclass(frozen=True)
-class GridPath:
-    """One simulated trajectory on a grid."""
-
-    grid: SimulationGrid
-    states: np.ndarray  # (n+1, d)
-
-
 def as_state(x0, d: int) -> np.ndarray:
     """x0 as a finite vector of length d; a single value fills every coordinate."""
     x = np.asarray(x0, dtype=float)
@@ -190,9 +160,11 @@ def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
     paths, n, d = noise.shape
     if any(f < 1 or n % f for f in factors):
         raise ShapeError(f"ladder factors {tuple(factors)} must divide {n} steps")
-    grid = SimulationGrid(T, n)
-    times, dt = grid.times, grid.dt
-    level_times = [SimulationGrid(T, n // f).times for f in factors]
+    if not T > 0 or n < 1:
+        raise DomainError(f"need T > 0 and n >= 1, got T={T} and n={n}")
+    dt = T / n
+    times = T * np.arange(n + 1) / n
+    level_times = [T * np.arange(n // f + 1) / (n // f) for f in factors]
     x = np.tile(as_state(x0, d), (len(factors) + 1, paths, 1))
     states = np.empty((paths, n + 1, d))
     states[:, 0] = x[0]
@@ -217,36 +189,3 @@ def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
     # the sup of squared distances: sqrt is monotone, so this equals the sup
     # of np.linalg.norm(gap, axis=-1) bit for bit
     return states, np.sqrt(sup2)
-
-
-def _one_path(drift: DriftSpec, x0, T: float, batch: IncrementBatch, factors, variant):
-    """Kernel call for a single path; raises OverflowPathError at the first
-    non-finite fine state, or if a coarse level leaves the finite range."""
-    states, sup = euler_ladder(drift, x0, T, batch.values[None], factors, variant)
-    bad = ~np.all(np.isfinite(states[0]), axis=-1)
-    if bad.any():
-        raise OverflowPathError(int(np.argmax(bad)))
-    if not np.all(np.isfinite(sup)):
-        raise OverflowPathError(None, "coarse path left the finite range")
-    return states[0], sup[:, 0]
-
-
-def em_path(drift: DriftSpec, x0, grid: SimulationGrid, batch: IncrementBatch,
-            variant: str = "frozen") -> GridPath:
-    """Run the scheme: states[i+1] = states[i] + b(t_i, states[i]) dt + dL_i."""
-    if batch.n != grid.n:
-        raise ShapeError(f"batch has {batch.n} increments, grid needs {grid.n}")
-    states, _ = _one_path(drift, x0, grid.T, batch, (), variant)
-    return GridPath(grid=grid, states=states)
-
-
-def coupled_sup_error(drift: DriftSpec, x0, T: float, n_fine: int, n_coarse: int,
-                      batch_fine: IncrementBatch, variant: str = "frozen") -> float:
-    """Sup distance over the fine grid between the fine scheme and the coarse
-    scheme evaluated on the fine grid, both driven by batch_fine."""
-    if n_coarse < 1 or n_fine % n_coarse:
-        raise ShapeError(f"n_coarse {n_coarse} must divide n_fine {n_fine}")
-    if batch_fine.n != n_fine:
-        raise ShapeError("batch does not match n_fine")
-    _, sup = _one_path(drift, x0, T, batch_fine, (n_fine // n_coarse,), variant)
-    return float(sup[0])

@@ -21,14 +21,6 @@ class DensityError(LevyemError):
     """A Levy/radial density is invalid or a density quadrature failed."""
 
 
-class OverflowPathError(LevyemError):
-    """A simulated path left the finite range."""
-
-    def __init__(self, step, message=None):
-        self.step = step
-        super().__init__(message or f"non-finite state at step {step}")
-
-
 class ResolutionError(LevyemError):
     """A Fourier grid is too coarse or too narrow for the requested density."""
 

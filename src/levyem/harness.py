@@ -54,10 +54,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_rate_scope(self.model)
-        if self.T <= 0 or self.p <= 0:
-            raise DomainError("need T > 0 and p > 0")
+        if not (0 < self.T < math.inf and 0 < self.p < math.inf):
+            raise DomainError(f"need finite T > 0 and p > 0, got T={self.T} and p={self.p}")
+        if not 0 <= self.tol < math.inf:
+            raise DomainError(f"tol must be finite and >= 0, got {self.tol}")
         if self.paths < 100:
             raise DomainError("need at least 100 paths")
+        if self.chunk < 1:
+            raise DomainError(f"chunk must be >= 1, got {self.chunk}")
         if self.threads < 0:
             raise DomainError(f"threads must be >= 0, got {self.threads}")
         RngStream(self.seed)  # rejects a seed outside the 64-bit key range

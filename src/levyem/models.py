@@ -74,8 +74,9 @@ class SubordinatorSpec:
     def __post_init__(self):
         if not (0 < self.rho <= 1.0):
             raise DomainError(f"rho must lie in (0, 1], got {self.rho}")
-        if not (self.m > 0 if self.family is SubFamily.TEMPERED_STABLE else self.m == 0):
-            raise DomainError(f"tilt m={self.m}: tempered needs m > 0, stable m = 0")
+        if not (0 < self.m < math.inf if self.family is SubFamily.TEMPERED_STABLE
+                else self.m == 0):
+            raise DomainError(f"tilt m={self.m}: tempered needs finite m > 0, stable m = 0")
 
     @staticmethod
     def stable(rho: float) -> "SubordinatorSpec":
@@ -150,8 +151,8 @@ class LevyModel:
             takes = name in _PARAMETERS[fam]
             if (getattr(self, name) is not None) != takes:
                 raise DomainError(f"{fam.value} {'needs' if takes else 'takes no'} {name}")
-        if self.m is not None and self.m <= 0:
-            raise DomainError("m must be positive")
+        if self.m is not None and not 0 < self.m < math.inf:
+            raise DomainError(f"m must be finite and > 0, got {self.m}")
         if fam in _ONE_DIMENSIONAL and self.dim != 1:
             raise DomainError(f"{fam.value} is one-dimensional")
         if fam is Family.SUBORDINATED_BM:
@@ -171,8 +172,8 @@ class LevyModel:
                 MomentIndices(max(1.0, a), a, gamma0_open=True, gamma_inf_open=True)
         elif not (1.0 < a < 2.0):
             raise DomainError(f"alpha must lie in (1, 2), got {a}")
-        elif fam is Family.LAYERED_STABLE and not self.lambda_tail > 0:
-            raise DomainError("lambda_tail must be positive")
+        elif fam is Family.LAYERED_STABLE and not 0 < self.lambda_tail < math.inf:
+            raise DomainError(f"lambda_tail must be finite and > 0, got {self.lambda_tail}")
         else:
             layered = fam is Family.LAYERED_STABLE
             grad, moments = a, MomentIndices(a, self.lambda_tail if layered else math.inf,

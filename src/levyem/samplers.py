@@ -163,34 +163,29 @@ class TruncationMeta:
 
 @lru_cache(maxsize=256)
 def default_epsilon(model: LevyModel, dt: float,
-                    bias_coeff: float = DEFAULT_BIAS_COEFF,
                     jump_budget: float = DEFAULT_JUMP_BUDGET) -> float:
     """Truncation threshold: the smallest eps with sigma(eps) below the bias
     target that also keeps the expected jump count per step within budget."""
     rd = radial_density(model)
-    target = bias_coeff * dt ** (1.0 / model.gradient_index)
+    target = DEFAULT_BIAS_COEFF * dt ** (1.0 / model.gradient_index)
     lo, hi = 1e-12, min(1.0, rd.support_hi)
 
-    def bracket_root(gap, increasing):
+    def bracket_root(gap):
+        """Zero of a gap increasing in log eps; lo or hi if it has no sign change."""
         glo, ghi = gap(math.log(lo)), gap(math.log(hi))
-        if increasing:
-            if glo >= 0:  # unattainable even at the smallest threshold
-                return lo
-            if ghi <= 0:
-                return hi
-        else:
-            if glo <= 0:
-                return lo
-            if ghi >= 0:
-                return hi
+        if glo >= 0:
+            return lo
+        if ghi <= 0:
+            return hi
         from ._quadpack import brentq
         return math.exp(brentq(gap, math.log(lo), math.log(hi)))
 
-    # sigma(eps) grows with eps; the jump intensity shrinks with eps
+    # sigma(eps) grows with eps; the jump intensity shrinks with eps, so its
+    # gap is taken as budget minus intensity (b - a is exactly -(a - b))
     eps_sigma = bracket_root(
-        lambda le: math.sqrt(rd.moment(2.0, 0.0, math.exp(le))) - target, True)
+        lambda le: math.sqrt(rd.moment(2.0, 0.0, math.exp(le))) - target)
     eps_budget = bracket_root(
-        lambda le: rd.mass(math.exp(le), math.inf) - jump_budget / dt, False)
+        lambda le: jump_budget / dt - rd.mass(math.exp(le), math.inf))
     return min(hi, max(eps_sigma, eps_budget))
 
 

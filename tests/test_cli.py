@@ -135,6 +135,18 @@ MALFORMED = [
      "[experiment] x0:"),
     ("converge", BASE_EXPERIMENT.replace("seed = 77", "seed = -1"), "seed=-1"),
     ("sample", "[model]\nfamily = brownian\n[sample]\nn = 8\nseed = -1\n", "seed=-1"),
+    # non-finite floats are refused where they are read, never downstream
+    ("kolmogorov", MODE_SOURCE + "mode:1\nt = nan\n", "[kolmogorov] t:"),
+    ("kolmogorov", MODE_SOURCE + "mode:1\nhalf_width = nan\n", "[kolmogorov] half_width:"),
+    ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.2,nan,0.4\n", "[density] t_list:"),
+    ("converge", BASE_EXPERIMENT + "tol = nan\n", "[experiment] tol:"),
+    ("converge", BASE_EXPERIMENT + "tol = -0.1\n", "tol must be finite and >= 0"),
+    ("converge", BASE_EXPERIMENT.replace("t = 1.0", "t = inf"), "[experiment] t:"),
+    ("converge", BASE_EXPERIMENT.replace("p = 2.0", "p = nan"), "[experiment] p:"),
+    ("sample", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = nan\n"
+     "[sample]\nn = 8\nseed = 1\n", "[model] m:"),
+    ("sample", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = inf\n"
+     "[sample]\nn = 8\nseed = 1\n", "[model] m:"),
 ]
 
 

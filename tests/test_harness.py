@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from levyem.engine import (VARIANTS, coupled_sup_error, drift_const, drift_cos,
-                           drift_cos_time, drift_zero)
+from levyem.engine import (VARIANTS, drift_const, drift_cos, drift_cos_time,
+                           drift_zero, euler_ladder)
 from levyem.errors import (DegenerateExactError, DomainError,
                            ExperimentAbortedError)
 from levyem.fitting import fit_decay_rate, fit_powerlaw
@@ -67,6 +67,15 @@ class TestConfig:
     def test_minimum_paths(self):
         with pytest.raises(DomainError):
             small_config(paths=50)
+
+    @pytest.mark.parametrize("key,value", [
+        ("chunk", 0), ("chunk", -5), ("tol", math.nan), ("tol", -0.1), ("tol", math.inf),
+        ("T", math.nan), ("T", math.inf), ("p", math.nan), ("p", math.inf)])
+    def test_bad_run_parameters_refused(self, key, value):
+        # each used to run: chunk -5 reported on an unfilled matrix, tol nan
+        # called every fit consistent and p nan flagged every path
+        with pytest.raises(DomainError):
+            small_config(**{key: value})
 
 
 class TestFitRate:
@@ -134,16 +143,18 @@ class TestMcStrongError:
     @pytest.mark.parametrize("drift,variant", [(drift_cos(), "frozen"),
                                                (drift_cos_time(), "timeint")])
     def test_means_match_engine_coupling(self, drift, variant):
-        # the report and the one-path engine call agree bit for bit
+        # the chunked report and one kernel call per path agree bit for bit
         cfg = small_config(drift=drift, variant=variant, n_list=(8, 16), n_ref=128,
                            paths=100, chunk=64)
         table = mc_strong_error(cfg)
-        batches = [increments(cfg.model, cfg.T, cfg.n_ref, RngStream(cfg.seed, k + 1))
-                   for k in range(cfg.paths)]
-        for n, mean in zip(cfg.n_list, table.means):
-            errs = np.array([coupled_sup_error(drift, cfg.x0, cfg.T, cfg.n_ref, n, b,
-                                               variant=variant) for b in batches])
-            assert mean == math.fsum(errs ** cfg.p) / cfg.paths
+        factors = [cfg.n_ref // n for n in cfg.n_list]
+        errs = np.array([euler_ladder(drift, cfg.x0, cfg.T,
+                                      increments(cfg.model, cfg.T, cfg.n_ref,
+                                                 RngStream(cfg.seed, k + 1)).values[None],
+                                      factors, variant)[1][:, 0]
+                         for k in range(cfg.paths)])
+        for col, mean in zip(errs.T, table.means):
+            assert mean == math.fsum(col ** cfg.p) / cfg.paths
 
     def test_bit_level_determinism(self):
         a = run_experiment(small_config()).to_dict()

@@ -414,10 +414,17 @@ class TestModelValidation:
         lambda: LevyModel(Family.RELATIVISTIC_STABLE, alpha=2.0, m=1.0),
         lambda: LevyModel(Family.ISOTROPIC_STABLE, alpha=2.5),
         lambda: LevyModel(Family.ISOTROPIC_STABLE, alpha=0.0),
+        lambda: LevyModel.tempered_stable(1.5, math.nan),
+        lambda: LevyModel.tempered_stable(1.5, math.inf),
+        lambda: LevyModel.relativistic_stable(1.5, math.inf),
+        lambda: LevyModel.layered_stable(1.5, math.inf),
+        lambda: SubordinatorSpec.tempered(0.75, math.inf),
     ], ids=["tempered_sub_no_m", "tempered_sub_negative_m", "stable_sub_with_m",
             "tempered_no_m", "layered_no_lambda", "layered_lambda_zero", "sub_bm_no_sub",
             "brownian_with_alpha", "truncated_with_m", "truncated_2d",
-            "relativistic_alpha2", "stable_alpha_above_2", "stable_alpha_zero"])
+            "relativistic_alpha2", "stable_alpha_above_2", "stable_alpha_zero",
+            "tempered_m_nan", "tempered_m_inf",
+            "relativistic_m_inf", "layered_lambda_inf", "tempered_sub_m_inf"])
     def test_bad_parameters_rejected_at_construction(self, build):
         with pytest.raises(DomainError):
             build()
