@@ -59,7 +59,7 @@ def _get(cfg, section, key, conv=str, default=None, required=False):
     raw = cfg[section][key]
     try:
         if conv is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            return cfg.getboolean(section, key)
         return conv(raw)
     except ValueError as exc:
         raise ConfigError(section, key, f"cannot parse {raw!r}") from exc
@@ -197,9 +197,10 @@ def cmd_density(args) -> int:
     t_list = _get(cfg, "density", "t_list", _values(_finite), required=True)
     half_width = _get(cfg, "density", "half_width", _finite)
     points = _get(cfg, "density", "points", int)
-    grid = None
-    if half_width is not None and points is not None:
-        grid = spectral.SpaceGrid(half_width, points)
+    if (half_width is None) != (points is None):
+        missing = "points" if points is None else "half_width"
+        raise ConfigError("density", missing, "required when the grid is given")
+    grid = None if points is None else spectral.SpaceGrid(half_width, points)
     result = spectral.gradient_scaling_exponent(model, t_list, grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

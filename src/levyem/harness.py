@@ -68,8 +68,10 @@ class ExperimentConfig:
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}")
         ns = tuple(int(n) for n in self.n_list)
-        if len(ns) < 1 or any(n < 1 for n in ns) or list(ns) != sorted(set(ns)):
+        if any(n < 1 for n in ns) or list(ns) != sorted(set(ns)):
             raise DomainError("n_list must be strictly increasing positive integers")
+        if len(ns) < 3:
+            raise DomainError(f"n_list needs at least 3 levels to fit a rate, got {len(ns)}")
         object.__setattr__(self, "n_list", ns)
         for n in ns:
             if self.n_ref % n:

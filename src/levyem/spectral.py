@@ -110,9 +110,8 @@ def tail_mass_estimate(model: LevyModel, t: float, R: float) -> float:
     elif fam is Family.SUBORDINATED_BM and model.sub.family is SubFamily.STABLE:
         a = 2.0 * model.sub.rho
     if fam is Family.BROWNIAN or a == 2.0:
-        from scipy import special
         sd = math.sqrt(2.0 * t)
-        return float(special.erfc(R / (sd * math.sqrt(2.0))))
+        return math.erfc(R / (sd * math.sqrt(2.0)))
     if a is not None:
         return 2.0 * t * stable_constant(a) * R ** (-a) / a
     if fam is Family.SUBORDINATED_BM:

@@ -147,6 +147,19 @@ MALFORMED = [
      "[sample]\nn = 8\nseed = 1\n", "[model] m:"),
     ("sample", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = inf\n"
      "[sample]\nn = 8\nseed = 1\n", "[model] m:"),
+    # two levels cannot be fitted: refused before any Monte Carlo runs
+    ("converge", BASE_EXPERIMENT.replace("n_list = 8,16,32,64", "n_list = 8,16"),
+     "n_list needs at least 3 levels"),
+    # a boolean key takes a boolean word, never reads a typo as false
+    ("sample", "[model]\nfamily = brownian\n[sample]\nn = 8\nseed = 1\ncsv = ture\n",
+     "[sample] csv:"),
+    ("kolmogorov", MODE_SOURCE + "mode:1\nforce_unbalanced = maybe\n",
+     "[kolmogorov] force_unbalanced:"),
+    # a density grid is given whole or not at all
+    ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.2,0.4,0.8\nhalf_width = 50\n",
+     "[density] points:"),
+    ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.2,0.4,0.8\npoints = 4096\n",
+     "[density] half_width:"),
 ]
 
 

@@ -31,12 +31,18 @@ def small_config(**overrides):
 
 class TestConfig:
     def test_divisibility_enforced(self):
-        with pytest.raises(DomainError):
-            small_config(n_list=(8, 24), n_ref=512)
+        with pytest.raises(DomainError, match="not divisible by n=24"):
+            small_config(n_list=(8, 16, 24), n_ref=512)
 
     def test_reference_must_dominate_ladder(self):
-        with pytest.raises(DomainError):
-            small_config(n_list=(8, 256), n_ref=512)
+        with pytest.raises(DomainError, match="at least 8 x max"):
+            small_config(n_list=(8, 16, 256), n_ref=512)
+
+    @pytest.mark.parametrize("n_list", [(), (8,), (8, 16)])
+    def test_n_list_too_short_to_fit(self, n_list):
+        # fit_decay_rate needs three levels; refuse before the Monte Carlo runs
+        with pytest.raises(DomainError, match="n_list needs at least 3 levels"):
+            small_config(n_list=n_list)
 
     def test_p_clamped_with_warning(self):
         # the prediction's clamped p is the Monte Carlo exponent and the note
@@ -144,7 +150,7 @@ class TestMcStrongError:
                                                (drift_cos_time(), "timeint")])
     def test_means_match_engine_coupling(self, drift, variant):
         # the chunked report and one kernel call per path agree bit for bit
-        cfg = small_config(drift=drift, variant=variant, n_list=(8, 16), n_ref=128,
+        cfg = small_config(drift=drift, variant=variant, n_list=(4, 8, 16), n_ref=128,
                            paths=100, chunk=64)
         table = mc_strong_error(cfg)
         factors = [cfg.n_ref // n for n in cfg.n_list]

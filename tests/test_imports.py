@@ -1,5 +1,6 @@
-"""scipy is imported on first use: stable-noise runs never load the parts
-they do not call.  Each check starts its own fresh interpreter."""
+"""levyem runs on numpy alone: no command on any family loads scipy, and
+every command gives the same exit code when scipy cannot be imported at all.
+Each check starts its own fresh interpreter."""
 
 import json
 import os
@@ -14,16 +15,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 STABLE_MODEL = "[model]\nfamily = isotropic_stable\nalpha = 1.5\n"
 
 
-def scipy_modules_after(tmp_path, body):
-    """The scipy modules loaded once a fresh interpreter has run ``body``."""
-    script = ("import json, sys\nimport levyem, levyem.cli\n" + body
-              + "\nprint(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')))\n")
+def run_fresh(tmp_path, script):
+    """The last line ``script`` prints in a fresh interpreter, read as JSON."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def scipy_modules_after(tmp_path, body):
+    """The scipy modules loaded once a fresh interpreter has run ``body``."""
+    return run_fresh(tmp_path, "import json, sys\nimport levyem, levyem.cli\n" + body
+                     + "\nprint(json.dumps(sorted(k for k in sys.modules"
+                     " if k.split('.')[0] == 'scipy')))\n")
 
 
 def run_cli(tmp_path, command, text):
@@ -44,18 +50,7 @@ def test_stable_converge_loads_no_scipy(tmp_path):
     assert scipy_modules_after(tmp_path, run_cli(tmp_path, "converge", text)) == []
 
 
-def test_stable_spectral_loads_neither_integrate_nor_optimize(tmp_path):
-    density = STABLE_MODEL + "[density]\nt_list = 0.1,0.2,0.4,0.8\n"
-    kolmogorov = (STABLE_MODEL + "[drift]\nname = cos\n[kolmogorov]\nt = 0.1\n"
-                  "points = 256\nn_time = 16\n")
-    body = run_cli(tmp_path, "density", density) + "\n" \
-        + run_cli(tmp_path, "kolmogorov", kolmogorov)
-    loaded = scipy_modules_after(tmp_path, body)
-    assert not [k for k in loaded if k.startswith(("scipy.integrate", "scipy.optimize"))], loaded
-
-
 def test_stable_spectral_loads_no_scipy(tmp_path):
-    # the stable constants use a private port of scipy's Gamma, not scipy.special
     density = STABLE_MODEL + "[density]\nt_list = 0.1,0.2,0.4,0.8\n"
     kolmogorov = (STABLE_MODEL + "[drift]\nname = cos\n[kolmogorov]\nt = 0.1\n"
                   "points = 256\nn_time = 16\n")
@@ -81,3 +76,48 @@ def test_decomposition_converge_and_sample_load_no_scipy(tmp_path, family):
     sample = model + "[sample]\nn = 64\nseed = 3\ncsv = true\n"
     body = run_cli(tmp_path, "converge", converge) + "\n" + run_cli(tmp_path, "sample", sample)
     assert scipy_modules_after(tmp_path, body) == []
+
+
+FAMILIES = {
+    "brownian": "family = brownian\n",
+    "isotropic_stable": "family = isotropic_stable\nalpha = 1.5\n",
+    "relativistic_stable": "family = relativistic_stable\nalpha = 1.5\nm = 1.0\n",
+    "tempered_stable": "family = tempered_stable\nalpha = 1.5\nm = 1.0\n",
+    "lamperti_stable": "family = lamperti_stable\nalpha = 1.5\nm = 1.0\n",
+    "truncated_stable": "family = truncated_stable\nalpha = 1.5\n",
+    "layered_stable": "family = layered_stable\nalpha = 1.5\nlambda_tail = 2.5\n",
+    "subordinated_bm": "family = subordinated_bm\nrho = 0.75\n",
+}
+
+COMMANDS = {
+    "check": "[drift]\nname = cos\n[experiment]\np = 1.0\n",
+    "converge": ("[drift]\nname = cos\n[experiment]\np = 1.0\nn_list = 4,8,16\n"
+                 "n_ref = 128\npaths = 100\nseed = 3\n"),
+    "density": "[density]\nt_list = 0.1,0.2,0.4,0.8\n",
+    "kolmogorov": "[drift]\nname = cos\n[kolmogorov]\nt = 0.1\npoints = 256\nn_time = 16\n",
+    "sample": "[sample]\nn = 64\nseed = 3\ncsv = true\n",
+}
+
+# the exit code of each run with scipy installed: Lamperti noise has no
+# increment sampler, so its converge and sample end as typed errors
+EXIT_CODES = {f"{family} {command}": 0 for family in FAMILIES for command in COMMANDS}
+EXIT_CODES.update({"lamperti_stable converge": 1, "lamperti_stable sample": 1})
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    runs = []
+    for family, model in FAMILIES.items():
+        for command, body in COMMANDS.items():
+            cfg = tmp_path / f"{family}-{command}.cfg"
+            cfg.write_text("[model]\n" + model + body)
+            runs.append((f"{family} {command}",
+                         [command, "--config", str(cfg), "--out-dir", str(tmp_path / cfg.stem)]))
+    # with None in sys.modules, any import of scipy or a submodule raises
+    script = ("import json, sys\nsys.modules['scipy'] = None\nimport levyem.cli\ncodes = {}\n"
+              f"for label, argv in {runs!r}:\n"
+              "    try:\n"
+              "        codes[label] = levyem.cli.main(argv)\n"
+              "    except Exception as exc:\n"
+              "        codes[label] = f'{type(exc).__name__}: {exc}'\n"
+              "print(json.dumps(codes))\n")
+    assert run_fresh(tmp_path, script) == EXIT_CODES
