@@ -39,7 +39,10 @@ _SECTION_KEYS = {
 def load_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str.lower
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError("file", "", str(exc)) from exc
     if not read:
         raise ConfigError("file", "", f"cannot read config {path}")
     for section in parser.sections():
@@ -126,7 +129,7 @@ def build_drift(cfg) -> engine.DriftSpec:
     return engine.DRIFT_CATALOG[name](**kwargs)
 
 
-def build_experiment(cfg, seed_override=None, threads=0) -> harness.ExperimentConfig:
+def build_experiment(cfg, seed_override=None) -> harness.ExperimentConfig:
     model = build_model(cfg)
     drift = build_drift(cfg)
     n_values = _get(cfg, "experiment", "n_list", _values(int), required=True)
@@ -149,7 +152,6 @@ def build_experiment(cfg, seed_override=None, threads=0) -> harness.ExperimentCo
         seed=seed,
         tol=_get(cfg, "experiment", "tol", _finite, default=0.15),
         variant=_get(cfg, "experiment", "variant", str, default="frozen"),
-        threads=threads,
     )
 
 
@@ -178,8 +180,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    if args.threads < 0:
+        raise DomainError(f"threads must be >= 0, got {args.threads}")
     cfg = load_config(args.config)
-    config = build_experiment(cfg, seed_override=args.seed_override, threads=args.threads)
+    config = build_experiment(cfg, seed_override=args.seed_override)
     report = harness.run_experiment(config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -326,7 +330,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir", default=".")
         if name == "converge":
-            p.add_argument("--threads", type=int, default=0)
+            p.add_argument("--threads", type=int, default=0,
+                           help="accepted and ignored: paths always run serially")
         if name in ("converge", "sample"):
             p.add_argument("--seed-override", type=int, default=None)
         p.set_defaults(fn=fn)

@@ -12,7 +12,7 @@ argument is held at the last coarse node while noise is added per fine
 increment, so the gap to the fine path isolates the drift-freezing error
 and is exactly zero for constant drift.  :func:`euler_ladder` is the one
 way to simulate: it advances a batch of fine paths and every coarse level
-together, and the Monte Carlo harness calls it once per chunk of paths.
+together, and the Monte Carlo harness calls it once per block of paths.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ noise, so per-path sup errors isolate discretisation error.  Per-n means of
 sup-error^p are fitted on a log-log scale and compared against the predicted
 exponent min{1, p beta/gamma0, p eta}.
 
-Paths are chunked and may be processed by a thread pool; results land in
-preallocated slots indexed by path, so the report is bit-identical for any
-thread count.
+Paths run serially, one block of ``ExperimentConfig.chunk`` paths at a
+time, and each path draws from its own stream; so the report does not depend
+on the block size, which only bounds the memory one block holds.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -49,8 +48,7 @@ class ExperimentConfig:
     seed: int
     tol: float = 0.15
     variant: str = "frozen"
-    threads: int = 0
-    chunk: int = 256
+    chunk: ClassVar[int] = 256  # paths per block
 
     def __post_init__(self):
         check_rate_scope(self.model)
@@ -60,10 +58,6 @@ class ExperimentConfig:
             raise DomainError(f"tol must be finite and >= 0, got {self.tol}")
         if self.paths < 100:
             raise DomainError("need at least 100 paths")
-        if self.chunk < 1:
-            raise DomainError(f"chunk must be >= 1, got {self.chunk}")
-        if self.threads < 0:
-            raise DomainError(f"threads must be >= 0, got {self.threads}")
         RngStream(self.seed)  # rejects a seed outside the 64-bit key range
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}")
@@ -164,16 +158,9 @@ def _error_powers(config: ExperimentConfig, p_eff: float) -> np.ndarray:
     """Sup-error^p of every path (rows) at every ladder entry (columns)."""
     M = config.paths
     values = np.empty((M, len(config.n_list)))
-    spans = [(lo, min(lo + config.chunk, M)) for lo in range(0, M, config.chunk)]
-    if config.threads and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [pool.submit(_path_block, config, p_eff, lo, hi)
-                       for lo, hi in spans]
-            for (lo, hi), fut in zip(spans, futures):
-                values[lo:hi] = fut.result()
-    else:
-        for lo, hi in spans:
-            values[lo:hi] = _path_block(config, p_eff, lo, hi)
+    for lo in range(0, M, config.chunk):
+        hi = min(lo + config.chunk, M)
+        values[lo:hi] = _path_block(config, p_eff, lo, hi)
     return values
 
 

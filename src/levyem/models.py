@@ -107,15 +107,34 @@ def lamperti_bernstein(alpha: float, m: float):
     same gradient index alpha as the isotropic stable one.
     """
     a = 0.5 * alpha
-    lgamma = np.vectorize(math.lgamma, otypes=[float])
+    val0 = math.exp(_log_gamma_ratio(np.float64(m), a))
 
     def f(lam):
         lam = np.asarray(lam, dtype=float)
-        val = np.exp(lgamma(lam + m + a) - lgamma(lam + m))
-        val0 = math.exp(math.lgamma(m + a) - math.lgamma(m))
-        return val - val0
+        return np.exp(_log_gamma_ratio(lam + m, a)) - val0
 
     return f
+
+
+# B_2k / (2k (2k - 1)) for k = 1..5, the terms of Stirling's series for log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+
+
+def _log_gamma_ratio(x, a):
+    """log Gamma(x + a) - log Gamma(x) for x > 0 and 0 < a <= 1.
+
+    Below 10 it is the difference of lgamma values.  From 10 on it is the
+    difference of Stirling's series, taken term by term: the two lgamma
+    values, of size x log x, would cancel to an error of about x log x * 1e-16."""
+    out = np.empty_like(x)
+    low = x < 10
+    out[low] = [math.lgamma(v + a) - math.lgamma(v) for v in x[low].tolist()]
+    xs = x[~low]
+    ratio = a * np.log(xs) + (xs + a - 0.5) * np.log1p(a / xs) - a
+    for k, c in enumerate(_STIRLING, 1):
+        ratio += c * ((xs + a) ** (1 - 2 * k) - xs ** (1 - 2 * k))
+    out[~low] = ratio
+    return out
 
 
 # the parameters each family takes; every other parameter must be None

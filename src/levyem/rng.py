@@ -1,7 +1,7 @@
-"""Counter-based random streams for reproducible parallel Monte Carlo.
+"""Counter-based random streams for reproducible Monte Carlo.
 
 Each (seed, stream_id) pair keys an independent Philox counter stream, so
-per-path generators can be created in any order (or concurrently) and still
+per-path generators can be created in any order and still
 reproduce bit-for-bit.  There is no sequential jump-ahead: the stream id is
 part of the key.
 """

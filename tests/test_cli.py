@@ -160,6 +160,12 @@ MALFORMED = [
      "[density] points:"),
     ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.2,0.4,0.8\npoints = 4096\n",
      "[density] half_width:"),
+    # what configparser itself refuses
+    ("check", STABLE_MODEL + "alpha = 1.7\n", "option 'alpha' in section 'model' already"),
+    ("check", STABLE_MODEL + "[drift]\nname = cos\n[model]\ndim = 1\n",
+     "section 'model' already exists"),
+    ("check", "family = brownian\n" + STABLE_MODEL, "[file]: File contains no section headers"),
+    ("check", STABLE_MODEL + "dim 1\n", "[file]: Source contains parsing errors"),
 ]
 
 
@@ -171,10 +177,16 @@ class TestExitCodes:
             assert code == 1, text
             assert message in capsys.readouterr().err, text
 
+    def test_config_not_utf8_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes((STABLE_MODEL + "[drift]\nname = cos\n# d\xe9rive\n").encode("latin-1"))
+        assert cli.main(["check", "--config", str(cfg)]) == 1
+        assert "[file]: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,message", [("--seed-override", "seed=-1"),
                                               ("--threads", "threads must be >= 0")])
     def test_negative_converge_flag_exits_one(self, tmp_path, capsys, flag, message):
-        # 300 paths span two chunks, the case that used to reach the thread pool
+        # 300 paths span two blocks
         cfg = write(tmp_path, BASE_EXPERIMENT.replace("paths = 200", "paths = 300"))
         code = cli.main(["converge", "--config", cfg, "--out-dir", str(tmp_path / "out"),
                          flag, "-1"])
@@ -195,9 +207,20 @@ class TestExitCodes:
             assert "the following arguments are required: --config" \
                 in capsys.readouterr().err, command
 
+    def test_threads_flag_changes_nothing(self, tmp_path):
+        # paths run serially whatever --threads says; 300 paths span two blocks
+        cfg = write(tmp_path, BASE_EXPERIMENT.replace("paths = 200", "paths = 300"))
+        for name, extra in (("serial", []), ("threads", ["--threads", "2"])):
+            argv = ["converge", "--config", cfg, "--out-dir", str(tmp_path / name)]
+            assert cli.main(argv + extra) == 0
+        for name in ("report.json", "report.csv"):
+            assert (tmp_path / "threads" / name).read_bytes() \
+                == (tmp_path / "serial" / name).read_bytes()
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["converge", "--help"]) == 0
-        assert "--threads" in capsys.readouterr().out
+        out = " ".join(capsys.readouterr().out.split())  # undo the help's line wrapping
+        assert "--threads THREADS accepted and ignored" in out
 
     def test_check_balance_pass(self, tmp_path, capsys):
         text = """

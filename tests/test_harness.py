@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -70,16 +71,25 @@ class TestConfig:
         with pytest.raises(DomainError, match=r"alpha must lie in \(1\.0, 2\], got"):
             small_config(model=model, p=1.0, n_list=(4, 8, 16), n_ref=128, paths=100)
 
+    def test_block_size_is_not_a_setting(self):
+        # paths run serially in blocks of the class constant chunk
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)}.isdisjoint(
+            {"threads", "chunk"})
+        for key in ("threads", "chunk"):
+            with pytest.raises(TypeError):
+                small_config(**{key: 64})
+        assert small_config().chunk == 256
+
     def test_minimum_paths(self):
         with pytest.raises(DomainError):
             small_config(paths=50)
 
     @pytest.mark.parametrize("key,value", [
-        ("chunk", 0), ("chunk", -5), ("tol", math.nan), ("tol", -0.1), ("tol", math.inf),
+        ("tol", math.nan), ("tol", -0.1), ("tol", math.inf),
         ("T", math.nan), ("T", math.inf), ("p", math.nan), ("p", math.inf)])
     def test_bad_run_parameters_refused(self, key, value):
-        # each used to run: chunk -5 reported on an unfilled matrix, tol nan
-        # called every fit consistent and p nan flagged every path
+        # each used to run: tol nan called every fit consistent and p nan
+        # flagged every path
         with pytest.raises(DomainError):
             small_config(**{key: value})
 
@@ -149,9 +159,10 @@ class TestMcStrongError:
     @pytest.mark.parametrize("drift,variant", [(drift_cos(), "frozen"),
                                                (drift_cos_time(), "timeint")])
     def test_means_match_engine_coupling(self, drift, variant):
-        # the chunked report and one kernel call per path agree bit for bit
+        # the blocked report and one kernel call per path agree bit for bit;
+        # 300 paths span two blocks
         cfg = small_config(drift=drift, variant=variant, n_list=(4, 8, 16), n_ref=128,
-                           paths=100, chunk=64)
+                           paths=300)
         table = mc_strong_error(cfg)
         factors = [cfg.n_ref // n for n in cfg.n_list]
         errs = np.array([euler_ladder(drift, cfg.x0, cfg.T,
@@ -166,12 +177,6 @@ class TestMcStrongError:
         a = run_experiment(small_config()).to_dict()
         b = run_experiment(small_config()).to_dict()
         assert a == b
-
-    def test_threads_do_not_change_results(self):
-        a = run_experiment(small_config(threads=0, chunk=64))
-        b = run_experiment(small_config(threads=3, chunk=64))
-        assert a.to_dict() == b.to_dict()
-        assert a.to_json() == b.to_json()
 
     def test_monotone_ladder(self):
         rep = run_experiment(small_config(paths=400))

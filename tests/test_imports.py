@@ -1,6 +1,7 @@
 """levyem runs on numpy alone: no command on any family loads scipy, and
 every command gives the same exit code when scipy cannot be imported at all.
-Each check starts its own fresh interpreter."""
+Importing it loads no thread pool either.  Each check starts its own fresh
+interpreter."""
 
 import json
 import os
@@ -42,6 +43,14 @@ def run_cli(tmp_path, command, text):
 
 def test_import_loads_no_scipy(tmp_path):
     assert scipy_modules_after(tmp_path, "") == []
+
+
+def test_import_loads_no_thread_pool(tmp_path):
+    # Monte Carlo paths run serially, so no executor is imported
+    loaded = run_fresh(tmp_path, "import json, sys\nimport levyem, levyem.cli\n"
+                       "print(json.dumps(sorted(k for k in sys.modules"
+                       " if k.split('.')[0] == 'concurrent')))\n")
+    assert loaded == []
 
 
 def test_stable_converge_loads_no_scipy(tmp_path):
