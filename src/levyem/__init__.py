@@ -18,15 +18,15 @@ from .models import (Family, LevyModel, MomentIndices, RatePrediction,
                      SubordinatorSpec, balance_check, balance_margin,
                      bernstein_eval, char_exponent_radial, kappa_exponent,
                      lamperti_bernstein, predict_for_model, predicted_rate,
-                     radial_density, verify_levy_moment)
+                     radial_density)
 from .rng import RngStream
 from .samplers import (IncrementBatch, TruncationMeta, increments, load_batch,
                        sample_jump_decomposition, sample_stable,
                        sample_stable_subordinator, sample_subordinated_bm,
                        sample_tempered_subordinator, save_batch)
 from .spectral import (DensityTable, PicardSolution, SpaceGrid, density_fft,
-                       grad_l1_norm, gradient_scaling_exponent, holder_seminorm,
-                       kolmogorov_residual, picard_solve, resolvent_source,
-                       second_l1_norm, semigroup_apply, suggest_grid)
+                       grad_l1_norm, gradient_scaling_exponent,
+                       kolmogorov_residual, picard_solve, second_l1_norm,
+                       semigroup_apply, suggest_grid)
 
 __version__ = "0.1.0"

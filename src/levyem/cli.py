@@ -68,6 +68,12 @@ def _get(cfg, section, key, conv=str, default=None, required=False):
         raise ConfigError(section, key, f"cannot parse {raw!r}") from exc
 
 
+def _given(cfg, section, convs: dict) -> dict:
+    """The keys of ``convs`` that ``section`` sets; the rest keep library defaults."""
+    return {key: value for key, conv in convs.items()
+            if (value := _get(cfg, section, key, conv)) is not None}
+
+
 def _finite(raw) -> float:
     """A float key's converter: nan and inf are refused like unparsable text."""
     value = float(raw)
@@ -150,8 +156,7 @@ def build_experiment(cfg, seed_override=None) -> harness.ExperimentConfig:
         n_ref=_get(cfg, "experiment", "n_ref", int, required=True),
         paths=_get(cfg, "experiment", "paths", int, required=True),
         seed=seed,
-        tol=_get(cfg, "experiment", "tol", _finite, default=0.15),
-        variant=_get(cfg, "experiment", "variant", str, default="frozen"),
+        **_given(cfg, "experiment", {"tol": _finite, "variant": str}),
     )
 
 
@@ -232,19 +237,17 @@ def cmd_kolmogorov(args) -> int:
     model = build_model(cfg)
     drift = build_drift(cfg)
     T = _get(cfg, "kolmogorov", "t", _finite, default=0.25)
-    n_time = _get(cfg, "kolmogorov", "n_time", int, default=128)
     points = _get(cfg, "kolmogorov", "points", int, default=2048)
     half_width = _get(cfg, "kolmogorov", "half_width", _finite, default=16 * math.pi)
     source = _get(cfg, "kolmogorov", "source", str, default="drift")
-    tol = _get(cfg, "kolmogorov", "tol", _finite, default=1e-8)
-    max_iter = _get(cfg, "kolmogorov", "max_iter", int, default=60)
-    target_ratio = _get(cfg, "kolmogorov", "target_ratio", _finite, default=0.95)
     force = _get(cfg, "kolmogorov", "force_unbalanced", bool, default=False)
-    if n_time < 2:
-        raise ConfigError("kolmogorov", "n_time",
-                          f"{n_time} is below 2; the residual needs an interior time row")
-    if max_iter < 1:
-        raise ConfigError("kolmogorov", "max_iter", f"{max_iter} is below 1")
+    solver = _given(cfg, "kolmogorov", {"n_time": int, "max_iter": int, "tol": _finite,
+                                        "target_ratio": _finite})
+    if solver.get("n_time", 2) < 2:
+        raise ConfigError("kolmogorov", "n_time", f"{solver['n_time']} is below 2; "
+                          "the residual needs an interior time row")
+    if solver.get("max_iter", 1) < 1:
+        raise ConfigError("kolmogorov", "max_iter", f"{solver['max_iter']} is below 1")
     grid = spectral.SpaceGrid(half_width, points)
 
     if source == "drift":
@@ -271,9 +274,8 @@ def cmd_kolmogorov(args) -> int:
         print(f"kappa = {kappa:.4f} >= 1: certification refused")
         return 2
 
-    sol = spectral.picard_solve(drift, g, T, model, grid, n_time=n_time,
-                                max_iter=max_iter, tol=tol,
-                                target_ratio=target_ratio, force_unbalanced=force)
+    sol = spectral.picard_solve(drift, g, T, model, grid, force_unbalanced=force,
+                                **solver)
     residual = spectral.kolmogorov_residual(sol, drift, g, model)
     summary = {
         "model": model.describe(),

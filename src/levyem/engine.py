@@ -41,7 +41,7 @@ class DriftSpec:
     for d > 1): the ``timeint`` scheme stacks the fine path and every coarse
     level into one array of shape (levels+1, paths, d).
     The declared (beta, eta, bound) are the catalog author's responsibility;
-    :func:`drift_diagnostics` provides necessary-condition spot checks.
+    the library does not test them against ``fn``.
     """
 
     fn: Callable
@@ -99,24 +99,6 @@ DRIFT_CATALOG = {
     "rough_sin": lambda **kw: drift_rough(kw.get("beta", 0.5)),
     "cos_time": lambda **kw: drift_cos_time(),
 }
-
-
-def drift_diagnostics(drift: DriftSpec, rng, n_pairs: int = 10_000,
-                      box: float = 10.0, t_max: float = 1.0) -> dict:
-    """Necessary-condition spot checks of (bound, beta, eta) on random pairs."""
-    gen = rng.generator() if hasattr(rng, "generator") else rng
-    t = gen.uniform(0.0, t_max, n_pairs)
-    x = gen.uniform(-box, box, n_pairs)
-    dx = gen.uniform(-1.0, 1.0, n_pairs)
-    dt = gen.uniform(0.0, 1.0, n_pairs)
-    bx, bxdx = drift(t, x), drift(t, x + dx)
-    btdt = drift(t + dt, x)
-    eps = 1e-12
-    return {
-        "sup_abs": float(np.max(np.abs(bx))),
-        "space_quotient": float(np.max(np.abs(bxdx - bx) / (np.abs(dx) + eps) ** drift.beta)),
-        "time_quotient": float(np.max(np.abs(btdt - bx) / (dt + eps) ** drift.eta)),
-    }
 
 
 def as_state(x0, d: int) -> np.ndarray:

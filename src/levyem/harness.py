@@ -193,7 +193,7 @@ def mc_strong_error(config: ExperimentConfig) -> ErrorTable:
                       paths=m_eff, flagged=flagged)
 
 
-def compare_to_theory(fitted_rate: float, predicted_rate: float, tol: float = 0.15) -> str:
+def compare_to_theory(fitted_rate: float, predicted_rate: float, tol: float) -> str:
     if fitted_rate < predicted_rate - tol:
         return VERDICT_VIOLATES
     if fitted_rate > predicted_rate + tol:

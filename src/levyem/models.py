@@ -205,11 +205,12 @@ class LevyModel:
         return LevyModel(Family.BROWNIAN, dim=dim)
 
     @staticmethod
-    def isotropic_stable(alpha: float, dim: int = 1, strict: bool = True) -> "LevyModel":
-        """psi(xi) = |xi|^alpha.  strict=False skips ``check_rate_scope`` and
-        admits alpha in (0, 2] for analysis-only uses (e.g. the Cauchy density)."""
-        model = LevyModel(Family.ISOTROPIC_STABLE, dim=dim, alpha=alpha)
-        return check_rate_scope(model) if strict else model
+    def isotropic_stable(alpha: float, dim: int = 1) -> "LevyModel":
+        """psi(xi) = |xi|^alpha with alpha in (1, 2], the range the convergence
+        theory covers (``check_rate_scope``).  The plain constructor
+        ``LevyModel(Family.ISOTROPIC_STABLE, alpha=...)`` admits alpha in
+        (0, 2] for analysis-only uses such as the Cauchy density."""
+        return check_rate_scope(LevyModel(Family.ISOTROPIC_STABLE, dim=dim, alpha=alpha))
 
     @staticmethod
     def relativistic_stable(alpha: float, m: float, dim: int = 1) -> "LevyModel":
@@ -687,66 +688,3 @@ def predict_for_model(model: LevyModel, beta: float, eta: float, p: float) -> Ra
     pred = predicted_rate(min(p, mi.gamma_inf), beta, eta, mi.gamma0,
                           alpha=model.gradient_index, gamma0_is_open=mi.gamma0_open)
     return replace(pred, p_clamped=p > mi.gamma_inf)
-
-
-# ----------------------------------------------------------------------
-# numerical moment verification
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MomentCheck:
-    finite: bool
-    value: float  # nan when divergent
-    shells: int
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _shell_integral(q, gamma, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    r = mid + half * _GL_NODES
-    vals = np.asarray(q(r), dtype=float)
-    if np.any(vals < 0):
-        raise DensityError("radial density is negative on the integration range")
-    return half * float(np.dot(_GL_WEIGHTS, r ** gamma * vals))
-
-
-def verify_levy_moment(q, gamma: float, region: str,
-                       max_shells: int = 160) -> MomentCheck:
-    """Decide whether int r^gamma Q(r) dr converges on (0,1) or (1,inf).
-
-    Dyadic shells are integrated with fixed Gauss-Legendre rules; the sums
-    are declared divergent when eight consecutive shells fail to decay
-    geometrically, and otherwise the geometric tail is extrapolated.
-    """
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    if region not in ("inner", "outer"):
-        raise DomainError("region must be 'inner' or 'outer'")
-    shells = []
-    for k in range(max_shells):
-        if region == "inner":
-            a, b = 2.0 ** (-k - 1), 2.0 ** (-k)
-        else:
-            a, b = 2.0 ** k, 2.0 ** (k + 1)
-        shells.append(_shell_integral(q, gamma, a, b))
-        total = sum(shells)
-        s = shells[-1]
-        if total > 0 and s < 1e-13 * total:
-            return MomentCheck(True, total, len(shells))
-        if len(shells) >= 9:
-            recent = shells[-9:]
-            if all(r > 0 for r in recent) and all(
-                    recent[i + 1] >= 0.999 * recent[i] for i in range(8)):
-                return MomentCheck(False, math.nan, len(shells))
-    # extrapolate the geometric tail from the trailing ratio
-    total = sum(shells)
-    tail = 0.0
-    if shells[-1] > 0 and shells[-2] > 0:
-        ratio = shells[-1] / shells[-2]
-        if ratio >= 0.999:
-            return MomentCheck(False, math.nan, len(shells))
-        tail = shells[-1] * ratio / (1.0 - ratio)
-    return MomentCheck(True, total + tail, len(shells))

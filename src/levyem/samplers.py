@@ -162,8 +162,7 @@ class TruncationMeta:
 
 
 @lru_cache(maxsize=256)
-def default_epsilon(model: LevyModel, dt: float,
-                    jump_budget: float = DEFAULT_JUMP_BUDGET) -> float:
+def default_epsilon(model: LevyModel, dt: float) -> float:
     """Truncation threshold: the smallest eps with sigma(eps) below the bias
     target that also keeps the expected jump count per step within budget."""
     rd = radial_density(model)
@@ -185,7 +184,7 @@ def default_epsilon(model: LevyModel, dt: float,
     eps_sigma = bracket_root(
         lambda le: math.sqrt(rd.moment(2.0, 0.0, math.exp(le))) - target)
     eps_budget = bracket_root(
-        lambda le: jump_budget / dt - rd.mass(math.exp(le), math.inf))
+        lambda le: DEFAULT_JUMP_BUDGET / dt - rd.mass(math.exp(le), math.inf))
     return min(hi, max(eps_sigma, eps_budget))
 
 
@@ -196,11 +195,10 @@ def _decomposition_stats(model: LevyModel, epsilon: float):
 
 
 def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
-                              size: int, return_counts: bool = False):
+                              size: int):
     """``size`` one-dimensional increments over dt: matched Gaussian for jumps
     below epsilon plus compound Poisson above.  Returns (values,
-    TruncationMeta); ``return_counts`` additionally exposes the per-increment
-    jump counts for diagnostics."""
+    TruncationMeta)."""
     if model.dim != 1:
         raise UnsupportedModelError("jump decomposition is one-dimensional")
     if not (0.0 < epsilon <= 1.0):
@@ -213,7 +211,6 @@ def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
 
     gen = as_generator(rng)
     values = gen.standard_normal(size) * math.sqrt(dt * sigma2)
-    counts = np.zeros(size, dtype=int)
     if intensity > 0:
         counts = gen.poisson(dt * intensity, size)
         total = int(counts.sum())
@@ -223,7 +220,7 @@ def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
             np.negative(radii, out=radii, where=gen.integers(0, 2, total) == 0)
             owner = np.repeat(np.arange(size), counts)
             values += np.bincount(owner, weights=radii, minlength=size)
-    return (values, meta, counts) if return_counts else (values, meta)
+    return values, meta
 
 
 # ----------------------------------------------------------------------
@@ -327,15 +324,21 @@ def save_batch(batch: IncrementBatch, path) -> None:
 
 
 def load_batch(path, model: LevyModel) -> IncrementBatch:
+    """Read a dump written by :func:`save_batch`; any other file is refused."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        magic, version, mhash, seed, stream, n, d, dt, has_meta, eps, sig2, inten = \
-            _HEADER.unpack(raw)
-        if magic != _MAGIC or version != _VERSION:
-            raise ShapeError("not a levyem increment dump")
-        if mhash != model_hash(model):
-            raise ShapeError("increment dump was written for a different model")
-        body = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d)
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ShapeError(f"increment dump is shorter than its {_HEADER.size}-byte header")
+    magic, version, mhash, seed, stream, n, d, dt, has_meta, eps, sig2, inten = \
+        _HEADER.unpack_from(raw)
+    if magic != _MAGIC or version != _VERSION:
+        raise ShapeError("not a levyem increment dump")
+    if mhash != model_hash(model):
+        raise ShapeError("increment dump was written for a different model")
+    if len(raw) != _HEADER.size + 8 * n * d:
+        raise ShapeError(f"increment dump holds {len(raw) - _HEADER.size} bytes of values, "
+                         f"not the {8 * n * d} its header declares for {n} x {d} floats")
+    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n, d)
     meta = TruncationMeta(eps, sig2, inten) if has_meta else None
     return IncrementBatch(dt=dt, values=body.astype(float), model=model, meta=meta,
                           seed=seed, stream_id=stream)

@@ -37,8 +37,8 @@ class SpaceGrid:
         n = self.n_points
         if n < 8 or (n & (n - 1)):
             raise DomainError("n_points must be a power of two >= 8")
-        if self.half_width <= 0:
-            raise DomainError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise DomainError(f"half_width must be finite and > 0, got {self.half_width}")
 
     @property
     def h(self) -> float:
@@ -153,8 +153,8 @@ def suggest_grid(model: LevyModel, t_min: float, t_max: float,
 
 def density_fft(model: LevyModel, t: float, grid: SpaceGrid) -> DensityTable:
     """Invert exp(-t psi) on the grid; values in (-1e-10, 0) are clipped to 0."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError(f"t must be finite and > 0, got {t}")
     psi = _psi_on_grid(model, grid)
     phat = np.exp(-t * psi)
     if phat[grid.n_points // 2] > 1e-12:
@@ -177,7 +177,7 @@ def density_fft(model: LevyModel, t: float, grid: SpaceGrid) -> DensityTable:
             "half_width or n_points")
     vals = np.where(vals < 0.0, 0.0, vals)
     mass = float(np.trapezoid(vals, dx=grid.h))
-    if abs(mass - 1.0) > 1e-6:
+    if not abs(mass - 1.0) <= 1e-6:  # NaN fails too
         raise ResolutionError(
             f"density mass {mass} deviates from 1; increase half_width or n_points")
     d1 = invert((-1j * xi) * phat)
@@ -273,52 +273,6 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_segment(a: float, delta: float, psi: np.ndarray,
-                 h_lo: np.ndarray, h_hi: np.ndarray) -> np.ndarray:
-    """int_a^{a+delta} e^{-tau psi} h(tau) dtau with h linear between its endpoints."""
-    z = delta * psi
-    return np.exp(-a * psi) * delta * (h_lo * _phi1(z) + (h_hi - h_lo) * _phi2(z))
-
-
-def resolvent_source(g, t: float, model: LevyModel, grid: SpaceGrid,
-                     n_nodes: int = 256, power: float = 2.0) -> np.ndarray:
-    """u(t, x) = int_0^t E g(s, x + L_{t-s}) ds.
-
-    The quadrature nodes s_k = t (1 - (k/K)^power) cluster at s = t where the
-    gradient of the semigroup is singular; within each interval the semigroup
-    factor is integrated exactly per Fourier mode against a source linear in s.
-    ``g`` is either a grid array (time constant) or a callable s -> grid array.
-    """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if t == 0.0:
-        probe = g if isinstance(g, np.ndarray) else g(0.0)
-        return np.zeros_like(np.asarray(probe, dtype=float))
-    psi = _psi_on_grid(model, grid)
-    const = isinstance(g, np.ndarray)
-
-    def ghat(s: float) -> np.ndarray:
-        vals = g if const else np.asarray(g(s), dtype=float)
-        if vals.shape != (grid.n_points,):
-            raise ShapeError("source must be sampled on the grid")
-        return np.fft.fft(vals)
-
-    k = np.arange(n_nodes + 1)
-    taus = t * (k / n_nodes) ** power  # tau = t - s, increasing from 0 to t
-    uhat = np.zeros(grid.n_points, dtype=complex)
-    if const:
-        h = ghat(t)
-        for i in range(n_nodes):
-            uhat += _exp_segment(taus[i], taus[i + 1] - taus[i], psi, h, h)
-    else:
-        h_prev = ghat(t - taus[0])
-        for i in range(n_nodes):
-            h_next = ghat(t - taus[i + 1])
-            uhat += _exp_segment(taus[i], taus[i + 1] - taus[i], psi, h_prev, h_next)
-            h_prev = h_next
-    return np.fft.ifft(uhat).real
-
-
 def _dyadic_peaks(rows: np.ndarray, spacing: float, max_sep: float) -> list:
     """(separation, max |v[i + step] - v[i]|) at each dyadic step with
     step * spacing <= max_sep, the max taken over every row of ``rows`` that
@@ -350,17 +304,6 @@ def _holder_quotient(peaks: list, theta: float) -> float:
         if q > best:
             best = q
     return best
-
-
-def holder_seminorm(values: np.ndarray, theta: float, spacing: float,
-                    max_sep: float = 2.0) -> float:
-    """Max Hoelder quotient over node pairs at dyadic separations <= max_sep.
-
-    A grid seminorm is a lower bound of the continuum one; certificates built
-    from it are measured-on-grid statements.
-    """
-    values = np.asarray(values, dtype=float).reshape(1, -1)
-    return _holder_quotient(_dyadic_peaks(values, spacing, max_sep), theta)
 
 
 # ----------------------------------------------------------------------
@@ -414,12 +357,16 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
     interpolated linearly).  When the measured contraction factor exceeds
     ``target_ratio`` the horizon is halved, up to ``max_halvings`` times.
     """
-    if T <= 0:
-        raise DomainError("T must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError(f"T must be finite and > 0, got {T}")
     if n_time < 1:
         raise DomainError("n_time must be at least 1")
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    if not 0 < target_ratio < 1:
+        raise DomainError(f"target_ratio must lie in (0, 1), got {target_ratio}")
     kappa = kappa_exponent(model.gradient_index, model.moments.gamma0, drift.beta)
     if kappa >= 1.0 and not force_unbalanced:
         raise DomainError(

@@ -166,6 +166,11 @@ MALFORMED = [
      "section 'model' already exists"),
     ("check", "family = brownian\n" + STABLE_MODEL, "[file]: File contains no section headers"),
     ("check", STABLE_MODEL + "dim 1\n", "[file]: Source contains parsing errors"),
+    # solver settings outside their range are refused before the solve runs
+    ("kolmogorov", MODE_SOURCE + "mode:1\ntol = 0\n", "tol must be finite and > 0"),
+    ("kolmogorov", MODE_SOURCE + "mode:1\ntol = -1e-8\n", "tol must be finite and > 0"),
+    ("kolmogorov", MODE_SOURCE + "mode:1\ntarget_ratio = 0\n",
+     "target_ratio must lie in (0, 1)"),
 ]
 
 

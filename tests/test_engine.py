@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from levyem.engine import (DriftSpec, drift_const, drift_cos, drift_cos_time,
-                           drift_diagnostics, drift_rough, drift_zero,
-                           euler_ladder)
+                           drift_rough, drift_zero, euler_ladder)
 from levyem.errors import DomainError, ShapeError
 from levyem.models import LevyModel
 from levyem.rng import RngStream
 from levyem.samplers import increments
+from oracles import drift_diagnostics
 
 
 def brownian_noise(T, n, seed):

@@ -65,7 +65,7 @@ class TestConfig:
             "moment order p=2.0 exceeds gamma_inf=1.5; clamping"]
 
     @pytest.mark.parametrize("model", [LevyModel(Family.ISOTROPIC_STABLE, alpha=0.8),
-                                       LevyModel.isotropic_stable(1.0, strict=False)])
+                                       LevyModel(Family.ISOTROPIC_STABLE, alpha=1.0)])
     def test_alpha_outside_the_theory_refused(self, model):
         # at alpha = 0.8 a run would fit slope 0.80 against rate 0.8 and say consistent
         with pytest.raises(DomainError, match=r"alpha must lie in \(1\.0, 2\], got"):

@@ -1,8 +1,10 @@
 """levyem runs on numpy alone: no command on any family loads scipy, and
 every command gives the same exit code when scipy cannot be imported at all.
-Importing it loads no thread pool either.  Each check starts its own fresh
-interpreter."""
+Importing it loads no thread pool either.  Each of those checks starts its
+own fresh interpreter.  Every name the package exports is one the library
+itself uses, apart from a short list of documented entry points."""
 
+import ast
 import json
 import os
 import subprocess
@@ -130,3 +132,29 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
               "        codes[label] = f'{type(exc).__name__}: {exc}'\n"
               "print(json.dumps(codes))\n")
     assert run_fresh(tmp_path, script) == EXIT_CODES
+
+
+# exported names that no library module uses, and why each stays public
+UNUSED_EXPORTS = {
+    "load_batch": "the documented reader of the replay format that `sample` writes",
+    "semigroup_apply": "the benchmark's warm-up calls it; it leaves with the next "
+                       "benchmark change",
+    "inverse_moment_scaling": "the A10 inverse-moment diagnostic the README documents",
+}
+
+
+def test_every_export_is_used_by_the_library():
+    # a test-only oracle belongs in tests/oracles.py, not in the public surface
+    package = SRC / "levyem"
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert sorted(exported - used - set(UNUSED_EXPORTS)) == []

@@ -11,8 +11,8 @@ from levyem.models import (Family, LevyModel, SubFamily, SubordinatorSpec,
                            balance_margin, bernstein_eval, char_exponent_radial,
                            kappa_exponent, lamperti_bernstein,
                            one_minus_cos_constant, predict_for_model,
-                           predicted_rate, radial_density, stable_constant,
-                           verify_levy_moment)
+                           predicted_rate, radial_density, stable_constant)
+from oracles import verify_levy_moment
 
 
 def catalog():
@@ -320,8 +320,8 @@ class TestModelValidation:
             LevyModel.isotropic_stable(1.0)
         with pytest.raises(DomainError):
             LevyModel.relativistic_stable(2.0, 1.0)
-        # analysis-only relaxation admits the Cauchy case
-        assert LevyModel.isotropic_stable(1.0, strict=False).alpha == 1.0
+        # the plain constructor admits the analysis-only Cauchy case
+        assert LevyModel(Family.ISOTROPIC_STABLE, alpha=1.0).alpha == 1.0
 
     def test_subordinated_needs_rho_above_half(self):
         with pytest.raises(DomainError):
@@ -347,7 +347,7 @@ class TestModelValidation:
         (dict(family=Family.ISOTROPIC_STABLE, alpha=2.0), LevyModel.isotropic_stable(2.0),
          (2.0, 2.0, INF, False, False)),
         (dict(family=Family.ISOTROPIC_STABLE, alpha=1.0),
-         LevyModel.isotropic_stable(1.0, strict=False), (1.0 + 1e-9, 1.0, 1.0, True, True)),
+         LevyModel(Family.ISOTROPIC_STABLE, alpha=1.0), (1.0 + 1e-9, 1.0, 1.0, True, True)),
         (dict(family=Family.RELATIVISTIC_STABLE, dim=2, alpha=1.5, m=1.0),
          LevyModel.relativistic_stable(1.5, 1.0, dim=2), (1.5, 1.5, INF, True, False)),
         (dict(family=Family.TEMPERED_STABLE, alpha=1.5, m=1.0),

@@ -215,8 +215,11 @@ class TestJumpDecomposition:
         rd = radial_density(model)
         eps, dt = 0.2, 0.3
         mm = 100_000
-        _, meta, counts = sample_jump_decomposition(model, eps, dt, RngStream(17, 0),
-                                                    size=mm, return_counts=True)
+        _, meta = sample_jump_decomposition(model, eps, dt, RngStream(17, 0), size=mm)
+        # replay the sampler's stream: the Gaussian part, then the jump counts
+        gen = RngStream(17, 0).generator()
+        gen.standard_normal(mm)
+        counts = gen.poisson(dt * meta.intensity, mm)
         tail_a, _ = integrate.quad(rd.q, eps, 1.0, limit=200)
         tail_b, _ = integrate.quad(rd.q, 1.0, np.inf, limit=200)
         target = dt * (tail_a + tail_b)
@@ -243,9 +246,13 @@ class TestJumpDecomposition:
             eps = default_epsilon(model, dt)
             # expected jumps per step stay within the work budget
             assert rd.mass(eps, math.inf) * dt <= 64.0 * 1.01
-        # with an effectively unbounded budget the pure bias rule binds instead
-        eps = default_epsilon(model, 0.5, jump_budget=1e12)
-        assert math.sqrt(rd.moment(2.0, 0.0, eps)) <= 0.05 * 0.5 ** (1 / 1.5) * 1.01
+        # a long step of near-Cauchy activity meets the bias rule within the
+        # budget, so the pure bias rule binds instead
+        model = LevyModel.truncated_stable(1.05)
+        rd = radial_density(model)
+        eps = default_epsilon(model, 10.0)
+        assert rd.mass(eps, math.inf) * 10.0 < 64.0
+        assert math.sqrt(rd.moment(2.0, 0.0, eps)) <= 0.05 * 10.0 ** (1 / 1.05) * 1.01
 
     def test_default_epsilon_handles_tiny_steps(self):
         # at small dt the bias rule is unattainable within the bracket and the
@@ -341,6 +348,31 @@ class TestBinaryDump:
         save_batch(batch, path)
         with pytest.raises(ShapeError):
             load_batch(path, LevyModel.isotropic_stable(1.5))
+
+    def dump(self, tmp_path):
+        """A dump of 8 Brownian increments and its model."""
+        model = LevyModel.brownian()
+        path = tmp_path / "inc.bin"
+        save_batch(increments(model, 1.0, 8, RngStream(29, 0)), path)
+        return path, model
+
+    def test_truncated_dump_rejected(self, tmp_path):
+        path, model = self.dump(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ShapeError, match="holds 56 bytes of values"):
+            load_batch(path, model)
+
+    def test_dump_shorter_than_header_rejected(self, tmp_path):
+        path, model = self.dump(tmp_path)
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(ShapeError, match="shorter than its 81-byte header"):
+            load_batch(path, model)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, model = self.dump(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ShapeError, match="holds 72 bytes of values"):
+            load_batch(path, model)
 
     def test_batch_validation(self):
         model = LevyModel.brownian()

@@ -6,13 +6,13 @@ import pytest
 from levyem import spectral
 from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough
 from levyem.errors import DomainError, ResolutionError, StiffnessError
-from levyem.models import (LevyModel, SubordinatorSpec, balance_check,
+from levyem.models import (Family, LevyModel, SubordinatorSpec, balance_check,
                            char_exponent_radial, kappa_exponent)
 from levyem.spectral import (SpaceGrid, density_fft, grad_l1_norm,
-                             gradient_scaling_exponent, holder_seminorm,
-                             kolmogorov_residual, picard_solve,
-                             resolvent_source, second_l1_norm, semigroup_apply,
+                             gradient_scaling_exponent, kolmogorov_residual,
+                             picard_solve, second_l1_norm, semigroup_apply,
                              suggest_grid, tail_mass_estimate)
+from oracles import holder_seminorm, resolvent_source
 
 STABLE15 = LevyModel.isotropic_stable(1.5)
 
@@ -31,7 +31,7 @@ class TestDensity:
         assert tab.mass == pytest.approx(1.0, abs=1e-6)
 
     def test_cauchy_centre(self):
-        model = LevyModel.isotropic_stable(1.0, strict=False)
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.0)
         grid = SpaceGrid(4096.0, 2 ** 17)
         tab = density_fft(model, 1.0, grid)
         centre = tab.values[np.argmin(np.abs(grid.nodes))]
@@ -49,6 +49,27 @@ class TestDensity:
     def test_underresolved_grid_raises(self):
         with pytest.raises(ResolutionError):
             density_fft(STABLE15, 0.01, SpaceGrid(40.0, 64))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    def test_time_outside_range_refused(self, t):
+        # NaN must fail the check: let through, it passes every later check
+        # and gives a table of mass NaN
+        with pytest.raises(DomainError, match="t must be finite and > 0"):
+            density_fft(STABLE15, t, SpaceGrid(40.0, 2048))
+
+    def test_nan_density_fails_the_mass_check(self, monkeypatch):
+        # one NaN in psi makes every value NaN, the mass included
+        grid = SpaceGrid(40.0, 2048)
+        psi = spectral._psi_on_grid(STABLE15, grid).copy()
+        psi[1] = math.nan
+        monkeypatch.setattr(spectral, "_psi_on_grid", lambda model, grid: psi)
+        with pytest.raises(ResolutionError, match="density mass nan deviates"):
+            density_fft(STABLE15, 0.5, grid)
+
+    @pytest.mark.parametrize("half_width", [math.nan, math.inf, 0.0])
+    def test_grid_half_width_outside_range_refused(self, half_width):
+        with pytest.raises(DomainError, match="half_width must be finite and > 0"):
+            SpaceGrid(half_width, 64)
 
     def test_tail_target_met_for_light_tails(self):
         model = LevyModel.relativistic_stable(1.5, 1.0)
@@ -292,6 +313,18 @@ class TestPicard:
         grid = SpaceGrid(16 * math.pi, 256)
         with pytest.raises(DomainError):
             picard_solve(drift_cos(), np.cos(grid.nodes), 0.25, STABLE15, grid,
+                         **kwargs)
+
+    @pytest.mark.parametrize("name,value", [
+        ("T", math.nan), ("T", math.inf), ("tol", 0.0), ("tol", -1e-8), ("tol", math.nan),
+        ("target_ratio", 0.0), ("target_ratio", 1.0), ("target_ratio", math.nan)])
+    def test_horizon_tol_or_target_ratio_outside_range_refused(self, name, value):
+        # NaN must fail these checks too: let through, a NaN horizon or a zero
+        # tol ends as a StiffnessError that blames the contraction
+        grid = SpaceGrid(16 * math.pi, 256)
+        kwargs = {"T": 0.25, name: value}
+        with pytest.raises(DomainError, match=f"^{name} must"):
+            picard_solve(drift_cos(), np.cos(grid.nodes), model=STABLE15, grid=grid,
                          **kwargs)
 
 
