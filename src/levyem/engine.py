@@ -13,6 +13,8 @@ increment, so the gap to the fine path isolates the drift-freezing error
 and is exactly zero for constant drift.  :func:`euler_ladder` is the one
 way to simulate: it advances a batch of fine paths and every coarse level
 together, and the Monte Carlo harness calls it once per block of paths.
+It keeps only the current state of each path and each level's running sup
+gap, never a path table, so its memory does not grow with the step count.
 """
 
 from __future__ import annotations
@@ -136,8 +138,10 @@ def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
     runs over each fine substep and all levels share one drift call per
     Gauss node.  Non-finite states are not checked; they propagate.
 
-    Returns the fine states (paths, n+1, d) and, per level, the sup over the
-    fine grid of its distance to the fine path (levels, paths).
+    Returns the terminal fine state (paths, d) and, per level, the sup over
+    the fine grid of its distance to the fine path (levels, paths).  The
+    fine state at step k is the terminal state of the run on the first k
+    increments over [0, T k / n].
     """
     paths, n, d = noise.shape
     if any(f < 1 or n % f for f in factors):
@@ -148,8 +152,6 @@ def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
     times = T * np.arange(n + 1) / n
     level_times = [T * np.arange(n // f + 1) / (n // f) for f in factors]
     x = np.tile(as_state(x0, d), (len(factors) + 1, paths, 1))
-    states = np.empty((paths, n + 1, d))
-    states[:, 0] = x[0]
     sup2 = np.zeros((len(factors), paths))
     held = x.copy()  # per level: drift term (frozen) or drift argument (timeint)
     for i in range(n):
@@ -165,9 +167,8 @@ def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
             held[new] = x[new]
             term = _step_drift(drift, times[i], dt, held, variant)
         x = x + term + noise[:, i]
-        states[:, i + 1] = x[0]
         gap = x[0] - x[1:]
         np.maximum(sup2, np.add.reduce(gap * gap, axis=-1), out=sup2)
     # the sup of squared distances: sqrt is monotone, so this equals the sup
     # of np.linalg.norm(gap, axis=-1) bit for bit
-    return states, np.sqrt(sup2)
+    return x[0], np.sqrt(sup2)

@@ -8,7 +8,9 @@ exponent min{1, p beta/gamma0, p eta}.
 
 Paths run serially, one block of ``ExperimentConfig.chunk`` paths at a
 time, and each path draws from its own stream; so the report does not depend
-on the block size, which only bounds the memory one block holds.
+on the block size, which only bounds the memory one block holds.  A block
+holds one noise buffer of n_ref x chunk x d floats: the ladder keeps each
+path's current state and running sup gap, not its fine path.
 """
 
 from __future__ import annotations
@@ -145,12 +147,15 @@ class ConvergenceReport:
 
 def _path_block(config: ExperimentConfig, p_eff: float, lo: int, hi: int):
     """Sup-error^p for paths lo..hi-1, one column per ladder entry."""
-    noise = np.stack([increments(config.model, config.T, config.n_ref,
-                                 RngStream(config.seed, k + 1)).values
-                      for k in range(lo, hi)])
+    # one time-major buffer: each path's increments fill a column, and the
+    # step the ladder reads next, noise[:, i], is one contiguous row
+    buf = np.empty((config.n_ref, hi - lo, config.model.dim))
+    for j, k in enumerate(range(lo, hi)):
+        buf[:, j] = increments(config.model, config.T, config.n_ref,
+                               RngStream(config.seed, k + 1)).values
     factors = [config.n_ref // n for n in config.n_list]
-    _, sup = euler_ladder(config.drift, config.x0, config.T, noise, factors,
-                          config.variant)
+    _, sup = euler_ladder(config.drift, config.x0, config.T, buf.transpose(1, 0, 2),
+                          factors, config.variant)
     return (sup ** p_eff).T
 
 

@@ -42,6 +42,10 @@ from .rng import RngStream, as_generator
 # jumps for alpha > 1
 DEFAULT_BIAS_COEFF = 0.05
 DEFAULT_JUMP_BUDGET = 64.0
+# the most hidden work behind one increment: expected jumps of the
+# decomposition, or rejection pieces of the tempered subordinator; a request
+# above it is refused before any draw
+MAX_STEP_WORK = 2.0 ** 16
 
 
 def sample_stable(alpha: float, scale: float, count: int, rng) -> np.ndarray:
@@ -88,16 +92,21 @@ def sample_tempered_subordinator(rho: float, m: float, t: float, rng,
 
     Proposals are stable increments accepted with probability exp(-m^2 S);
     the horizon is split into k = ceil(t m^(2 rho) / 0.7) pieces so the
-    per-piece acceptance rate stays above exp(-0.7).
+    per-piece acceptance rate stays above exp(-0.7).  More than
+    ``MAX_STEP_WORK`` pieces are refused.
     """
-    if m <= 0:
-        raise DomainError("tilt m must be positive")
+    if not (m > 0 and m * m < math.inf):
+        raise DomainError(f"tilt m must be positive with a finite square, got {m}")
     if not (0.0 < rho < 1.0):
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
+    pieces = t * m ** (2.0 * rho) / 0.7  # finite m^2 and rho < 1: no OverflowError
+    if pieces > MAX_STEP_WORK:
+        raise DomainError(f"t={t} with tilt m={m} needs {pieces:.3g} rejection pieces "
+                          f"per increment; at most {MAX_STEP_WORK:g} are run")
     gen = as_generator(rng)
-    k = max(1, math.ceil(t * m ** (2.0 * rho) / 0.7))
+    k = max(1, math.ceil(pieces))
     tau = t / k
     m2 = m * m
     total = np.zeros(size)
@@ -198,7 +207,8 @@ def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
                               size: int):
     """``size`` one-dimensional increments over dt: matched Gaussian for jumps
     below epsilon plus compound Poisson above.  Returns (values,
-    TruncationMeta)."""
+    TruncationMeta).  More than ``MAX_STEP_WORK`` expected jumps per
+    increment are refused."""
     if model.dim != 1:
         raise UnsupportedModelError("jump decomposition is one-dimensional")
     if not (0.0 < epsilon <= 1.0):
@@ -207,6 +217,10 @@ def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
         raise DomainError("dt must be positive")
     rd = radial_density(model)
     sigma2, intensity = _decomposition_stats(model, epsilon)
+    if dt * intensity > MAX_STEP_WORK:
+        raise DomainError(f"dt={dt} asks for {dt * intensity:.3g} expected jumps per "
+                          f"increment above epsilon={epsilon}; at most "
+                          f"{MAX_STEP_WORK:g} are drawn")
     meta = TruncationMeta(epsilon=epsilon, sigma2=sigma2, intensity=intensity)
 
     gen = as_generator(rng)

@@ -132,6 +132,9 @@ def suggest_grid(model: LevyModel, t_min: float, t_max: float,
     """Pick (R, N) so exp(-t_min psi) decays below 1e-16 at the Nyquist
     frequency (with xi^2 headroom) and the density tail outside [-R, R] is
     estimated below tail_target; N is capped at max_points."""
+    for name, t in (("t_min", t_min), ("t_max", t_max)):
+        if not 0 < t < math.inf:
+            raise DomainError(f"{name} must be finite and > 0, got {t}")
     xi = 4.0
     while True:
         decay = t_min * char_exponent_radial(model, xi) - 2 * math.log(xi)
@@ -214,8 +217,11 @@ def gradient_scaling_exponent(model: LevyModel, t_list,
     propagation check at doubled times.  One table is computed per distinct
     time in t_list and 2 t_list."""
     t_list = tuple(sorted(float(t) for t in t_list))
-    if len(t_list) < 4 or t_list[0] <= 0:
+    if len(t_list) < 4:
         raise DomainError("need at least 4 positive t values")
+    for t in t_list:
+        if not 0 < t < math.inf:
+            raise DomainError(f"t values must be finite and > 0, got {t}")
     if grid is None:
         # |p'| and |p''| have integrable tails far lighter than p itself, so a
         # much smaller box suffices here than for unit-mass density work
@@ -240,8 +246,8 @@ def gradient_scaling_exponent(model: LevyModel, t_list,
 def semigroup_apply(g: np.ndarray, t: float, model: LevyModel,
                     grid: SpaceGrid) -> np.ndarray:
     """(P_t g)(x) = E g(x + L_t) by Fourier multiplication with exp(-t psi)."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.n_points,):
         raise ShapeError("g must be sampled on the grid")

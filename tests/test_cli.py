@@ -171,6 +171,13 @@ MALFORMED = [
     ("kolmogorov", MODE_SOURCE + "mode:1\ntol = -1e-8\n", "tol must be finite and > 0"),
     ("kolmogorov", MODE_SOURCE + "mode:1\ntarget_ratio = 0\n",
      "target_ratio must lie in (0, 1)"),
+    # sampler work is bounded and refused before any draw
+    ("sample", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = 1.0\n"
+     "[sample]\nt = 1e300\nn = 8\nseed = 1\n", "dt=1.25e+299 asks for"),
+    ("sample", "[model]\nfamily = subordinated_bm\nrho = 0.75\nm = 1e300\n"
+     "[sample]\nn = 8\nseed = 1\n", "tilt m must be positive with a finite square"),
+    ("sample", "[model]\nfamily = subordinated_bm\nrho = 0.75\nm = 1.0\n"
+     "[sample]\nt = 1e300\nn = 8\nseed = 1\n", "t=1.25e+299 with tilt m=1.0 needs"),
 ]
 
 

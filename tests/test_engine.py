@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levyem.engine import (DriftSpec, drift_const, drift_cos, drift_cos_time,
+from levyem.engine import (DriftSpec, as_state, drift_const, drift_cos, drift_cos_time,
                            drift_rough, drift_zero, euler_ladder)
 from levyem.errors import DomainError, ShapeError
 from levyem.models import LevyModel
@@ -17,6 +17,17 @@ def brownian_noise(T, n, seed):
     return increments(LevyModel.brownian(), T, n, RngStream(seed, 0)).values[None]
 
 
+def fine_path(drift, x0, T, noise, variant="frozen"):
+    """The fine states (paths, n+1, d), rebuilt from prefix runs: the state at
+    step k is the terminal state of the run on the first k increments over
+    [0, T k / n].  Bit for bit the stepped states when T k / n is exact."""
+    paths, n, d = noise.shape
+    rows = [np.tile(as_state(x0, d), (paths, 1))]
+    rows += [euler_ladder(drift, x0, T * k / n, noise[:, :k], variant=variant)[0]
+             for k in range(1, n + 1)]
+    return np.stack(rows, axis=1)
+
+
 class TestEmPath:
     def test_domain(self):
         for T, n in ((0.0, 4), (math.nan, 4), (1.0, 0)):
@@ -25,24 +36,33 @@ class TestEmPath:
 
     def test_pure_noise_is_cumsum(self):
         noise = brownian_noise(1.0, 32, 1)
-        states, _ = euler_ladder(drift_zero(), 0.0, 1.0, noise)
+        states = fine_path(drift_zero(), 0.0, 1.0, noise)
         expected = np.concatenate([[0.0], np.cumsum(noise[0, :, 0])])
         assert np.array_equal(states[0, :, 0], expected)
 
     def test_constant_drift_zero_noise_exact_line(self):
         # dyadic step and drift keep every float op exact
         c, T, n = 0.5, 1.0, 8
-        states, _ = euler_ladder(drift_const(c), 0.0, T, np.zeros((1, n, 1)))
+        states = fine_path(drift_const(c), 0.0, T, np.zeros((1, n, 1)))
         assert np.array_equal(states[0, :, 0], c * (T * np.arange(n + 1) / n))
 
     def test_cos_drift_matches_straight_line_reimplementation(self):
         noise = brownian_noise(1.0, 8, 2)
-        states, _ = euler_ladder(drift_cos(), 0.3, 1.0, noise)
+        states = fine_path(drift_cos(), 0.3, 1.0, noise)
         x = 0.3
         dt = 1.0 / 8
         for i in range(8):
             x = x + math.cos(x) * dt + float(noise[0, i, 0])
             assert abs(states[0, i + 1, 0] - x) <= 1e-15
+
+    def test_terminal_state_is_last_fine_state(self):
+        # the coarse levels of the same call leave the fine state untouched
+        noise = np.stack([brownian_noise(1.0, 16, 20 + k)[0] for k in range(3)])
+        for drift in (drift_cos(), drift_cos_time()):
+            for variant in ("frozen", "timeint"):
+                x_T, _ = euler_ladder(drift, 0.3, 1.0, noise, (2, 4), variant)
+                assert x_T.shape == (3, 1)
+                assert np.array_equal(x_T, fine_path(drift, 0.3, 1.0, noise, variant)[:, -1])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -52,8 +72,8 @@ class TestEmPath:
 
     def test_timeint_variant_matches_frozen_for_time_free_drift(self):
         noise = brownian_noise(1.0, 16, 3)
-        a, _ = euler_ladder(drift_cos(), 0.0, 1.0, noise, variant="frozen")
-        b, _ = euler_ladder(drift_cos(), 0.0, 1.0, noise, variant="timeint")
+        a = fine_path(drift_cos(), 0.0, 1.0, noise, variant="frozen")
+        b = fine_path(drift_cos(), 0.0, 1.0, noise, variant="timeint")
         assert np.allclose(a, b, atol=1e-12)
 
     def test_timeint_integrates_time_dependence(self):
@@ -61,7 +81,7 @@ class TestEmPath:
         # integration reproduces sin(t) on the grid up to quadrature error
         drift = DriftSpec(lambda t, x: np.full_like(x, math.cos(t)), 1.0, 1.0, 1.0)
         n = 16
-        states, _ = euler_ladder(drift, 0.0, 1.0, np.zeros((1, n, 1)), variant="timeint")
+        states = fine_path(drift, 0.0, 1.0, np.zeros((1, n, 1)), variant="timeint")
         assert np.allclose(states[0, :, 0], np.sin(np.arange(n + 1) / n), atol=1e-10)
 
 
@@ -91,8 +111,9 @@ class TestCoupledError:
         # at its own nodes
         for drift, b in ((drift_cos(), lambda t, x: math.cos(x)),
                          (drift_cos_time(), lambda t, x: math.cos(x + t))):
-            states, got = euler_ladder(drift, 0.1, T, noise, factors)
+            _, got = euler_ladder(drift, 0.1, T, noise, factors)
             assert got.shape == (len(factors), len(noise))
+            states = fine_path(drift, 0.1, T, noise)
 
             # oracle: build every path explicitly with plain python floats
             dtf = T / n_fine
@@ -122,16 +143,16 @@ class TestCoupledError:
         v = 2.75
         base_drift = DriftSpec(lambda t, x: x, 1.0, 1.0, 100.0)
         shifted_drift = DriftSpec(lambda t, x: x - v, 1.0, 1.0, 100.0)
-        base, _ = euler_ladder(base_drift, 0.0, 1.0, noise)
-        shifted, _ = euler_ladder(shifted_drift, v, 1.0, noise)
+        base = fine_path(base_drift, 0.0, 1.0, noise)
+        shifted = fine_path(shifted_drift, v, 1.0, noise)
         assert np.array_equal(shifted, base + v)
 
     def test_translation_equivariance_generic(self):
         v = 2.75
         noise = increments(LevyModel.brownian(), 1.0, 32, RngStream(11, 1)).values[None]
-        base, _ = euler_ladder(drift_cos(), 0.0, 1.0, noise)
+        base = fine_path(drift_cos(), 0.0, 1.0, noise)
         shifted_drift = DriftSpec(lambda t, x: np.cos(x - v), 1.0, 1.0, 1.0)
-        shifted, _ = euler_ladder(shifted_drift, v, 1.0, noise)
+        shifted = fine_path(shifted_drift, v, 1.0, noise)
         assert np.allclose(shifted, base + v, atol=1e-13)
 
     def test_coupling_error_shrinks_with_resolution(self):

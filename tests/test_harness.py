@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -192,6 +193,21 @@ class TestMcStrongError:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ExperimentAbortedError):
                 mc_strong_error(cfg)
+
+    def test_block_holds_one_noise_buffer(self):
+        # A2's model and ladder, one full block: the peak is the block's
+        # noise buffer plus small arrays, with no path table or stacked copy
+        cfg = ExperimentConfig(
+            model=LevyModel.isotropic_stable(1.5), drift=drift_cos(), x0=0.0,
+            T=1.0, p=1.0, n_list=(8, 16, 32, 64, 128, 256), n_ref=2048,
+            paths=256, seed=20240102)
+        tracemalloc.start()
+        try:
+            mc_strong_error(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * cfg.paths * cfg.n_ref * 8
 
     def test_report_serialisation_round_trip(self):
         rep = run_experiment(small_config())

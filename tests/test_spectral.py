@@ -71,6 +71,14 @@ class TestDensity:
         with pytest.raises(DomainError, match="half_width must be finite and > 0"):
             SpaceGrid(half_width, 64)
 
+    @pytest.mark.parametrize("t_min,t_max,name", [(math.nan, 1.0, "t_min"),
+                                                  (0.1, math.nan, "t_max"),
+                                                  (0.1, math.inf, "t_max")])
+    def test_suggest_grid_refuses_bad_times(self, t_min, t_max, name):
+        # a NaN t_min would otherwise end as "grows too slowly to invert"
+        with pytest.raises(DomainError, match=f"{name} must be finite and > 0, got"):
+            suggest_grid(STABLE15, t_min, t_max)
+
     def test_tail_target_met_for_light_tails(self):
         model = LevyModel.relativistic_stable(1.5, 1.0)
         grid = suggest_grid(model, 0.1, 0.4)
@@ -141,8 +149,20 @@ class TestGradientScaling:
         with pytest.raises(DomainError):
             gradient_scaling_exponent(STABLE15, (0.1, 0.2, 0.4))
 
+    def test_nan_time_refused(self):
+        # a NaN among the times would otherwise end as a density-mass ResolutionError
+        with pytest.raises(DomainError, match="t values must be finite and > 0, got nan"):
+            gradient_scaling_exponent(STABLE15, (0.1, 0.2, 0.4, math.nan))
+
 
 class TestSemigroup:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
+    def test_time_outside_range_refused(self, t):
+        # a NaN time would otherwise return all NaN
+        grid = SpaceGrid(16 * math.pi, 1024)
+        with pytest.raises(DomainError, match="t must be finite and >= 0"):
+            semigroup_apply(np.ones(grid.n_points), t, STABLE15, grid)
+
     def test_preserves_constants(self):
         grid = SpaceGrid(16 * math.pi, 1024)
         out = semigroup_apply(np.ones(grid.n_points), 0.7, STABLE15, grid)
