@@ -7,7 +7,8 @@ extrapolation behind ``scipy.integrate.quad`` on a finite interval.
 Both perform the floating-point operations of the compiled routines in the
 same order, so they return the same bits; ``tests/test_quadpack.py`` checks
 that against scipy.  Only what the callers use is ported: finite bounds,
-scipy's default tolerances, no weight functions and no full output.
+scipy's default tolerances, no weight functions and no full output.  They
+stay because the ``mc-tempered`` benchmark digest pins the bits they return.
 
 The QUADPACK routines keep the Fortran's 1-based indexing (slot 0 of each
 work list is unused), so every line reads against its original.

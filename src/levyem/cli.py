@@ -16,6 +16,7 @@ import configparser
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .rng import RngStream
 
 _SECTION_KEYS = {
     "model": {"family", "alpha", "m", "lambda_tail", "dim", "rho"},
-    "drift": {"name", "beta", "eta", "c"},
+    "drift": {"name", "beta", "c"},
     "experiment": {"t", "p", "n_list", "n_ref", "paths", "seed", "tol", "variant",
                    "x0"},
     "density": {"t_list", "half_width", "points"},
@@ -321,7 +322,8 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="levyem",
                                      description="Levy-driven SDE simulation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -337,13 +339,17 @@ def main(argv=None) -> int:
         if name in ("converge", "sample"):
             p.add_argument("--seed-override", type=int, default=None)
         p.set_defaults(fn=fn)
-    try:
-        args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    try:  # the parser is built once: in-process callers run main many times
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help, or the usage and error
         return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except (LevyemError, OSError) as exc:
+    except (LevyemError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -178,6 +178,23 @@ MALFORMED = [
      "[sample]\nn = 8\nseed = 1\n", "tilt m must be positive with a finite square"),
     ("sample", "[model]\nfamily = subordinated_bm\nrho = 0.75\nm = 1.0\n"
      "[sample]\nt = 1e300\nn = 8\nseed = 1\n", "t=1.25e+299 with tilt m=1.0 needs"),
+    # a tilt whose square overflows is refused where the model is built
+    ("density", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = 1e300\n"
+     "[density]\nt_list = 0.1,0.2,0.4,0.8\n", "m must be > 0 with a finite square, got 1e+300"),
+    ("kolmogorov", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = 1e300\n"
+     "[drift]\nname = cos\n", "m must be > 0 with a finite square, got 1e+300"),
+    ("density", "[model]\nfamily = relativistic_stable\nalpha = 1.5\nm = 1e300\n"
+     "[density]\nt_list = 0.1,0.2,0.4,0.8\n", "m must be > 0 with a finite square, got 1e+300"),
+    # counts no machine can allocate (7 PiB and more) fail at once, with a message
+    ("sample", f"[model]\nfamily = brownian\n[sample]\nn = {10**15}\nseed = 1\n",
+     "Unable to allocate 7.11 PiB"),
+    ("converge", BASE_EXPERIMENT.replace("paths = 200", f"paths = {10**15}"),
+     "Unable to allocate 28.4 PiB"),
+    ("kolmogorov", MODE_SOURCE.replace("points = 512", f"points = {2**50}") + "mode:1\n",
+     "Unable to allocate 8.00 PiB"),
+    ("kolmogorov", MODE_SOURCE + f"mode:1\nn_time = {10**15}\n", "Unable to allocate 7.11 PiB"),
+    # no drift in the catalog takes eta
+    ("check", STABLE_MODEL + "[drift]\nname = cos\neta = 0.5\n", "[drift] eta: unknown key"),
 ]
 
 
@@ -302,6 +319,62 @@ p = 1.0
 """
         cli.main(["check", "--config", write(tmp_path, text)])
         assert "gamma_inf = inf" in capsys.readouterr().out
+
+
+# The generated sweep: every key of every section a command reads, set to each
+# value below, on each family.  Sizes are small so that a case that runs runs
+# fast.  Each family carries a density grid it resolves: heavy tails need a
+# wide grid, light ones a fine one.
+SWEEP_FAMILIES = {
+    "isotropic": ({"family": "isotropic_stable", "alpha": "1.9"}, "300", "4096"),
+    "relativistic": ({"family": "relativistic_stable", "alpha": "1.5", "m": "1.0"}, "50", "2048"),
+    "tempered": ({"family": "tempered_stable", "alpha": "1.5", "m": "1.0"}, "50", "2048"),
+    "layered": ({"family": "layered_stable", "alpha": "1.5", "lambda_tail": "2.5"},
+                "200", "4096"),
+    "subordinated": ({"family": "subordinated_bm", "rho": "0.75", "m": "1.0"}, "50", "2048"),
+}
+SWEEP_SECTIONS = {
+    "drift": {"name": "cos"},
+    "experiment": {"t": "1.0", "p": "1.0", "n_list": "1,2,4", "n_ref": "32", "paths": "100",
+                   "seed": "1"},
+    "density": {"t_list": "0.1,0.11,0.12,0.13"},
+    "kolmogorov": {"t": "0.1", "points": "64", "n_time": "8"},
+    "sample": {"n": "4", "seed": "1"},
+}
+# the sections besides [model] that each command reads
+SWEEP_READS = {"check": ("drift", "experiment"), "converge": ("drift", "experiment"),
+               "density": ("density",), "kolmogorov": ("drift", "kolmogorov"),
+               "sample": ("sample",)}
+SWEEP_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "abc", "", "0.5", "1,2", "2")
+COUNT_KEYS = {"dim", "n_list", "n_ref", "paths", "seed", "points", "n_time", "max_iter", "n"}
+
+
+def sweep_config(family, command, section=None, key=None, value=None) -> str:
+    model, half_width, points = SWEEP_FAMILIES[family]
+    sections = {"model": dict(model)}
+    sections.update((name, dict(SWEEP_SECTIONS[name])) for name in SWEEP_READS[command])
+    if command == "density":
+        sections["density"].update(half_width=half_width, points=points)
+    if section is not None:
+        sections[section][key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@pytest.mark.parametrize("command", sorted(SWEEP_READS))
+@pytest.mark.parametrize("family", sorted(SWEEP_FAMILIES))
+def test_generated_malformed_inputs_exit_cleanly(tmp_path, capsys, family, command):
+    cfg = tmp_path / "run.cfg"
+    argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    cfg.write_text(sweep_config(family, command))
+    assert cli.main(argv) == 0, capsys.readouterr().err  # the unaltered config runs
+    for section in ("model",) + SWEEP_READS[command]:
+        for key in sorted(cli._SECTION_KEYS[section]):
+            for value in SWEEP_VALUES + ((str(10**15),) if key in COUNT_KEYS else ()):
+                cfg.write_text(sweep_config(family, command, section, key, value))
+                assert cli.main(argv) in (0, 1, 2), (section, key, value)
+    capsys.readouterr()
 
 
 class TestConverge:

@@ -33,7 +33,7 @@ SHA256 = {
     },
     "tempered-1.3-2": {
         "sample/increments.bin":
-            "df54fcbd5d88ebd25cc3332a5f876724bab17bb08a7979275be5342f6e0896a5",
+            "77cf052761ed4a440cfd6dbd85dd231958d315cb69e3f914aa317d385a6a58e5",
         "sample/increments.bin.csv":
             "0dd536dc616cdb1d1aa83f38586f4ea13017497bb6534c18f61676e6732d6dbd",
         "converge/report.csv":
