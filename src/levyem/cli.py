@@ -67,6 +67,8 @@ def _get(cfg, section, key, conv=str, default=None, required=False):
         return conv(raw)
     except ValueError as exc:
         raise ConfigError(section, key, f"cannot parse {raw!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(section, key, str(exc)) from exc
 
 
 def _given(cfg, section, convs: dict) -> dict:
@@ -80,6 +82,20 @@ def _finite(raw) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
+# the most float64 elements one array can hold: numpy refuses a larger count
+# with a ValueError, before it tries to allocate
+_MAX_COUNT = sys.maxsize // 8
+
+
+def _count(raw) -> int:
+    """A count key's converter: a count no array can hold is refused."""
+    value = int(raw)
+    if value > _MAX_COUNT:
+        raise OverflowError(f"{value} is more elements than an array can hold "
+                            f"(at most {_MAX_COUNT})")
     return value
 
 
@@ -97,7 +113,7 @@ def build_model(cfg) -> models.LevyModel:
     except ValueError:
         raise ConfigError("model", "family", f"unknown family {name!r}") from None
     params = {key: _get(cfg, "model", key, _finite) for key in ("alpha", "m", "lambda_tail")}
-    dim = _get(cfg, "model", "dim", int, default=1)
+    dim = _get(cfg, "model", "dim", _count, default=1)
     rho = _get(cfg, "model", "rho", _finite)
     try:
         if family is models.Family.SUBORDINATED_BM:
@@ -139,7 +155,7 @@ def build_drift(cfg) -> engine.DriftSpec:
 def build_experiment(cfg, seed_override=None) -> harness.ExperimentConfig:
     model = build_model(cfg)
     drift = build_drift(cfg)
-    n_values = _get(cfg, "experiment", "n_list", _values(int), required=True)
+    n_values = _get(cfg, "experiment", "n_list", _values(_count), required=True)
     x0 = _get(cfg, "experiment", "x0", _values(_finite), default=0.0)
     try:
         x0 = engine.as_state(x0, model.dim)
@@ -154,8 +170,8 @@ def build_experiment(cfg, seed_override=None) -> harness.ExperimentConfig:
         T=_get(cfg, "experiment", "t", _finite, default=1.0),
         p=_get(cfg, "experiment", "p", _finite, required=True),
         n_list=n_values,
-        n_ref=_get(cfg, "experiment", "n_ref", int, required=True),
-        paths=_get(cfg, "experiment", "paths", int, required=True),
+        n_ref=_get(cfg, "experiment", "n_ref", _count, required=True),
+        paths=_get(cfg, "experiment", "paths", _count, required=True),
         seed=seed,
         **_given(cfg, "experiment", {"tol": _finite, "variant": str}),
     )
@@ -206,16 +222,20 @@ def cmd_density(args) -> int:
     model = build_model(cfg)
     t_list = _get(cfg, "density", "t_list", _values(_finite), required=True)
     half_width = _get(cfg, "density", "half_width", _finite)
-    points = _get(cfg, "density", "points", int)
+    points = _get(cfg, "density", "points", _count)
     if (half_width is None) != (points is None):
         missing = "points" if points is None else "half_width"
         raise ConfigError("density", missing, "required when the grid is given")
     grid = None if points is None else spectral.SpaceGrid(half_width, points)
-    result = spectral.gradient_scaling_exponent(model, t_list, grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for table in result.tables:
+
+    def write_csv(table):
         table.to_csv(out / f"density_t{table.t:g}.csv", max_rows=4096)
+
+    # each CSV is written as its table is computed, so a table that fails
+    # leaves the earlier CSVs and no summary
+    result = spectral.gradient_scaling_exponent(model, t_list, grid, on_table=write_csv)
     summary = {
         "model": model.describe(),
         "t_list": list(result.t_values),
@@ -238,11 +258,11 @@ def cmd_kolmogorov(args) -> int:
     model = build_model(cfg)
     drift = build_drift(cfg)
     T = _get(cfg, "kolmogorov", "t", _finite, default=0.25)
-    points = _get(cfg, "kolmogorov", "points", int, default=2048)
+    points = _get(cfg, "kolmogorov", "points", _count, default=2048)
     half_width = _get(cfg, "kolmogorov", "half_width", _finite, default=16 * math.pi)
     source = _get(cfg, "kolmogorov", "source", str, default="drift")
     force = _get(cfg, "kolmogorov", "force_unbalanced", bool, default=False)
-    solver = _given(cfg, "kolmogorov", {"n_time": int, "max_iter": int, "tol": _finite,
+    solver = _given(cfg, "kolmogorov", {"n_time": _count, "max_iter": int, "tol": _finite,
                                         "target_ratio": _finite})
     if solver.get("n_time", 2) < 2:
         raise ConfigError("kolmogorov", "n_time", f"{solver['n_time']} is below 2; "
@@ -306,7 +326,7 @@ def cmd_sample(args) -> int:
     cfg = load_config(args.config)
     model = build_model(cfg)
     T = _get(cfg, "sample", "t", _finite, default=1.0)
-    n = _get(cfg, "sample", "n", int, required=True)
+    n = _get(cfg, "sample", "n", _count, required=True)
     seed = args.seed_override if args.seed_override is not None \
         else _get(cfg, "sample", "seed", int, required=True)
     name = _get(cfg, "sample", "out", str, default="increments.bin")

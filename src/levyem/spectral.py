@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -95,8 +95,8 @@ class DensityTable:
 
     def to_csv(self, path, max_rows: Optional[int] = None) -> None:
         stride = 1 if max_rows is None else max(1, self.grid.n_points // max_rows)
-        data = np.column_stack([self.grid.nodes, self.values, self.deriv1,
-                                self.deriv2])[::stride]
+        data = np.column_stack([col[::stride] for col in (
+            self.grid.nodes, self.values, self.deriv1, self.deriv2)])
         np.savetxt(path, data, delimiter=",", comments="", newline="\n",
                    header="x,value,derivative,second_derivative")
 
@@ -155,7 +155,11 @@ def suggest_grid(model: LevyModel, t_min: float, t_max: float,
 
 
 def density_fft(model: LevyModel, t: float, grid: SpaceGrid) -> DensityTable:
-    """Invert exp(-t psi) on the grid; values in (-1e-10, 0) are clipped to 0."""
+    """Invert exp(-t psi) on the grid; values in (-1e-10, 0) are clipped to 0.
+
+    The three inversions share one complex work array, and each multiplier
+    is built in place with the same operations, in the same order, as the
+    expression it stands for, so every bit is theirs."""
     if not 0 < t < math.inf:
         raise DomainError(f"t must be finite and > 0, got {t}")
     psi = _psi_on_grid(model, grid)
@@ -165,26 +169,37 @@ def density_fft(model: LevyModel, t: float, grid: SpaceGrid) -> DensityTable:
             "exp(-t psi) has not decayed at the Nyquist frequency; enlarge n_points "
             "or shrink half_width")
     xi = grid.dual
-    phase = np.exp(1j * grid.half_width * xi)
+    phase = np.multiply(1j * grid.half_width, xi)
+    np.exp(phase, out=phase)
     dxi = np.pi / grid.half_width
+    work = np.empty(grid.n_points, dtype=complex)
 
-    def invert(fhat: np.ndarray) -> np.ndarray:
-        """Continuous inverse transform (1/2pi) int e^{-i x xi} fhat(xi) dxi on the nodes."""
-        return (dxi / (2.0 * np.pi)) * np.fft.fft(fhat * phase).real
+    def invert(fhat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Continuous inverse transform (1/2pi) int e^{-i x xi} fhat(xi) dxi on
+        the nodes; ``fhat`` may be ``work``, and ``out`` may be ``fhat``."""
+        np.multiply(fhat, phase, out=work)
+        np.fft.fft(work, out=work)
+        return np.multiply(dxi / (2.0 * np.pi), work.real, out=out)
 
-    vals = invert(phat.astype(complex))
+    vals = invert(phat)
     low = float(vals.min())
     if low < -1e-10:
         raise ResolutionError(
             f"density has ringing below tolerance (min {low:.3e}); increase "
             "half_width or n_points")
-    vals = np.where(vals < 0.0, 0.0, vals)
+    vals[vals < 0.0] = 0.0
     mass = float(np.trapezoid(vals, dx=grid.h))
     if not abs(mass - 1.0) <= 1e-6:  # NaN fails too
         raise ResolutionError(
             f"density mass {mass} deviates from 1; increase half_width or n_points")
-    d1 = invert((-1j * xi) * phat)
-    d2 = invert((-(xi ** 2)) * phat.astype(complex))
+    np.multiply(-1j, xi, out=work)  # (-1j * xi) * phat
+    np.multiply(work, phat, out=work)
+    np.square(xi, out=xi)  # (-(xi ** 2)) * phat, real, where xi was
+    np.negative(xi, out=xi)
+    np.multiply(xi, phat, out=xi)
+    del phat
+    d1 = invert(work)
+    d2 = invert(xi, out=xi)
     return DensityTable(model=model, t=t, grid=grid, values=vals, deriv1=d1,
                         deriv2=d2, mass=mass,
                         tail_estimate=tail_mass_estimate(model, t, grid.half_width))
@@ -208,14 +223,20 @@ class GradientScaling:
     half_width: float
     propagation_ok: bool     # ||p''_{2t}|| <= ||p'_t||^2 (1 + 1e-3) on every t
     grid: SpaceGrid
-    tables: tuple            # the density table at each t in t_values
 
 
 def gradient_scaling_exponent(model: LevyModel, t_list,
-                              grid: Optional[SpaceGrid] = None) -> GradientScaling:
+                              grid: Optional[SpaceGrid] = None, *,
+                              on_table: Optional[Callable[[DensityTable], None]] = None
+                              ) -> GradientScaling:
     """Fitted slope of log ||p_t'||_L1 against log t, plus the second-derivative
-    propagation check at doubled times.  One table is computed per distinct
-    time in t_list and 2 t_list."""
+    propagation check at doubled times.
+
+    One table is computed per distinct time in t_list and 2 t_list, in
+    ascending order, and dropped once its norms are taken, so one table is
+    alive at a time.  ``on_table`` is handed each table whose time is in
+    t_list, once, before it is dropped; if a later table fails, the calls
+    already made stand."""
     t_list = tuple(sorted(float(t) for t in t_list))
     if len(t_list) < 4:
         raise DomainError("need at least 4 positive t values")
@@ -227,16 +248,24 @@ def gradient_scaling_exponent(model: LevyModel, t_list,
         # much smaller box suffices here than for unit-mass density work
         grid = suggest_grid(model, t_list[0], 2.0 * t_list[-1],
                             tail_target=3e-6, max_points=2 ** 18)
-    tables = {t: density_fft(model, t, grid)
-              for t in sorted(set(t_list) | {2.0 * t for t in t_list})}
-    grads = [grad_l1_norm(tables[t]) for t in t_list]
-    seconds = [second_l1_norm(tables[2.0 * t]) for t in t_list]
+    doubled = {2.0 * t for t in t_list}
+    grad_at, second_at = {}, {}
+    for t in sorted(set(t_list) | doubled):
+        table = density_fft(model, t, grid)
+        if t in t_list:
+            grad_at[t] = grad_l1_norm(table)
+            if on_table is not None:
+                on_table(table)
+        if t in doubled:
+            second_at[t] = second_l1_norm(table)
+        del table  # before the next table is built
+    grads = [grad_at[t] for t in t_list]
+    seconds = [second_at[2.0 * t] for t in t_list]
     fit = fit_powerlaw(np.asarray(t_list), np.asarray(grads))
     prop = all(s2 <= g * g * (1.0 + 1e-3) for s2, g in zip(seconds, grads))
     return GradientScaling(t_values=t_list, grad_norms=tuple(grads),
                            second_norms_2t=tuple(seconds), slope=fit.exponent,
-                           half_width=fit.half_width, propagation_ok=prop,
-                           grid=grid, tables=tuple(tables[t] for t in t_list))
+                           half_width=fit.half_width, propagation_ok=prop, grid=grid)
 
 
 # ----------------------------------------------------------------------
@@ -253,6 +282,11 @@ def semigroup_apply(g: np.ndarray, t: float, model: LevyModel,
         raise ShapeError("g must be sampled on the grid")
     psi = _psi_on_grid(model, grid)
     return np.fft.ifft(np.fft.fft(g) * np.exp(-t * psi)).real
+
+
+def _sup_abs(a: np.ndarray) -> float:
+    """max |a| with no temporary the size of ``a``; exact, and NaN carries."""
+    return abs(max(float(np.max(a)), -float(np.min(a))))  # abs: max|0| is +0.0
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -347,9 +381,23 @@ def _source_table(g, times: np.ndarray, grid: SpaceGrid) -> np.ndarray:
 
 
 def _drift_table(drift: DriftSpec, times: np.ndarray, grid: SpaceGrid) -> np.ndarray:
-    """b(t, x) on the grid nodes, one row per time."""
+    """b(t, x) on the grid nodes, one row per time, evaluated a row at a time;
+    when every row equals the first bit for bit, a read-only broadcast view
+    of that row, not a copy per row."""
     nodes = grid.nodes
-    return np.stack([np.asarray(drift(float(t), nodes), dtype=float) for t in times])
+    shape = (times.size, grid.n_points)
+    first = np.asarray(drift(float(times[0]), nodes), dtype=float)
+    first_bits = first.tobytes()
+    table = None
+    for i in range(1, times.size):
+        row = np.asarray(drift(float(times[i]), nodes), dtype=float)
+        if table is None:
+            if row.tobytes() == first_bits:
+                continue
+            table = np.empty(shape)
+            table[:i] = first
+        table[i] = row
+    return np.broadcast_to(first, shape) if table is None else table
 
 
 def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGrid,
@@ -388,7 +436,7 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         delta = horizon / n_time
         g_tab = _source_table(g, times, grid)
         g_rows = g[None] if isinstance(g, np.ndarray) else g_tab  # an array source is one row
-        g_norm = float(np.max(np.abs(g_rows)))
+        g_norm = _sup_abs(g_rows)
         if g_norm == 0.0:
             u = np.zeros((n_time + 1, grid.n_points))
             return _finish(model, grid, horizon, halvings, times, u, np.empty_like(u), (),
@@ -422,6 +470,7 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
             raise StiffnessError(
                 f"no contraction after halving the horizon {halvings} times "
                 f"(last ratios {ratios[-3:]})")
+        del u, grad, b_tab, g_tab, g_rows  # before the shorter horizon's tables
         horizon *= 0.5
         halvings += 1
 
@@ -471,9 +520,9 @@ def _finish(model, grid, horizon, halvings, times, u, grad, diffs, converged, ce
     grad_peaks = _dyadic_peaks(grad, grid.h, 2.0)
     sem_beta = _holder_quotient(grad_peaks, drift.beta)
     sem_g0 = _holder_quotient(grad_peaks, min(1.0, gamma0 / 2.0))
-    sup_u = float(np.max(np.abs(u)))
-    sup_grad = float(np.max(np.abs(grad)))
-    g_sup = float(np.max(np.abs(g_rows)))
+    sup_u = _sup_abs(u)
+    sup_grad = _sup_abs(grad)
+    g_sup = _sup_abs(g_rows)
     g_sem = _holder_quotient(_dyadic_peaks(g_rows, grid.h, 2.0), drift.beta)
     g_holder = g_sup + g_sem
     numerator = sup_u + (sup_grad + sem_beta) + (sup_grad + sem_g0)
@@ -499,7 +548,7 @@ def kolmogorov_residual(solution: PicardSolution, drift: DriftSpec, g,
     u = solution.u
     delta = times[1] - times[0]
     g_tab = _source_table(g, times, grid)
-    g_sup = float(np.max(np.abs(g if isinstance(g, np.ndarray) else g_tab)))
+    g_sup = _sup_abs(g if isinstance(g, np.ndarray) else g_tab)
     if g_sup == 0.0:
         g_sup = 1.0
     if times.size < 3:

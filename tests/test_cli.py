@@ -195,6 +195,14 @@ MALFORMED = [
     ("kolmogorov", MODE_SOURCE + f"mode:1\nn_time = {10**15}\n", "Unable to allocate 7.11 PiB"),
     # no drift in the catalog takes eta
     ("check", STABLE_MODEL + "[drift]\nname = cos\neta = 0.5\n", "[drift] eta: unknown key"),
+    # counts no array can hold are refused where they are read: numpy would
+    # raise a ValueError on the shape, not a MemoryError
+    ("sample", f"[model]\nfamily = brownian\n[sample]\nn = {10**20}\nseed = 1\n",
+     f"[sample] n: {10**20} is more elements than an array can hold"),
+    ("converge", BASE_EXPERIMENT.replace("paths = 200", f"paths = {10**20}"),
+     f"[experiment] paths: {10**20} is more elements than an array can hold"),
+    ("sample", f"[model]\nfamily = brownian\n[sample]\nn = {2**61}\nseed = 1\n",
+     f"[sample] n: {2**61} is more elements than an array can hold"),
 ]
 
 
@@ -459,6 +467,43 @@ t_list = 0.05,0.1,0.2,0.4,0.8
             expected = tmp_path / f"expected_t{t:g}.csv"
             density_fft(model, t, grid).to_csv(expected, max_rows=4096)
             assert (out / f"density_t{t:g}.csv").read_bytes() == expected.read_bytes()
+
+    # five jittered times, none twice another: ten distinct tables
+    JITTERED = "0.0512,0.0981,0.2043,0.3962,0.8127"
+
+    def test_jittered_times_write_each_table_as_computed(self, tmp_path, monkeypatch):
+        calls = []
+        density_fft = spectral.density_fft
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return density_fft(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "density_fft", counted)
+        cfg = write(tmp_path, STABLE_MODEL + f"[density]\nt_list = {self.JITTERED}\n"
+                    "half_width = 60\npoints = 8192\n")
+        out = tmp_path / "dens"
+        assert cli.main(["density", "--config", cfg, "--out-dir", str(out)]) == 0
+        t_list = [float(t) for t in self.JITTERED.split(",")]
+        assert calls == sorted(t_list + [2.0 * t for t in t_list])
+        grid = spectral.SpaceGrid(60.0, 8192)
+        model = LevyModel.isotropic_stable(1.5)
+        for t in t_list:
+            expected = tmp_path / f"expected_t{t:g}.csv"
+            density_fft(model, t, grid).to_csv(expected, max_rows=4096)
+            assert (out / f"density_t{t:g}.csv").read_bytes() == expected.read_bytes()
+
+    def test_grid_too_small_for_the_largest_time_writes_no_summary(self, tmp_path, capsys):
+        # the mass check fails only at 2 * 0.8127; each CSV is written as its
+        # table is computed, so the CSVs of the earlier times remain
+        cfg = write(tmp_path, STABLE_MODEL + f"[density]\nt_list = {self.JITTERED}\n"
+                    "half_width = 48\npoints = 4096\n")
+        out = tmp_path / "dens"
+        assert cli.main(["density", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert "error: density mass" in capsys.readouterr().err
+        assert not (out / "density_summary.json").exists()
+        assert sorted(p.name for p in out.glob("density_t*.csv")) == sorted(
+            f"density_t{float(t):g}.csv" for t in self.JITTERED.split(","))
 
 
 class TestKolmogorovCommand:

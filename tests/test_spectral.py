@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,35 @@ def mode(grid, k):
     return np.cos(grid.dual[k] * grid.nodes)
 
 
+def _expression_density(model, t, grid):
+    """The three inversions as whole-array expressions, each with its own
+    temporaries: the reference density_fft's in-place work must match."""
+    phat = np.exp(-t * spectral._psi_on_grid(model, grid))
+    xi = grid.dual
+    phase = np.exp(1j * grid.half_width * xi)
+    dxi = np.pi / grid.half_width
+
+    def invert(fhat):
+        return (dxi / (2.0 * np.pi)) * np.fft.fft(fhat * phase).real
+
+    vals = invert(phat.astype(complex))
+    return (np.where(vals < 0.0, 0.0, vals), invert((-1j * xi) * phat),
+            invert((-(xi ** 2)) * phat.astype(complex)))
+
+
 class TestDensity:
+    @pytest.mark.parametrize("model", [STABLE15, LevyModel.brownian(),
+                                       LevyModel.tempered_stable(1.3, 2.0)],
+                             ids=["stable", "brownian", "tempered"])
+    def test_in_place_inversions_match_whole_array_expressions(self, model):
+        times = (0.0512, 0.3962, 1.6254)
+        grid = suggest_grid(model, times[0], times[-1], tail_target=3e-6, max_points=2 ** 16)
+        for t in times:
+            tab = density_fft(model, t, grid)
+            for got, want in zip((tab.values, tab.deriv1, tab.deriv2),
+                                 _expression_density(model, t, grid)):
+                assert got.tobytes() == want.tobytes()  # signed zeros too
+
     def test_brownian_half_is_standard_normal(self):
         # CF convention exp(-t |xi|^2) makes p_{0.5} the unit normal
         grid = SpaceGrid(40.0, 2048)
@@ -153,6 +182,35 @@ class TestGradientScaling:
         # a NaN among the times would otherwise end as a density-mass ResolutionError
         with pytest.raises(DomainError, match="t values must be finite and > 0, got nan"):
             gradient_scaling_exponent(STABLE15, (0.1, 0.2, 0.4, math.nan))
+
+    # five jittered times, none twice another: ten distinct tables
+    JITTERED = (0.0512, 0.0981, 0.2043, 0.3962, 0.8127)
+
+    def test_on_table_sees_each_time_once_in_ascending_order(self):
+        grid = SpaceGrid(60.0, 2 ** 13)
+        seen = []
+        res = gradient_scaling_exponent(STABLE15, self.JITTERED[::-1] + (0.2043,), grid,
+                                        on_table=seen.append)
+        assert [tab.t for tab in seen] == sorted(self.JITTERED)
+        norms = dict(zip(res.t_values, res.grad_norms))
+        for tab in seen:
+            ref = density_fft(STABLE15, tab.t, grid)
+            for name in ("values", "deriv1", "deriv2"):
+                assert np.array_equal(getattr(tab, name), getattr(ref, name))
+            assert grad_l1_norm(tab) == norms[tab.t]
+
+    def test_one_table_alive_at_a_time(self):
+        # the peak is the table being built, its complex work array and phase
+        # and the cached psi, not the ten tables at once
+        grid = SpaceGrid(160.0, 2 ** 16)
+        table_bytes = 3 * 8 * grid.n_points  # values, deriv1, deriv2
+        tracemalloc.start()
+        try:
+            gradient_scaling_exponent(STABLE15, self.JITTERED, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * table_bytes
 
 
 class TestSemigroup:
@@ -372,7 +430,7 @@ def _whole_table_picard(drift, g, T, model, grid, n_time, tol=1e-8,
         times = horizon * np.arange(n_time + 1) / n_time
         delta = horizon / n_time
         g_tab = spectral._source_table(g, times, grid)
-        b_tab = spectral._drift_table(drift, times, grid)
+        b_tab = np.stack([drift(float(t), grid.nodes) for t in times])
         g_norm = float(np.max(np.abs(g_tab)))
         z = delta * psi
         decay = np.exp(-z)
@@ -458,6 +516,35 @@ class TestPicardSweep:
         sol = self._assert_matches_oracle(strong, np.cos(grid.nodes), 0.5, grid, 37,
                                           target_ratio=0.5)
         assert sol.halvings == 2 and sol.converged
+
+    @pytest.mark.parametrize("drift,view", [(drift_cos(), True), (drift_cos_time(), False)],
+                             ids=["cos", "cos_time"])
+    def test_time_free_drift_table_is_a_view(self, drift, view, monkeypatch):
+        # cos gives one broadcast row, cos_time a full table; both solve to
+        # the whole-table iteration's bits
+        grid = SpaceGrid(16 * math.pi, 512)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * grid.n_points * 3)
+        times = np.linspace(0.0, 0.25, 38)
+        tab = spectral._drift_table(drift, times, grid)
+        assert np.array_equal(tab, np.stack([drift(float(t), grid.nodes) for t in times]))
+        assert (tab.strides[0] == 0) == view and tab.flags.writeable != view
+        sol = self._assert_matches_oracle(drift, np.cos(grid.nodes), 0.25, grid, 37)
+        assert sol.converged and len(sol.diffs) >= 2
+
+    def test_peak_is_u_and_its_gradient(self):
+        # a time-free drift and an array source are views, and no sup-norm
+        # takes an absolute value of a whole table
+        grid = SpaceGrid(16 * math.pi, 4096)
+        n_time = 512
+        table_bytes = (n_time + 1) * grid.n_points * 8
+        tracemalloc.start()
+        try:
+            picard_solve(drift_cos(), np.cos(grid.nodes), 0.25, STABLE15, grid,
+                         n_time=n_time)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * table_bytes
 
     def test_array_source_table_is_a_view_of_g(self):
         grid = SpaceGrid(16 * math.pi, 512)
