@@ -25,8 +25,7 @@ from .samplers import (IncrementBatch, TruncationMeta, increments, load_batch,
                        sample_stable_subordinator, sample_subordinated_bm,
                        sample_tempered_subordinator, save_batch)
 from .spectral import (DensityTable, PicardSolution, SpaceGrid, density_fft,
-                       grad_l1_norm, gradient_scaling_exponent,
-                       kolmogorov_residual, picard_solve, second_l1_norm,
-                       semigroup_apply, suggest_grid)
+                       grad_l1_norm, gradient_scaling_exponent, picard_solve,
+                       second_l1_norm, semigroup_apply, suggest_grid)
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .fitting import PowerLawFit, fit_decay_rate, fit_powerlaw
 from .models import (LevyModel, RatePrediction, SubordinatorSpec,
                      check_rate_scope, predict_for_model)
 from .rng import RngStream
-from .samplers import increments, sample_subordinator
+from .samplers import MAX_ELEMENTS, increments, sample_subordinator
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_FASTER = "faster-than-bound"
@@ -74,6 +74,11 @@ class ExperimentConfig:
                 raise DomainError(f"n_ref={self.n_ref} is not divisible by n={n}")
         if self.n_ref < 8 * max(ns):
             raise DomainError("n_ref must be at least 8 x max(n_list)")
+        block = min(self.paths, self.chunk)  # the paths one noise buffer holds
+        if self.n_ref > MAX_ELEMENTS // (block * self.model.dim):
+            raise DomainError(f"n_ref={self.n_ref} steps of {block} paths in "
+                              f"dim={self.model.dim} are more elements than an array "
+                              f"can hold (at most {MAX_ELEMENTS})")
         object.__setattr__(self, "x0", tuple(as_state(self.x0, self.model.dim).tolist()))
 
     def prediction(self) -> RatePrediction:

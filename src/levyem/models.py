@@ -179,10 +179,12 @@ class LevyModel:
             rho, stable = self.sub.rho, self.sub.family is SubFamily.STABLE
             if rho <= 0.5:
                 raise DomainError("subordinated BM needs rho > 1/2 for gradient index > 1")
-            # twice the subordinator's indices: rho (open) at 0, rho (open, stable) or inf at inf
+            # twice the subordinator's indices: rho (open) at 0, rho (open, stable) or
+            # inf at inf; rho = 1 is f(lam) = lam, Brownian motion, with all moments
             grad = min(2.0, 2.0 * rho)
-            moments = MomentIndices(grad, 2.0 * rho if stable else math.inf,
-                                    gamma0_open=True, gamma_inf_open=stable)
+            moments = MomentIndices(2.0, math.inf) if rho == 1.0 else \
+                MomentIndices(grad, 2.0 * rho if stable else math.inf,
+                              gamma0_open=True, gamma_inf_open=stable)
         elif fam in (Family.BROWNIAN, Family.ISOTROPIC_STABLE):
             if not (0.0 < a <= 2.0):
                 raise DomainError(f"alpha must lie in (0.0, 2], got {a}")

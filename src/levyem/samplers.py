@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -46,6 +47,9 @@ DEFAULT_JUMP_BUDGET = 64.0
 # decomposition, or rejection pieces of the tempered subordinator; a request
 # above it is refused before any draw
 MAX_STEP_WORK = 2.0 ** 16
+# the most float64 elements one array can hold: numpy refuses a larger count
+# with a ValueError, before it tries to allocate
+MAX_ELEMENTS = sys.maxsize // 8
 
 
 def sample_stable(alpha: float, scale: float, count: int, rng) -> np.ndarray:
@@ -275,6 +279,9 @@ def increments(model: LevyModel, T: float, n: int, rng) -> IncrementBatch:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    if n > MAX_ELEMENTS // model.dim:
+        raise DomainError(f"n={n} increments in dim={model.dim} are more elements than "
+                          f"an array can hold (at most {MAX_ELEMENTS})")
     if T <= 0:
         raise DomainError("T must be positive")
     dt = T / n

@@ -363,6 +363,7 @@ class PicardSolution:
     converged: bool
     certified: bool
     kappa: float
+    residual: float      # sup over interior nodes of |d_t u + A u + b grad u + g| / sup|g|
     certificate: dict = field(default_factory=dict)
 
     @property
@@ -370,34 +371,30 @@ class PicardSolution:
         return tuple(b / a for a, b in zip(self.diffs, self.diffs[1:]) if a > 0)
 
 
-def _source_table(g, times: np.ndarray, grid: SpaceGrid) -> np.ndarray:
-    """g on the grid nodes, one row per time; a time-constant array source
-    gives a read-only broadcast view of ``g``, not a copy per row."""
-    if isinstance(g, np.ndarray):
-        if g.shape != (grid.n_points,):
-            raise ShapeError("source must be sampled on the grid")
-        return np.broadcast_to(g, (times.size, grid.n_points))
-    return np.stack([np.asarray(g(float(t)), dtype=float) for t in times])
-
-
-def _drift_table(drift: DriftSpec, times: np.ndarray, grid: SpaceGrid) -> np.ndarray:
-    """b(t, x) on the grid nodes, one row per time, evaluated a row at a time;
-    when every row equals the first bit for bit, a read-only broadcast view
-    of that row, not a copy per row."""
-    nodes = grid.nodes
-    shape = (times.size, grid.n_points)
-    first = np.asarray(drift(float(times[0]), nodes), dtype=float)
-    first_bits = first.tobytes()
+def _time_table(fn, times: np.ndarray, n_points: int) -> np.ndarray:
+    """fn(t) on the grid, one row per time, evaluated a row at a time; when
+    every row equals the first bit for bit, a read-only broadcast view of
+    that row, not a copy per row."""
+    shape = (times.size, n_points)
     table = None
-    for i in range(1, times.size):
-        row = np.asarray(drift(float(times[i]), nodes), dtype=float)
-        if table is None:
-            if row.tobytes() == first_bits:
-                continue
+    for i, t in enumerate(times):
+        row = np.asarray(fn(float(t)), dtype=float)
+        if row.shape != (n_points,):
+            raise ShapeError(f"drift and source must be sampled on the grid: got "
+                             f"shape {row.shape} for {n_points} nodes")
+        if i == 0:
+            first, first_bits = row, row.tobytes()
+        elif table is None and row.tobytes() != first_bits:
             table = np.empty(shape)
             table[:i] = first
-        table[i] = row
+        if table is not None:
+            table[i] = row
     return np.broadcast_to(first, shape) if table is None else table
+
+
+def _distinct_rows(table: np.ndarray) -> np.ndarray:
+    """The rows a norm must visit: the first alone for a broadcast view."""
+    return table[:1] if table.strides[0] == 0 else table
 
 
 def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGrid,
@@ -410,6 +407,7 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
     integrated exactly per mode over each uniform time interval (the source is
     interpolated linearly).  When the measured contraction factor exceeds
     ``target_ratio`` the horizon is halved, up to ``max_halvings`` times.
+    The solution carries its certificate and the residual of the equation.
     """
     if not 0 < T < math.inf:
         raise DomainError(f"T must be finite and > 0, got {T}")
@@ -428,20 +426,16 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
             "violates the balance condition (pass force_unbalanced=True to attempt)")
     psi = _psi_on_grid(model, grid)
     ik = 1j * grid.dual
+    nodes = grid.nodes
 
     horizon = float(T)
     halvings = 0
     while True:
         times = horizon * np.arange(n_time + 1) / n_time
         delta = horizon / n_time
-        g_tab = _source_table(g, times, grid)
-        g_rows = g[None] if isinstance(g, np.ndarray) else g_tab  # an array source is one row
-        g_norm = _sup_abs(g_rows)
-        if g_norm == 0.0:
-            u = np.zeros((n_time + 1, grid.n_points))
-            return _finish(model, grid, horizon, halvings, times, u, np.empty_like(u), (),
-                           True, not force_unbalanced and kappa < 1.0, kappa, drift, g_rows)
-        b_tab = _drift_table(drift, times, grid)
+        g_tab = _time_table(g if callable(g) else lambda t: g, times, grid.n_points)
+        g_norm = _sup_abs(_distinct_rows(g_tab))
+        b_tab = _time_table(lambda t: drift(t, nodes), times, grid.n_points)
 
         z = delta * psi
         decay = np.exp(-z)
@@ -454,7 +448,7 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         converged = False
         for _ in range(max_iter):
             d = _picard_sweep(b_tab, g_tab, u, grad, decay, w_lo, w_hi_minus_lo, ik)
-            if d < tol * g_norm:
+            if d <= tol * g_norm:  # a zero source converges on its first sweep
                 converged = True
                 break
             diffs.append(d)
@@ -463,14 +457,13 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
         contracting = not ratios or max(ratios[-2:]) < target_ratio
         if converged and contracting:
-            del b_tab  # the certificate needs only u and the gradient
-            return _finish(model, grid, horizon, halvings, times, u, grad, tuple(diffs),
-                           True, kappa < 1.0, kappa, drift, g_rows)
+            return _finish(model, grid, drift.beta, kappa, horizon, halvings, times,
+                           u, grad, tuple(diffs), b_tab, g_tab, g_norm)
         if halvings >= max_halvings:
             raise StiffnessError(
                 f"no contraction after halving the horizon {halvings} times "
                 f"(last ratios {ratios[-3:]})")
-        del u, grad, b_tab, g_tab, g_rows  # before the shorter horizon's tables
+        del u, grad, b_tab, g_tab  # before the shorter horizon's tables
         horizon *= 0.5
         halvings += 1
 
@@ -509,21 +502,34 @@ def _picard_sweep(b_tab: np.ndarray, g_tab: np.ndarray, u: np.ndarray,
     return d
 
 
-def _finish(model, grid, horizon, halvings, times, u, grad, diffs, converged, certified,
-            kappa, drift: DriftSpec, g_rows: np.ndarray) -> PicardSolution:
-    """The solution and its certificate; ``grad`` is overwritten with the
-    spectral gradient of ``u``."""
+def _finish(model, grid, beta, kappa, horizon, halvings, times, u, grad, diffs,
+            b_tab, g_tab, g_sup) -> PicardSolution:
+    """The solution, its certificate and its residual, the sup over interior
+    nodes of |d_t u + A u + b grad u + g| / sup|g|.  One transform of each
+    row block of ``u`` gives both its spectral gradient, written into
+    ``grad``, and A u."""
+    n_rows, n_points = u.shape
     ik = 1j * grid.dual
-    for blk in _row_blocks(0, u.shape[0], grid.n_points):
-        grad[blk] = np.fft.ifft(ik * np.fft.fft(u[blk], axis=1), axis=1).real
+    neg_psi = -_psi_on_grid(model, grid)
+    delta = times[1] - times[0]
+    worst = 0.0
+    for blk in _row_blocks(0, n_rows, n_points):
+        uhat = np.fft.fft(u[blk], axis=1)
+        grad[blk] = np.fft.ifft(ik * uhat, axis=1).real
+        lo, hi = max(blk.start, 1), min(blk.stop, n_rows - 1)  # interior rows
+        if lo < hi:
+            du_dt = (u[lo + 1:hi + 1] - u[lo - 1:hi - 1]) / (2.0 * delta)
+            au = np.fft.ifft(neg_psi * uhat[lo - blk.start:hi - blk.start], axis=1).real
+            bgrad = b_tab[lo:hi] * grad[lo:hi]
+            peak = np.max(np.abs(du_dt + au + bgrad + g_tab[lo:hi]))
+            worst = float(np.maximum(worst, peak))  # NaN carries
     gamma0 = model.moments.gamma0
     grad_peaks = _dyadic_peaks(grad, grid.h, 2.0)
-    sem_beta = _holder_quotient(grad_peaks, drift.beta)
+    sem_beta = _holder_quotient(grad_peaks, beta)
     sem_g0 = _holder_quotient(grad_peaks, min(1.0, gamma0 / 2.0))
     sup_u = _sup_abs(u)
     sup_grad = _sup_abs(grad)
-    g_sup = _sup_abs(g_rows)
-    g_sem = _holder_quotient(_dyadic_peaks(g_rows, grid.h, 2.0), drift.beta)
+    g_sem = _holder_quotient(_dyadic_peaks(_distinct_rows(g_tab), grid.h, 2.0), beta)
     g_holder = g_sup + g_sem
     numerator = sup_u + (sup_grad + sem_beta) + (sup_grad + sem_g0)
     cert = {
@@ -535,31 +541,7 @@ def _finish(model, grid, horizon, halvings, times, u, grad, diffs, converged, ce
         "c_of_T": numerator / g_holder if g_holder > 0 else 0.0,
     }
     return PicardSolution(model=model, grid=grid, horizon=horizon, halvings=halvings,
-                          times=times, u=u, grad_u=grad, diffs=diffs,
-                          converged=converged, certified=certified and converged,
-                          kappa=kappa, certificate=cert)
-
-
-def kolmogorov_residual(solution: PicardSolution, drift: DriftSpec, g,
-                        model: LevyModel) -> float:
-    """sup over interior nodes of |d_t u + A u + b grad u + g| / sup|g|."""
-    grid = solution.grid
-    times = solution.times
-    u = solution.u
-    delta = times[1] - times[0]
-    g_tab = _source_table(g, times, grid)
-    g_sup = _sup_abs(g if isinstance(g, np.ndarray) else g_tab)
-    if g_sup == 0.0:
-        g_sup = 1.0
-    if times.size < 3:
-        return 0.0  # no interior time row
-    neg_psi = -_psi_on_grid(model, grid)
-    worst = 0.0
-    for blk in _row_blocks(1, times.size - 1, grid.n_points):
-        lo, hi = blk.start, blk.stop
-        du_dt = (u[lo + 1:hi + 1] - u[lo - 1:hi - 1]) / (2.0 * delta)
-        au = np.fft.ifft(neg_psi * np.fft.fft(u[blk], axis=1), axis=1).real
-        bgrad = _drift_table(drift, times[blk], grid) * solution.grad_u[blk]
-        peak = np.max(np.abs(du_dt + au + bgrad + g_tab[blk]))
-        worst = float(np.maximum(worst, peak))  # NaN carries
-    return worst / g_sup
+                          times=times, u=u, grad_u=grad, diffs=diffs, converged=True,
+                          certified=kappa < 1.0, kappa=kappa,
+                          residual=worst / (g_sup if g_sup != 0.0 else 1.0),
+                          certificate=cert)

@@ -203,6 +203,12 @@ MALFORMED = [
      f"[experiment] paths: {10**20} is more elements than an array can hold"),
     ("sample", f"[model]\nfamily = brownian\n[sample]\nn = {2**61}\nseed = 1\n",
      f"[sample] n: {2**61} is more elements than an array can hold"),
+    # so are products of counts, where the array they shape is built
+    ("sample", f"[model]\nfamily = brownian\ndim = 2\n[sample]\nn = {2**59}\nseed = 1\n",
+     f"n={2**59} increments in dim=2 are more elements than an array can hold"),
+    ("converge", STABLE_MODEL + "[drift]\nname = cos\n[experiment]\np = 1.0\n"
+     f"n_list = 4,8,16\nn_ref = {2**55}\npaths = 100\nseed = 3\n",
+     f"n_ref={2**55} steps of 100 paths in dim=1 are more elements than an array"),
 ]
 
 

@@ -365,8 +365,16 @@ class TestModelValidation:
               sub=SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.8, 1.0)),
          LevyModel.subordinated_bm(SubordinatorSpec.tempered(0.8, 1.0)),
          (1.6, 1.6, INF, True, False)),
+        # rho = 1 gives f(lam) = lam: Brownian motion, with its indices
+        (dict(family=Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 1.0)),
+         LevyModel.subordinated_bm(SubordinatorSpec.stable(1.0)), (2.0, 2.0, INF, False, False)),
+        (dict(family=Family.SUBORDINATED_BM,
+              sub=SubordinatorSpec(SubFamily.TEMPERED_STABLE, 1.0, 1.0)),
+         LevyModel.subordinated_bm(SubordinatorSpec.tempered(1.0, 1.0)),
+         (2.0, 2.0, INF, False, False)),
     ], ids=["brownian", "stable", "stable2", "cauchy", "relativistic", "tempered",
-            "lamperti", "truncated", "layered", "sub_stable", "sub_tempered"])
+            "lamperti", "truncated", "layered", "sub_stable", "sub_tempered",
+            "sub_stable_rho1", "sub_tempered_rho1"])
     def test_constructor_matches_factory(self, kwargs, factory_model, indices):
         # the indices are derived from the family and its parameters, so the
         # plain constructor and the factory give the same model

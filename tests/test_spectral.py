@@ -6,12 +6,12 @@ import pytest
 
 from levyem import spectral
 from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough
-from levyem.errors import DomainError, ResolutionError, StiffnessError
+from levyem.errors import DomainError, ResolutionError, ShapeError, StiffnessError
 from levyem.models import (Family, LevyModel, SubordinatorSpec, balance_check,
                            char_exponent_radial, kappa_exponent)
 from levyem.spectral import (SpaceGrid, density_fft, grad_l1_norm,
-                             gradient_scaling_exponent, kolmogorov_residual,
-                             picard_solve, second_l1_norm, semigroup_apply,
+                             gradient_scaling_exponent, picard_solve,
+                             second_l1_norm, semigroup_apply,
                              suggest_grid, tail_mass_estimate)
 from oracles import holder_seminorm, resolvent_source
 
@@ -429,7 +429,7 @@ def _whole_table_picard(drift, g, T, model, grid, n_time, tol=1e-8,
     while True:
         times = horizon * np.arange(n_time + 1) / n_time
         delta = horizon / n_time
-        g_tab = spectral._source_table(g, times, grid)
+        g_tab = np.stack([g(float(t)) if callable(g) else g for t in times])
         b_tab = np.stack([drift(float(t), grid.nodes) for t in times])
         g_norm = float(np.max(np.abs(g_tab)))
         z = delta * psi
@@ -450,7 +450,7 @@ def _whole_table_picard(drift, g, T, model, grid, n_time, tol=1e-8,
             d = float(np.max(np.abs(u_new - u)))
             u = u_new
             grad = np.fft.ifft(1j * grid.dual * uhat, axis=1).real
-            if d < tol * g_norm:
+            if d <= tol * g_norm:
                 converged = True
                 break
             diffs.append(d)
@@ -525,87 +525,129 @@ class TestPicardSweep:
         grid = SpaceGrid(16 * math.pi, 512)
         monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * grid.n_points * 3)
         times = np.linspace(0.0, 0.25, 38)
-        tab = spectral._drift_table(drift, times, grid)
+        tab = spectral._time_table(lambda t: drift(t, grid.nodes), times, grid.n_points)
         assert np.array_equal(tab, np.stack([drift(float(t), grid.nodes) for t in times]))
         assert (tab.strides[0] == 0) == view and tab.flags.writeable != view
         sol = self._assert_matches_oracle(drift, np.cos(grid.nodes), 0.25, grid, 37)
         assert sol.converged and len(sol.diffs) >= 2
 
-    def test_peak_is_u_and_its_gradient(self):
-        # a time-free drift and an array source are views, and no sup-norm
-        # takes an absolute value of a whole table
-        grid = SpaceGrid(16 * math.pi, 4096)
-        n_time = 512
-        table_bytes = (n_time + 1) * grid.n_points * 8
+    @staticmethod
+    def _peak_tables(fn, n_time, n_points):
+        """The tracemalloc peak of fn(), in (n_time + 1) x n_points float tables."""
         tracemalloc.start()
         try:
-            picard_solve(drift_cos(), np.cos(grid.nodes), 0.25, STABLE15, grid,
-                         n_time=n_time)
+            fn()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3 * table_bytes
+        return peak / ((n_time + 1) * n_points * 8)
+
+    def test_peak_is_u_and_its_gradient(self):
+        # a time-free drift and an array source are views, no sup-norm takes
+        # an absolute value of a whole table, and the residual walks row blocks
+        grid = SpaceGrid(16 * math.pi, 4096)
+        n_time = 512
+        peak = self._peak_tables(
+            lambda: picard_solve(drift_cos(), np.cos(grid.nodes), 0.25, STABLE15, grid,
+                                 n_time=n_time),
+            n_time, grid.n_points)
+        assert peak <= 2.3
+
+    def test_callable_source_adds_one_table(self):
+        # the source table is filled a row at a time, never stacked from a list
+        grid = SpaceGrid(16 * math.pi, 4096)
+        n_time = 512
+        nodes = grid.nodes
+        peak = self._peak_tables(
+            lambda: picard_solve(drift_cos(), lambda t: np.cos(nodes + 2.0 * t), 0.25,
+                                 STABLE15, grid, n_time=n_time),
+            n_time, grid.n_points)
+        assert peak <= 3.3
+
+    def test_full_time_table_peaks_at_one_table(self):
+        n_time, n_points = 512, 4096
+        nodes = np.linspace(-1.0, 1.0, n_points)
+        times = np.linspace(0.0, 0.25, n_time + 1)
+        peak = self._peak_tables(
+            lambda: spectral._time_table(lambda t: np.cos(nodes + 2.0 * t), times, n_points),
+            n_time, n_points)
+        assert peak <= 1.1
 
     def test_array_source_table_is_a_view_of_g(self):
         grid = SpaceGrid(16 * math.pi, 512)
         g = np.cos(grid.nodes)
-        tab = spectral._source_table(g, np.linspace(0.0, 0.25, 9), grid)
+        tab = spectral._time_table(lambda t: g, np.linspace(0.0, 0.25, 9), grid.n_points)
         assert tab.shape == (9, grid.n_points)
         assert np.shares_memory(tab, g) and not tab.flags.writeable
+
+    @pytest.mark.parametrize("g", [np.ones(3), lambda t: 1.0], ids=["array", "callable"])
+    def test_source_off_the_grid_refused(self, g):
+        grid = SpaceGrid(16 * math.pi, 256)
+        with pytest.raises(ShapeError, match="sampled on the grid"):
+            picard_solve(drift_cos(), g, 0.25, STABLE15, grid, n_time=8)
 
 
 class TestKolmogorovResidual:
     def test_zero_everything(self):
+        # a zero source converges on its first sweep; kappa < 1 here, so the
+        # solution is certified with or without force_unbalanced
         grid = SpaceGrid(16 * math.pi, 512)
         zero = DriftSpec(lambda t, x: np.zeros_like(x), 1.0, 1.0, 1e-300)
-        sol = picard_solve(zero, np.zeros(grid.n_points), 0.3, STABLE15, grid,
-                           n_time=32)
-        assert kolmogorov_residual(sol, zero, np.zeros(grid.n_points), STABLE15) == 0.0
+        for force in (False, True):
+            sol = picard_solve(zero, np.zeros(grid.n_points), 0.3, STABLE15, grid,
+                               n_time=32, force_unbalanced=force)
+            assert sol.converged and sol.certified
+            assert sol.diffs == () and sol.halvings == 0 and sol.residual == 0.0
+            assert not np.any(sol.u) and not np.any(sol.grad_u)
 
     def test_single_mode_zero_drift(self):
         grid = SpaceGrid(16 * math.pi, 1024)
         g = mode(grid, 4)
         zero = DriftSpec(lambda t, x: np.zeros_like(x), 1.0, 1.0, 1e-300)
         sol = picard_solve(zero, g, 0.25, STABLE15, grid, n_time=128)
-        assert kolmogorov_residual(sol, zero, g, STABLE15) <= 1e-4
+        assert sol.residual <= 1e-4
 
     def test_full_solve_residual_and_refinement(self):
         g_coarse = SpaceGrid(16 * math.pi, 1024)
         src = np.cos(g_coarse.nodes)
         sol = picard_solve(drift_cos(), src, 0.25, STABLE15, g_coarse, n_time=128)
-        res_coarse = kolmogorov_residual(sol, drift_cos(), src, STABLE15)
+        res_coarse = sol.residual
         assert res_coarse <= 5e-3
 
         g_fine = SpaceGrid(16 * math.pi, 2048)
         src_f = np.cos(g_fine.nodes)
         sol_f = picard_solve(drift_cos(), src_f, 0.25, STABLE15, g_fine, n_time=256)
-        res_fine = kolmogorov_residual(sol_f, drift_cos(), src_f, STABLE15)
-        assert res_fine <= res_coarse / 2.0
+        assert sol_f.residual <= res_coarse / 2.0
 
     @pytest.mark.parametrize("n_time", [1, 2, 64])
-    def test_matches_row_by_row_oracle(self, n_time):
-        # the residual of each interior time row, computed one row at a time
+    def test_matches_row_by_row_oracle(self, n_time, monkeypatch):
+        # the residual of each interior time row, computed one row at a time,
+        # for a callable and an array source, with blocks of one row, of three
+        # rows and of more rows than the solve has
         grid = SpaceGrid(16 * math.pi, 512)
         drift = drift_cos_time()
         model = STABLE15
-
-        def src(t):
-            return np.cos(grid.nodes + 2.0 * t)
-
-        sol = picard_solve(drift, src, 0.25, model, grid, n_time=n_time)
-        times, u = sol.times, sol.u
-        delta = times[1] - times[0]
         psi = char_exponent_radial(model, np.abs(grid.dual))
-        worst = 0.0
-        for j in range(1, times.size - 1):
-            du_dt = (u[j + 1] - u[j - 1]) / (2.0 * delta)
-            au = np.fft.ifft(-psi * np.fft.fft(u[j])).real
-            bgrad = drift(float(times[j]), grid.nodes) * sol.grad_u[j]
-            res = float(np.max(np.abs(du_dt + au + bgrad + src(float(times[j])))))
-            worst = max(worst, res)
-        g_sup = max(float(np.max(np.abs(src(float(t))))) for t in times)
-        assert (worst > 0.0) == (n_time > 1)
-        assert kolmogorov_residual(sol, drift, src, model) == worst / g_sup
+        for shift in (2.0, 0.0):
+            def src(t):
+                return np.cos(grid.nodes + shift * t)
+
+            g = src if shift else src(0.0)
+            for rows in (1, 3, 100):
+                monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * grid.n_points * rows)
+                sol = picard_solve(drift, g, 0.25, model, grid, n_time=n_time)
+                times, u = sol.times, sol.u
+                delta = times[1] - times[0]
+                worst = 0.0
+                for j in range(1, times.size - 1):
+                    du_dt = (u[j + 1] - u[j - 1]) / (2.0 * delta)
+                    au = np.fft.ifft(-psi * np.fft.fft(u[j])).real
+                    bgrad = drift(float(times[j]), grid.nodes) * sol.grad_u[j]
+                    res = float(np.max(np.abs(du_dt + au + bgrad + src(float(times[j])))))
+                    worst = max(worst, res)
+                g_sup = max(float(np.max(np.abs(src(float(t))))) for t in times)
+                assert (worst > 0.0) == (n_time > 1)
+                assert sol.residual == worst / g_sup
 
 
 class TestBalanceWitness:
