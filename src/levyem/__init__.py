@@ -13,7 +13,7 @@ Subpackages:
 from .engine import (DriftSpec, drift_const, drift_cos, drift_cos_time,
                      drift_rough, drift_zero, euler_ladder)
 from .harness import (ConvergenceReport, ExperimentConfig, compare_to_theory,
-                      inverse_moment_scaling, mc_strong_error, run_experiment)
+                      mc_strong_error, run_experiment)
 from .models import (Family, LevyModel, MomentIndices, RatePrediction,
                      SubordinatorSpec, balance_check, balance_margin,
                      bernstein_eval, char_exponent_radial, kappa_exponent,

@@ -15,10 +15,13 @@ way to simulate: it advances a batch of fine paths and every coarse level
 together, and the Monte Carlo harness calls it once per block of paths.
 It keeps only the current state of each path and each level's running sup
 gap, never a path table, so its memory does not grow with the step count.
+States are updated in place, and the squared gaps of a few steps at a time
+are folded into the sup with one max-reduction, which is exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,6 +36,9 @@ _GL4_WEIGHTS = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                                0.6521451548625461, 0.3478548451374538])
 
 VARIANTS = ("frozen", "timeint")
+
+# steps whose squared gaps are buffered before they are folded into the sup
+_GAP_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -114,15 +120,16 @@ def as_state(x0, d: int) -> np.ndarray:
     return x
 
 
-def _step_drift(drift: DriftSpec, t_lo: float, dt: float, x, variant: str):
-    """Drift contribution of one step given the frozen state argument x."""
+def _step_drift(drift: DriftSpec, t_lo: float, dt: float, x, variant: str, out=None):
+    """Drift contribution of one step given the frozen state argument x,
+    written into ``out`` when it is given."""
     if variant == "frozen":
-        return drift(t_lo, x) * dt
+        return np.multiply(drift(t_lo, x), dt, out=out)
     if variant == "timeint":
         acc = 0.0
         for w, c in zip(_GL4_WEIGHTS, _GL4_NODES):
             acc = acc + w * drift(t_lo + c * dt, x)
-        return acc * dt
+        return np.multiply(acc, dt, out=out)
     raise DomainError(f"unknown scheme variant {variant!r}")
 
 
@@ -151,24 +158,48 @@ def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
     dt = T / n
     times = T * np.arange(n + 1) / n
     level_times = [T * np.arange(n // f + 1) / (n // f) for f in factors]
+    # the levels that start a coarse step at step i are schedule[i % period],
+    # one shared list per distinct set (a list: an empty tuple as an index
+    # selects every level); the keys are tuples of lists, because tuple() of
+    # a generator allocates large and shrinks, and CPython's free lists then
+    # keep thousands of the shrunk tuples
+    period = math.lcm(*factors)
+    starts = {}
+    schedule = []
+    for i in range(period):
+        levels = [k for k, f in enumerate(factors, 1) if i % f == 0]
+        schedule.append(starts.setdefault(tuple(levels), levels))
     x = np.tile(as_state(x0, d), (len(factors) + 1, paths, 1))
-    sup2 = np.zeros((len(factors), paths))
+    fine, coarse = x[0], x[1:]  # views: x is only ever updated in place
     held = x.copy()  # per level: drift term (frozen) or drift argument (timeint)
+    sup2 = np.zeros((len(factors), paths))
+    gap = None if d == 1 else np.empty((len(factors), paths, d))
+    gap2 = np.empty((_GAP_ROWS, len(factors), paths))  # squared gaps, one row per step
     for i in range(n):
-        new = [k for k, f in enumerate(factors, 1) if i % f == 0]
+        new = schedule[i % period]
         if variant == "frozen":
-            held[0] = _step_drift(drift, times[i], dt, x[0], variant)
+            _step_drift(drift, times[i], dt, fine, variant, out=held[0])
             for k in new:
                 j = i // factors[k - 1]
-                held[k] = _step_drift(drift, level_times[k - 1][j], dt, x[k], variant)
+                _step_drift(drift, level_times[k - 1][j], dt, x[k], variant, out=held[k])
             term = held
         else:
-            held[0] = x[0]
+            held[0] = fine
             held[new] = x[new]
             term = _step_drift(drift, times[i], dt, held, variant)
-        x = x + term + noise[:, i]
-        gap = x[0] - x[1:]
-        np.maximum(sup2, np.add.reduce(gap * gap, axis=-1), out=sup2)
+        np.add(x, term, out=x)
+        np.add(x, noise[:, i], out=x)
+        row = i % _GAP_ROWS
+        # in d = 1 the squared gap is its own sum over coordinates, bit for bit
+        sq = gap2[row, ..., None] if d == 1 else gap
+        np.subtract(fine, coarse, out=sq)
+        np.multiply(sq, sq, out=sq)
+        if d > 1:
+            np.add.reduce(sq, axis=-1, out=gap2[row])
+        if row == _GAP_ROWS - 1 or i == n - 1:
+            # max is exact and carries NaN, so folding the rows in blocks
+            # gives the per-step running max bit for bit
+            np.maximum(sup2, np.maximum.reduce(gap2[:row + 1], axis=0), out=sup2)
     # the sup of squared distances: sqrt is monotone, so this equals the sup
     # of np.linalg.norm(gap, axis=-1) bit for bit
-    return x[0], np.sqrt(sup2)
+    return fine, np.sqrt(sup2)

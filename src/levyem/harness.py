@@ -9,8 +9,9 @@ exponent min{1, p beta/gamma0, p eta}.
 Paths run serially, one block of ``ExperimentConfig.chunk`` paths at a
 time, and each path draws from its own stream; so the report does not depend
 on the block size, which only bounds the memory one block holds.  A block
-holds one noise buffer of n_ref x chunk x d floats: the ladder keeps each
-path's current state and running sup gap, not its fine path.
+holds one time-major noise buffer of n_ref x chunk x d floats, filled from a
+tile of a few paths at a time: the ladder keeps each path's current state and
+running sup gap, not its fine path.
 """
 
 from __future__ import annotations
@@ -25,16 +26,17 @@ import numpy as np
 
 from .engine import VARIANTS, DriftSpec, as_state, euler_ladder
 from .errors import DegenerateExactError, DomainError, ExperimentAbortedError
-from .fitting import PowerLawFit, fit_decay_rate, fit_powerlaw
-from .models import (LevyModel, RatePrediction, SubordinatorSpec,
-                     check_rate_scope, predict_for_model)
+from .fitting import PowerLawFit, fit_decay_rate
+from .models import LevyModel, RatePrediction, check_rate_scope, predict_for_model
 from .rng import RngStream
-from .samplers import MAX_ELEMENTS, increments, sample_subordinator
+from .samplers import MAX_ELEMENTS, increments
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_FASTER = "faster-than-bound"
 VERDICT_VIOLATES = "violates-bound"
 VERDICT_DEGENERATE = "degenerate-exact"
+
+_TILE = 8  # paths drawn before they are copied into a block's noise buffer
 
 
 @dataclass(frozen=True)
@@ -150,17 +152,27 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
+def _noise_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """Fine increments of paths lo..hi-1 in one time-major (n_ref, paths, d)
+    buffer, so the step the ladder reads next, noise[:, i], is one
+    contiguous row.  Paths are drawn a tile of _TILE at a time, and each
+    tile's transpose is copied in, which writes every cache line of the
+    buffer once.  No tile is named, so none outlives its copy."""
+    buf = np.empty((config.n_ref, hi - lo, config.model.dim))
+    for start in range(lo, hi, _TILE):
+        stop = min(start + _TILE, hi)
+        buf[:, start - lo:stop - lo] = np.stack(
+            [increments(config.model, config.T, config.n_ref, RngStream(config.seed, k + 1)).values
+             for k in range(start, stop)]).transpose(1, 0, 2)
+    return buf
+
+
 def _path_block(config: ExperimentConfig, p_eff: float, lo: int, hi: int):
     """Sup-error^p for paths lo..hi-1, one column per ladder entry."""
-    # one time-major buffer: each path's increments fill a column, and the
-    # step the ladder reads next, noise[:, i], is one contiguous row
-    buf = np.empty((config.n_ref, hi - lo, config.model.dim))
-    for j, k in enumerate(range(lo, hi)):
-        buf[:, j] = increments(config.model, config.T, config.n_ref,
-                               RngStream(config.seed, k + 1)).values
+    noise = _noise_block(config, lo, hi).transpose(1, 0, 2)
     factors = [config.n_ref // n for n in config.n_list]
-    _, sup = euler_ladder(config.drift, config.x0, config.T, buf.transpose(1, 0, 2),
-                          factors, config.variant)
+    _, sup = euler_ladder(config.drift, config.x0, config.T, noise, factors,
+                          config.variant)
     return (sup ** p_eff).T
 
 
@@ -242,56 +254,3 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     return ConvergenceReport(config_summary=summary, table=table,
                              prediction=prediction, verdict=verdict,
                              fitted=fitted, notes=tuple(notes))
-
-
-# ----------------------------------------------------------------------
-# subordination inverse-moment diagnostic
-# ----------------------------------------------------------------------
-
-GAUSS_INV_NORM_3D = math.sqrt(2.0 / math.pi)  # E 1/|Z| for Z ~ N(0, I_3)
-
-
-@dataclass(frozen=True)
-class InverseMomentResult:
-    t_values: tuple
-    estimates: tuple        # E[S_t^(-1/2)] * E|B_1^(d+2)|^(-1) per t
-    slope: Optional[float]
-    target_slope: float
-    norm_constant: float    # MC estimate of E|B_1^(d+2)|^(-1)
-    norm_stderr: float
-    diverged: bool = False
-
-
-def inverse_moment_scaling(sub: SubordinatorSpec, d: int, t_list, M: int,
-                           seed: int) -> InverseMomentResult:
-    """Fit the t-exponent of E[S_t^(-1/2)] E|B_1^(d+2)|^(-1).
-
-    For a subordinator of lower index rho the product must scale like
-    t^(-1/(2 rho)); the Brownian factor uses standard normal coordinates so
-    the d+2 = 3 constant is sqrt(2/pi)."""
-    if d < 1:
-        raise DomainError("d must be >= 1")
-    t_list = tuple(float(t) for t in t_list)
-    if any(t <= 0 or t > 1 for t in t_list) or len(t_list) < 2:
-        raise DomainError("t_list must contain at least two values in (0, 1]")
-    z = RngStream(seed, 0).generator().standard_normal((M, d + 2))
-    inv_norm = 1.0 / np.linalg.norm(z, axis=1)
-    const = float(inv_norm.mean())
-    const_se = float(inv_norm.std(ddof=1) / math.sqrt(M))
-
-    estimates = []
-    for k, t in enumerate(t_list):
-        s = sample_subordinator(sub, t, RngStream(seed, k + 1), size=M)
-        with np.errstate(divide="ignore"):
-            inv = s ** (-0.5)
-        estimates.append(float(np.mean(inv)) * const)
-    target = -1.0 / (2.0 * sub.rho)
-    if not all(math.isfinite(e) for e in estimates):
-        return InverseMomentResult(t_values=t_list, estimates=tuple(estimates),
-                                   slope=None, target_slope=target,
-                                   norm_constant=const, norm_stderr=const_se,
-                                   diverged=True)
-    fit = fit_powerlaw(np.asarray(t_list), np.asarray(estimates))
-    return InverseMomentResult(t_values=t_list, estimates=tuple(estimates),
-                               slope=fit.exponent, target_slope=target,
-                               norm_constant=const, norm_stderr=const_se)

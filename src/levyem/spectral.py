@@ -24,6 +24,7 @@ from .errors import DomainError, ResolutionError, ShapeError, StiffnessError
 from .fitting import fit_powerlaw
 from .models import (Family, LevyModel, SubFamily, char_exponent_radial,
                      kappa_exponent, stable_constant)
+from .samplers import MAX_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,6 @@ class DensityTable:
     deriv1: np.ndarray
     deriv2: np.ndarray
     mass: float
-    tail_estimate: float
 
     def to_csv(self, path, max_rows: Optional[int] = None) -> None:
         stride = 1 if max_rows is None else max(1, self.grid.n_points // max_rows)
@@ -201,8 +201,7 @@ def density_fft(model: LevyModel, t: float, grid: SpaceGrid) -> DensityTable:
     d1 = invert(work)
     d2 = invert(xi, out=xi)
     return DensityTable(model=model, t=t, grid=grid, values=vals, deriv1=d1,
-                        deriv2=d2, mass=mass,
-                        tail_estimate=tail_mass_estimate(model, t, grid.half_width))
+                        deriv2=d2, mass=mass)
 
 
 def grad_l1_norm(table: DensityTable) -> float:
@@ -413,6 +412,9 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         raise DomainError(f"T must be finite and > 0, got {T}")
     if n_time < 1:
         raise DomainError("n_time must be at least 1")
+    if n_time + 1 > MAX_ELEMENTS // grid.n_points:
+        raise DomainError(f"n_time={n_time} time steps of {grid.n_points} points are more "
+                          f"elements than an array can hold (at most {MAX_ELEMENTS})")
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
     if not 0 < tol < math.inf:

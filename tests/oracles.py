@@ -4,19 +4,24 @@ Each one checks a library result by a route the library does not take:
 dyadic-shell quadrature for the closed-form moment indices, random-pair
 spot checks for a drift's declared regularity, a node-clustered resolvent
 integral for the Picard solve, and a one-row Hoelder quotient for the
-certificate's seminorms.
+certificate's seminorms.  The subordination inverse-moment diagnostic behind
+acceptance criterion A10 lives here too: no command runs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from levyem.engine import DriftSpec
 from levyem.errors import DensityError, DomainError, ShapeError
-from levyem.models import LevyModel
+from levyem.fitting import fit_powerlaw
+from levyem.models import LevyModel, SubordinatorSpec
+from levyem.rng import RngStream
+from levyem.samplers import sample_subordinator
 from levyem.spectral import (SpaceGrid, _dyadic_peaks, _holder_quotient, _phi1,
                              _phi2, _psi_on_grid)
 
@@ -165,3 +170,56 @@ def holder_seminorm(values: np.ndarray, theta: float, spacing: float,
     """
     values = np.asarray(values, dtype=float).reshape(1, -1)
     return _holder_quotient(_dyadic_peaks(values, spacing, max_sep), theta)
+
+
+# ----------------------------------------------------------------------
+# subordination inverse-moment diagnostic
+# ----------------------------------------------------------------------
+
+GAUSS_INV_NORM_3D = math.sqrt(2.0 / math.pi)  # E 1/|Z| for Z ~ N(0, I_3)
+
+
+@dataclass(frozen=True)
+class InverseMomentResult:
+    t_values: tuple
+    estimates: tuple        # E[S_t^(-1/2)] * E|B_1^(d+2)|^(-1) per t
+    slope: Optional[float]
+    target_slope: float
+    norm_constant: float    # MC estimate of E|B_1^(d+2)|^(-1)
+    norm_stderr: float
+    diverged: bool = False
+
+
+def inverse_moment_scaling(sub: SubordinatorSpec, d: int, t_list, M: int,
+                           seed: int) -> InverseMomentResult:
+    """Fit the t-exponent of E[S_t^(-1/2)] E|B_1^(d+2)|^(-1).
+
+    For a subordinator of lower index rho the product must scale like
+    t^(-1/(2 rho)); the Brownian factor uses standard normal coordinates so
+    the d+2 = 3 constant is sqrt(2/pi)."""
+    if d < 1:
+        raise DomainError("d must be >= 1")
+    t_list = tuple(float(t) for t in t_list)
+    if any(t <= 0 or t > 1 for t in t_list) or len(t_list) < 2:
+        raise DomainError("t_list must contain at least two values in (0, 1]")
+    z = RngStream(seed, 0).generator().standard_normal((M, d + 2))
+    inv_norm = 1.0 / np.linalg.norm(z, axis=1)
+    const = float(inv_norm.mean())
+    const_se = float(inv_norm.std(ddof=1) / math.sqrt(M))
+
+    estimates = []
+    for k, t in enumerate(t_list):
+        s = sample_subordinator(sub, t, RngStream(seed, k + 1), size=M)
+        with np.errstate(divide="ignore"):
+            inv = s ** (-0.5)
+        estimates.append(float(np.mean(inv)) * const)
+    target = -1.0 / (2.0 * sub.rho)
+    if not all(math.isfinite(e) for e in estimates):
+        return InverseMomentResult(t_values=t_list, estimates=tuple(estimates),
+                                   slope=None, target_slope=target,
+                                   norm_constant=const, norm_stderr=const_se,
+                                   diverged=True)
+    fit = fit_powerlaw(np.asarray(t_list), np.asarray(estimates))
+    return InverseMomentResult(t_values=t_list, estimates=tuple(estimates),
+                               slope=fit.exponent, target_slope=target,
+                               norm_constant=const, norm_stderr=const_se)

@@ -12,9 +12,7 @@ import pytest
 
 from levyem.engine import (drift_const, drift_cos, drift_rough, drift_zero,
                            euler_ladder)
-from levyem.harness import (GAUSS_INV_NORM_3D, VERDICT_VIOLATES,
-                            ExperimentConfig, inverse_moment_scaling,
-                            run_experiment)
+from levyem.harness import VERDICT_VIOLATES, ExperimentConfig, run_experiment
 from levyem.models import (LevyModel, SubordinatorSpec, balance_check,
                            char_exponent_radial, kappa_exponent)
 from levyem.rng import RngStream
@@ -22,6 +20,7 @@ from levyem.samplers import increments
 from levyem.spectral import (SpaceGrid, density_fft, grad_l1_norm,
                              gradient_scaling_exponent, picard_solve,
                              second_l1_norm, suggest_grid)
+from oracles import GAUSS_INV_NORM_3D, inverse_moment_scaling
 
 
 def report(tag, ok, detail):

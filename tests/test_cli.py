@@ -209,6 +209,8 @@ MALFORMED = [
     ("converge", STABLE_MODEL + "[drift]\nname = cos\n[experiment]\np = 1.0\n"
      f"n_list = 4,8,16\nn_ref = {2**55}\npaths = 100\nseed = 3\n",
      f"n_ref={2**55} steps of 100 paths in dim=1 are more elements than an array"),
+    ("kolmogorov", MODE_SOURCE + f"mode:1\nn_time = {2**52}\n",
+     f"n_time={2**52} time steps of 512 points are more elements than an array"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -199,3 +200,54 @@ class TestDriftCatalog:
             drift_rough(1.0)
         with pytest.raises(DomainError):
             DriftSpec(lambda t, x: x, beta=0.0, eta=1.0, bound=1.0)
+
+
+# sha256 of the other paths' terminal states and sup gaps in
+# test_nan_step_marks_only_its_path, recorded before the sup gap was folded
+# in blocks of steps
+NAN_OTHERS_SHA256 = {
+    "frozen-d1-step0":
+        "b00e7db6d7cf165abfa42f9f262b38175f59f2707ba208dc6b6a6f159eddb694",
+    "frozen-d1-step21":
+        "b00e7db6d7cf165abfa42f9f262b38175f59f2707ba208dc6b6a6f159eddb694",
+    "frozen-d1-step39":
+        "b00e7db6d7cf165abfa42f9f262b38175f59f2707ba208dc6b6a6f159eddb694",
+    "frozen-d3-step0":
+        "b7d50702ee66998f8b147aa245c6fd2b4a7c838d6a01c9a1cdfb89b94de76e6f",
+    "frozen-d3-step21":
+        "b7d50702ee66998f8b147aa245c6fd2b4a7c838d6a01c9a1cdfb89b94de76e6f",
+    "frozen-d3-step39":
+        "b7d50702ee66998f8b147aa245c6fd2b4a7c838d6a01c9a1cdfb89b94de76e6f",
+    "timeint-d1-step0":
+        "accfdf045e5aeb811415614e638a7cf14e33faab7afa5f4558d1937c6a6c672d",
+    "timeint-d1-step21":
+        "accfdf045e5aeb811415614e638a7cf14e33faab7afa5f4558d1937c6a6c672d",
+    "timeint-d1-step39":
+        "accfdf045e5aeb811415614e638a7cf14e33faab7afa5f4558d1937c6a6c672d",
+    "timeint-d3-step0":
+        "0fc8a8ea0b48d84ea08de23cec2a738c64f5be6139161e529c32b93cdd36df1d",
+    "timeint-d3-step21":
+        "0fc8a8ea0b48d84ea08de23cec2a738c64f5be6139161e529c32b93cdd36df1d",
+    "timeint-d3-step39":
+        "0fc8a8ea0b48d84ea08de23cec2a738c64f5be6139161e529c32b93cdd36df1d",
+}
+
+
+@pytest.mark.parametrize("variant", ["frozen", "timeint"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("step", [0, 21, 39])
+def test_nan_step_marks_only_its_path(variant, d, step):
+    # a NaN increment at one step of one path gives that path a NaN sup at
+    # every level, however the steps are grouped before their gaps are folded,
+    # and leaves every other path as it was
+    noise = RngStream(41, d).generator().standard_cauchy((4, 40, d)) * 0.1
+    clean_x, clean_sup = euler_ladder(drift_cos_time(), 0.3, 1.0, noise, (8, 4, 2), variant)
+    noise[2, step, d - 1] = np.nan
+    x_T, sup = euler_ladder(drift_cos_time(), 0.3, 1.0, noise, (8, 4, 2), variant)
+    assert np.isnan(sup[:, 2]).all()
+    others = [0, 1, 3]
+    assert not np.isnan(sup[:, others]).any()
+    assert x_T[others].tobytes() == clean_x[others].tobytes()
+    assert sup[:, others].tobytes() == clean_sup[:, others].tobytes()
+    got = hashlib.sha256(x_T[others].tobytes() + sup[:, others].tobytes()).hexdigest()
+    assert got == NAN_OTHERS_SHA256[f"{variant}-d{d}-step{step}"]

@@ -12,16 +12,15 @@ from levyem.engine import (VARIANTS, drift_const, drift_cos, drift_cos_time,
 from levyem.errors import (DegenerateExactError, DomainError,
                            ExperimentAbortedError)
 from levyem.fitting import fit_decay_rate, fit_powerlaw
-from levyem.harness import (GAUSS_INV_NORM_3D, VERDICT_CONSISTENT,
-                            VERDICT_DEGENERATE, VERDICT_FASTER,
-                            VERDICT_VIOLATES, ExperimentConfig,
-                            compare_to_theory, inverse_moment_scaling,
+from levyem.harness import (VERDICT_CONSISTENT, VERDICT_DEGENERATE, VERDICT_FASTER,
+                            VERDICT_VIOLATES, ExperimentConfig, compare_to_theory,
                             mc_strong_error, run_experiment)
 from levyem.models import Family, LevyModel, SubordinatorSpec
 from levyem.rng import RngStream
 from levyem.samplers import increments
 from levyem.engine import DriftSpec
 from levyem import harness
+from oracles import GAUSS_INV_NORM_3D, inverse_moment_scaling
 
 
 def small_config(**overrides):

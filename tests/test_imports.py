@@ -139,7 +139,6 @@ UNUSED_EXPORTS = {
     "load_batch": "the documented reader of the replay format that `sample` writes",
     "semigroup_apply": "the benchmark's warm-up calls it; it leaves with the next "
                        "benchmark change",
-    "inverse_moment_scaling": "the A10 inverse-moment diagnostic the README documents",
 }
 
 
