@@ -532,6 +532,13 @@ def _tail_split(density: RadialDensity, eps: float):
     return tuple(pieces), weights / weights.sum()
 
 
+# Per-jump draws and tests run this many jumps at a time, so no whole-path
+# temporary joins the radii.  The stream is that of one whole draw: a uniform
+# takes one 64-bit output, and integers(0, 2) one 32-bit output whose spare
+# half the bit generator keeps.
+_DRAW_CHUNK = 8192
+
+
 def _sample_piece(p: _Piece, lo: float, hi: float, size: int, gen) -> np.ndarray:
     lo_p = lo ** (-p.s)
     hi_p = 0.0 if not math.isfinite(hi) else hi ** (-p.s)
@@ -545,10 +552,17 @@ def _sample_piece(p: _Piece, lo: float, hi: float, size: int, gen) -> np.ndarray
         return u
 
     def accepted(r):
-        # the tilt's acceptance test, uniform < exp(-m (r - lo))
-        test = np.subtract(r, lo)
-        np.multiply(test, -p.m, out=test)
-        return gen.uniform(size=r.size) < np.exp(test, out=test)
+        # the tilt's acceptance test, uniform < exp(-m (r - lo)), a chunk at a time
+        acc = np.empty(r.size, dtype=bool)
+        test = np.empty(min(r.size, _DRAW_CHUNK))
+        for start in range(0, r.size, _DRAW_CHUNK):
+            chunk = r[start:start + _DRAW_CHUNK]
+            t = test[:chunk.size]
+            np.subtract(chunk, lo, out=t)
+            np.multiply(t, -p.m, out=t)
+            np.less(gen.uniform(size=chunk.size), np.exp(t, out=t),
+                    out=acc[start:start + chunk.size])
+        return acc
 
     out = inverse_cdf(gen.uniform(size=size))
     if p.m == 0.0:

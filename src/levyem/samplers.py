@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedModelError
-from .models import (Family, LevyModel, SubFamily, SubordinatorSpec,
+from .models import (_DRAW_CHUNK, Family, LevyModel, SubFamily, SubordinatorSpec,
                      radial_density)
 from .rng import RngStream, as_generator
 
@@ -234,8 +234,11 @@ def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
         total = int(counts.sum())
         if total:
             radii = rd.sample_tail(epsilon, total, gen)
-            # a fair sign per jump: negative where the draw is 0
-            np.negative(radii, out=radii, where=gen.integers(0, 2, total) == 0)
+            # a fair sign per jump, negative where the draw is 0: every radius
+            # is positive, so copysign sets the sign bit and nothing else
+            for start in range(0, total, _DRAW_CHUNK):
+                chunk = radii[start:start + _DRAW_CHUNK]
+                np.copysign(chunk, gen.integers(0, 2, chunk.size) - 0.5, out=chunk)
             owner = np.repeat(np.arange(size), counts)
             values += np.bincount(owner, weights=radii, minlength=size)
     return values, meta

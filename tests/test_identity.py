@@ -5,8 +5,11 @@ Pinned: ``euler_ladder`` terminal states and sup gaps for both variants in
 d = 1 and 3 on fixed noise (including no levels, a level of factor 1, step
 counts below and not a multiple of the ladder's gap-buffer length);
 ``mc_strong_error`` means and stderrs at 300 paths (one full block and one
-partial block); and ``increments`` at small ``n`` for every catalog family
-that has a sampler.
+partial block); ``increments`` at small ``n`` for every catalog family
+that has a sampler, and at ``n = 512`` (about 32,000 jumps) for the
+jump-decomposition families; ``density_fft`` for six families at jittered
+times; and ``picard_solve`` over families, drifts (one of which halves the
+horizon), step counts and array, callable and zero sources.
 
 Regenerate the table with
 
@@ -17,14 +20,17 @@ purpose re-records its rows and lists the largest differences in CHANGES.md.
 """
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
-from levyem.engine import drift_cos, drift_cos_time, drift_rough, euler_ladder
+from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough, euler_ladder
 from levyem.harness import ExperimentConfig, mc_strong_error
 from levyem.models import LevyModel, SubordinatorSpec
 from levyem.rng import RngStream
 from levyem.samplers import increments
+from levyem.spectral import SpaceGrid, density_fft, picard_solve
 
 LADDER_DRIFTS = {"cos_time": drift_cos_time(), "rough_sin": drift_rough(0.5)}
 # (n, factors): no levels, a factor-1 level, n below 16 and n not a multiple of 16
@@ -81,6 +87,70 @@ def increments_bytes(name):
     return increments(SAMPLER_MODELS[name], 0.5, 16, RngStream(23, 4)).values.tobytes()
 
 
+# about 64 jumps per step: several chunks of the jump path and a partial last one
+LONG_SAMPLER_MODELS = {
+    "tempered-1.5-1": LevyModel.tempered_stable(1.5, 1.0),
+    "tempered-1.3-2": LevyModel.tempered_stable(1.3, 2.0),
+    "truncated-1.5": LevyModel.truncated_stable(1.5),
+    "layered-1.5-2.5": LevyModel.layered_stable(1.5, 2.5),
+}
+
+
+def long_increments_bytes(name):
+    return increments(LONG_SAMPLER_MODELS[name], 1.0, 512, RngStream(29, 6)).values.tobytes()
+
+
+def _hex(values):
+    return repr([float(v).hex() for v in values]).encode()
+
+
+SPECTRAL_MODELS = {
+    "brownian": LevyModel.brownian(),
+    "isotropic-1.5": LevyModel.isotropic_stable(1.5),
+    "relativistic-1.7-1": LevyModel.relativistic_stable(1.7, 1.0),
+    "tempered-1.5-1": LevyModel.tempered_stable(1.5, 1.0),
+    "truncated-1.5": LevyModel.truncated_stable(1.5),
+    "layered-1.5-2.5": LevyModel.layered_stable(1.5, 2.5),
+}
+# five jittered times, none twice another
+DENSITY_TIMES = (0.0512, 0.0981, 0.2043, 0.3962, 0.8127)
+DENSITY_GRID = SpaceGrid(64.0, 2 ** 12)
+
+
+def density_bytes(name, t):
+    table = density_fft(SPECTRAL_MODELS[name], t, DENSITY_GRID)
+    return (table.values.tobytes() + table.deriv1.tobytes() + table.deriv2.tobytes()
+            + _hex([table.mass]))
+
+
+PICARD_MODELS = ("isotropic-1.5", "brownian", "relativistic-1.7-1", "tempered-1.5-1")
+# (drift, T, solver keywords); "strong" halves the horizon in some cases
+PICARD_DRIFTS = {
+    "cos": (drift_cos(), 0.25, {}),
+    "cos_time": (drift_cos_time(), 0.25, {}),
+    "rough_sin": (drift_rough(0.7), 0.25, {}),
+    "strong": (DriftSpec(lambda t, x: 5.0 * np.cos(x + t), 1.0, 1.0, 5.0), 0.5,
+               {"target_ratio": 0.5}),
+}
+PICARD_GRID = SpaceGrid(16 * math.pi, 512)
+PICARD_SOURCES = {
+    "array": np.cos(PICARD_GRID.nodes),
+    "callable": lambda t: np.cos(PICARD_GRID.nodes + 2.0 * t),
+    "zero": np.zeros(PICARD_GRID.n_points),
+}
+
+
+def picard_bytes(name, drift, n_time, source):
+    fn, T, kwargs = PICARD_DRIFTS[drift]
+    sol = picard_solve(fn, PICARD_SOURCES[source], T, SPECTRAL_MODELS[name], PICARD_GRID,
+                       n_time=n_time, **kwargs)
+    cert = sorted(sol.certificate.items())
+    scalars = (sol.diffs + (sol.horizon, sol.halvings, sol.converged, sol.certified,
+                            sol.kappa, sol.residual) + tuple(v for _, v in cert))
+    return (sol.u.tobytes() + sol.grad_u.tobytes() + sol.times.tobytes()
+            + repr([k for k, _ in cert]).encode() + _hex(scalars))
+
+
 def _cases():
     cases = {}
     for variant in ("frozen", "timeint"):
@@ -91,6 +161,17 @@ def _cases():
                     cases[key] = (ladder_bytes, variant, drift, d, n, factors)
     cases.update({f"mc/{name}": (mc_bytes, name) for name in MC_CONFIGS})
     cases.update({f"increments/{name}": (increments_bytes, name) for name in SAMPLER_MODELS})
+    cases.update({f"increments-512/{name}": (long_increments_bytes, name)
+                  for name in LONG_SAMPLER_MODELS})
+    for name in SPECTRAL_MODELS:
+        for t in DENSITY_TIMES:
+            cases[f"density/{name}/t{t}"] = (density_bytes, name, t)
+    for name in PICARD_MODELS:
+        for drift in PICARD_DRIFTS:
+            for n_time in (1, 2, 37):
+                for source in PICARD_SOURCES:
+                    key = f"picard/{name}/{drift}/n{n_time}/{source}"
+                    cases[key] = (picard_bytes, name, drift, n_time, source)
     return cases
 
 
@@ -291,6 +372,362 @@ SHA256 = {
         "dfafc12b707b8cf7c142c3a307b65f56b4318a440d4ee5cdd7da705bb9fea5c9",
     "increments/layered-1.5-2.5":
         "6116c2560d15bca188a605de8fad9da62e4ff8e474082fbb6353f368356fce8d",
+    "increments-512/tempered-1.5-1":
+        "364811c79c7f80265922c80b0f894cc4c6f54407d93c4b6017fc5a6241612f76",
+    "increments-512/tempered-1.3-2":
+        "6b32ef47656f0f1bc59cd8c84e5ea7c83bff84c5825b36da45c0306999af5370",
+    "increments-512/truncated-1.5":
+        "f01bd8bb0451c5de32c1cde94dbb1bd78f5a15db5c7a2889fbcc3df5efa0aaeb",
+    "increments-512/layered-1.5-2.5":
+        "27a621d5fd4eb7ce130e143cd353e49493eafa592d7356ee5e7a9619cf4bf5f9",
+    "density/brownian/t0.0512":
+        "bc42cffdda79e42f4490d0373e53d502d51c5195afb7c39c66406496e1291bd6",
+    "density/brownian/t0.0981":
+        "7ccdd82474bd52f9585152c8ad4f332abdfe054bd65e5613617461ccfdd56039",
+    "density/brownian/t0.2043":
+        "ec7c95f606f3dd6106bc681fdeab1022c779c91c50fc5ec370213b49580ce546",
+    "density/brownian/t0.3962":
+        "1b15b7ebeab0294314412889ca2564533ec0b41016b17cc286d0df0b48b60476",
+    "density/brownian/t0.8127":
+        "168e10838dc973197e13c5c79f0b96055de77194081788bacf63ef46e702effa",
+    "density/isotropic-1.5/t0.0512":
+        "fd9bdff7e3b4df39186f0c18b4999dc7ecbb5210f9b5e5db0b6306dc048342fa",
+    "density/isotropic-1.5/t0.0981":
+        "1ef724bab02bdfc0de982767909938bcc6405f2df696b167306aa4e630dda298",
+    "density/isotropic-1.5/t0.2043":
+        "14c9053d11de8250aa9d10367a87423cbc375d7b615e2ff677ca8a9f9c646f0f",
+    "density/isotropic-1.5/t0.3962":
+        "96b67b919bfe565ecaff63a77034d8cb9fcba6c807171c76ce1a3a372a0b53eb",
+    "density/isotropic-1.5/t0.8127":
+        "bb75910f68033b31f9ae9bb82d09b86e8d8124681da7ef8d3e335808c57d1df0",
+    "density/relativistic-1.7-1/t0.0512":
+        "bf3a4b8579678ed90438b915a58aeda18431be475015af71e84df50e113e25e9",
+    "density/relativistic-1.7-1/t0.0981":
+        "c70a6fa1e5fe867fcb07bd2f2553ab557474bcab32d95ce19c71c96ef3a3ba04",
+    "density/relativistic-1.7-1/t0.2043":
+        "4224ac5f5b3e98f95f8d0254db4076601d856ad6b2af5a65c8b7f3ea9ad140e6",
+    "density/relativistic-1.7-1/t0.3962":
+        "6337222551900fd837cc68e7fa1cc5e0929d34dbdc332659e6f04cbab733f315",
+    "density/relativistic-1.7-1/t0.8127":
+        "1ab52fbe2b1c591ef5f388ff2e4b8dd48ebdc5be3554f9b7442ac27ac2a713dd",
+    "density/tempered-1.5-1/t0.0512":
+        "49e8ffd048bcf0c3780b125d9441eda6dc4f61fbb28bdef111a6551f74b69bbc",
+    "density/tempered-1.5-1/t0.0981":
+        "d4ad7aa7b1772fa2f1e5d6394d2ad679b41f9844f7c809132425c8cffec00d7d",
+    "density/tempered-1.5-1/t0.2043":
+        "e70d798e8b3244ea456ca3d4c8aa4d2d9199a199b7fc286a663b9225f731acfc",
+    "density/tempered-1.5-1/t0.3962":
+        "3eea5f9915e8cea32b989f006fe87366cd46ff38394a8b2bd003d28dec8b2dcb",
+    "density/tempered-1.5-1/t0.8127":
+        "d119a08b104e8de5a2f5e9a881b45fa923255469dedbf8d7e7845dc51197473f",
+    "density/truncated-1.5/t0.0512":
+        "bf35cca2ffd244c2d4ad2fd92344cb83338e5ad0321a20dda497fa0c3a2b4bb4",
+    "density/truncated-1.5/t0.0981":
+        "2ad0024c723dabef40f8350a5707e219304127adbab974c8364bc0278867d0df",
+    "density/truncated-1.5/t0.2043":
+        "1e728c3cae2fbcc99c8ab90a67e9c131ea17d849779551268390cab38cbe1fa1",
+    "density/truncated-1.5/t0.3962":
+        "81b0534a97548c66a166c9350f68c9541e0ade02208c62a2937f1e9300ff65cb",
+    "density/truncated-1.5/t0.8127":
+        "2b79307b2ec6a74d7aa84fd22147b503094d020024e77b248373a47310a1e183",
+    "density/layered-1.5-2.5/t0.0512":
+        "9dd7c8247ac82005ac0f8ac2c805efc12ecda88be51e0bf28068b66cb7d47366",
+    "density/layered-1.5-2.5/t0.0981":
+        "c02d8a6ad4e9510060d68b74545777b3e7b96d1a861cf41e64f0fb8d06fa4dc1",
+    "density/layered-1.5-2.5/t0.2043":
+        "579f81e3d07b1f239c36e6275c8c7310a803f13fe3375fd5bdec9e498a915516",
+    "density/layered-1.5-2.5/t0.3962":
+        "e8ee0943d162f058d4927be29e93d3334b570b8402711dbf6c8a85956d2f896a",
+    "density/layered-1.5-2.5/t0.8127":
+        "96d2d98ea516eb7f348d04b8674960115fb56eebc4a7977b8040f384a8b83dca",
+    "picard/isotropic-1.5/cos/n1/array":
+        "b8aad21e674b96ed0313aa0d193085530affbdf5059187e6afe73cd341fb41d4",
+    "picard/isotropic-1.5/cos/n1/callable":
+        "8c3f10856cd2d3e3caaf4765dc7d15f0c41fe255ef7f3e8d9e71c25bfa2a9fe9",
+    "picard/isotropic-1.5/cos/n1/zero":
+        "9345d670624fceb97f7e6e3bb95bcfed90489e09162b7cc5ad78ce5685e3f9b8",
+    "picard/isotropic-1.5/cos/n2/array":
+        "a6d37ff098af709a60ae26ad65b72533b13b4756b4b267ac0c32b195dedc6d56",
+    "picard/isotropic-1.5/cos/n2/callable":
+        "00ee42277feb5874c2c38929927e7ba1a20f1135f6a123ca9e857e7e2fff2eb6",
+    "picard/isotropic-1.5/cos/n2/zero":
+        "234f46d38595d9689b332a68287da0543692d6adb545a0d2c1a7093e535a8437",
+    "picard/isotropic-1.5/cos/n37/array":
+        "341b8a74c7277d4f34b5f89053b4b9f766bcdc9405de0f006e1451e65ea5e286",
+    "picard/isotropic-1.5/cos/n37/callable":
+        "a23fd6bdb4c02adaf72183d5b1953453bbab2a2185bc3c6846673f7a6a16626f",
+    "picard/isotropic-1.5/cos/n37/zero":
+        "445c93540fa76e52487ef4a599ce29ba88ef10927dceb30b3e8d4ed28ea69c75",
+    "picard/isotropic-1.5/cos_time/n1/array":
+        "b8aad21e674b96ed0313aa0d193085530affbdf5059187e6afe73cd341fb41d4",
+    "picard/isotropic-1.5/cos_time/n1/callable":
+        "8c3f10856cd2d3e3caaf4765dc7d15f0c41fe255ef7f3e8d9e71c25bfa2a9fe9",
+    "picard/isotropic-1.5/cos_time/n1/zero":
+        "9345d670624fceb97f7e6e3bb95bcfed90489e09162b7cc5ad78ce5685e3f9b8",
+    "picard/isotropic-1.5/cos_time/n2/array":
+        "b89c9c621352302b7f354e4efb2459ed95bc5930e8902ebaf448c1a0169a63ad",
+    "picard/isotropic-1.5/cos_time/n2/callable":
+        "9ab93dd6260e0d024a253a987f06f0546804a54c9006a87f070dd975d4c8f9a1",
+    "picard/isotropic-1.5/cos_time/n2/zero":
+        "234f46d38595d9689b332a68287da0543692d6adb545a0d2c1a7093e535a8437",
+    "picard/isotropic-1.5/cos_time/n37/array":
+        "bb644bfa4c3db932fc83e6b49dfd5791a5ee69ed5c0bdc40fba1f18e63999b82",
+    "picard/isotropic-1.5/cos_time/n37/callable":
+        "7b4dca23f097882da5942dc54a244148c19062ab0bcbd03e37eaa887b10a107c",
+    "picard/isotropic-1.5/cos_time/n37/zero":
+        "445c93540fa76e52487ef4a599ce29ba88ef10927dceb30b3e8d4ed28ea69c75",
+    "picard/isotropic-1.5/rough_sin/n1/array":
+        "52e6ad6af72884090f7f044cd72aff706fa8fdfc88d28cf1a4252260744669e7",
+    "picard/isotropic-1.5/rough_sin/n1/callable":
+        "33b5a01e995896919d314a92b6a28b880d6593df639860d2994e8d77830e6cbd",
+    "picard/isotropic-1.5/rough_sin/n1/zero":
+        "fa23810a734c8c89b86a600b6402df0e0e2da9e638fe669156b3a79cbc3736fc",
+    "picard/isotropic-1.5/rough_sin/n2/array":
+        "f195a0a4c27db2e959c969c7eb2cb13adb0e664cf3e2991eb6993a3ba5d500b2",
+    "picard/isotropic-1.5/rough_sin/n2/callable":
+        "3ab8c6c0aff0942b439ed684d4c2791a74d7d4f956ac8f96813f51af875bf02f",
+    "picard/isotropic-1.5/rough_sin/n2/zero":
+        "13ab4f55580009b8a58ed63480a5cb000d3b18a8f00e590acaac511ff265eac1",
+    "picard/isotropic-1.5/rough_sin/n37/array":
+        "bf2dac3401cbc138213d6b563b47f600a1887acda0e97a857aa9d57c0e127d98",
+    "picard/isotropic-1.5/rough_sin/n37/callable":
+        "90b48239db2d51b72d0847a5cd26a65ab5f04e6b4f037cd114a7cde29908f5ed",
+    "picard/isotropic-1.5/rough_sin/n37/zero":
+        "bfa44b1b8aa12691749e299389fc91678d9bd1c2bffd85c837d55f4aca2a9add",
+    "picard/isotropic-1.5/strong/n1/array":
+        "be3d17ce45063b4b090314c22430bf66474204d01aa16f6c3497be0746064d2a",
+    "picard/isotropic-1.5/strong/n1/callable":
+        "31f466a44d5c173ddb37ba47e81643628ab112854a1ae2f24307f5f178779f80",
+    "picard/isotropic-1.5/strong/n1/zero":
+        "0f405726c4400e728d79f975ae2167f400def2564d9c0c996b5faede66b5b81d",
+    "picard/isotropic-1.5/strong/n2/array":
+        "321a42500773878ab8961ca63e4ae4dd18d8d0776d7cdcad630a447a00ab41a5",
+    "picard/isotropic-1.5/strong/n2/callable":
+        "1a60e61aa6e5236418ef6d4cb739c6d00912d565d9f22f70fa3d052f3a0784e5",
+    "picard/isotropic-1.5/strong/n2/zero":
+        "1d56f64f89d0c4645c15200a9ad36cc7f2a42da067cf06e130fa63151c49c521",
+    "picard/isotropic-1.5/strong/n37/array":
+        "6beb56e924336e9da2d2a27a9642efd05169a3575327bafb7dc4a41ff18d4658",
+    "picard/isotropic-1.5/strong/n37/callable":
+        "36b5ad20795d3c794cb908bf7499f9155d7ce12c89e84eca2809e989390b5dad",
+    "picard/isotropic-1.5/strong/n37/zero":
+        "081b4d5165851122047b8b141765cf95d7f4edddc2eb17e54bf28a9ad1318a38",
+    "picard/brownian/cos/n1/array":
+        "9c0cc1d62b4769be3a4a807319999ac1127708e83120694be56a5222040b370c",
+    "picard/brownian/cos/n1/callable":
+        "b9b6f51f7342b63ff54b85452eb0218a9e91c407151b1b1c518cd17d875509b5",
+    "picard/brownian/cos/n1/zero":
+        "0dada5035a419f2ab69a815eb2e9345f878e85e15269fd8267eb19c7a82b9783",
+    "picard/brownian/cos/n2/array":
+        "887c68a66443b129187d3a379ae8b75d2d56cfef97c29acfeeeeab2db032a62b",
+    "picard/brownian/cos/n2/callable":
+        "20db2bc19a7f16ce78d3cf419a905e2699530cfc1fbcd4467464344bd5185f2e",
+    "picard/brownian/cos/n2/zero":
+        "83036ec1f34979cc1972be593f8337ce1ccf120e6fdcef2a209c3b1f87b0c912",
+    "picard/brownian/cos/n37/array":
+        "6fb2da8ba14667ae03652eac50739623ea1c26ebf99e8563d0f3cda6811c6f0a",
+    "picard/brownian/cos/n37/callable":
+        "d6639c7dc3ed826ebf23803dbcf63e2eb51b37c26fe4fbd8fbaded776ab807c5",
+    "picard/brownian/cos/n37/zero":
+        "89b51a511efdeaabce3f6c91f2d708419d7fdd5c57f2a0555020423194246e47",
+    "picard/brownian/cos_time/n1/array":
+        "9c0cc1d62b4769be3a4a807319999ac1127708e83120694be56a5222040b370c",
+    "picard/brownian/cos_time/n1/callable":
+        "b9b6f51f7342b63ff54b85452eb0218a9e91c407151b1b1c518cd17d875509b5",
+    "picard/brownian/cos_time/n1/zero":
+        "0dada5035a419f2ab69a815eb2e9345f878e85e15269fd8267eb19c7a82b9783",
+    "picard/brownian/cos_time/n2/array":
+        "85aa866a96dde59273c356f5ab43e4e2ff738d4cf7f939b3496355bac4f9151f",
+    "picard/brownian/cos_time/n2/callable":
+        "b7d281d772036a5afca5f0923e0e972df1bc7e1bf579cc30390813538371d8d7",
+    "picard/brownian/cos_time/n2/zero":
+        "83036ec1f34979cc1972be593f8337ce1ccf120e6fdcef2a209c3b1f87b0c912",
+    "picard/brownian/cos_time/n37/array":
+        "3d570792014fd14488bbd0f26d9189fa485125f114219851444af9b04c544889",
+    "picard/brownian/cos_time/n37/callable":
+        "c7e047ad298ecf62350de2a1271df937d8952c55b4d6996eed99a088f8f92fa3",
+    "picard/brownian/cos_time/n37/zero":
+        "89b51a511efdeaabce3f6c91f2d708419d7fdd5c57f2a0555020423194246e47",
+    "picard/brownian/rough_sin/n1/array":
+        "a833482fa3d39c1706c1e9f5eaff6f8a3f16954072dce8c3aab39b91a92a185d",
+    "picard/brownian/rough_sin/n1/callable":
+        "1c58c4d10d6ed4295034f55f70b9e72f7df77035079ba41eaad5450e6e4d4737",
+    "picard/brownian/rough_sin/n1/zero":
+        "f9f9bfb77dded76cf4ac8efbee27a98f05383ce16c86de492989f685f4568bab",
+    "picard/brownian/rough_sin/n2/array":
+        "ca9e4556d531b3c477fb2f506f3f83417ccdd65915ed25eff2a502718e8ce035",
+    "picard/brownian/rough_sin/n2/callable":
+        "b800c2d2b35a40c55f4feda99896eb785c65c27445467c06d62ef2a57fef09fc",
+    "picard/brownian/rough_sin/n2/zero":
+        "9bbaccec8de09e0e35adb65d8f71461175d4e83999ade58bb27ef58b36012a79",
+    "picard/brownian/rough_sin/n37/array":
+        "b36de788d68d71b96f534e9612f244522a3dd317c1256261e9384f846671dcc2",
+    "picard/brownian/rough_sin/n37/callable":
+        "dd609da0e26dadf2665a58287038753160655dda90c24c41fee8b30af8f7e975",
+    "picard/brownian/rough_sin/n37/zero":
+        "cec8cbd27e9f0f3275a414271e14227a122a19591de4ed1d45778f351e0a3439",
+    "picard/brownian/strong/n1/array":
+        "fa82850a5b09b9ce6b05f3296bb0c839cb3f75b49ac19c7a2270f696a74e0122",
+    "picard/brownian/strong/n1/callable":
+        "bb817b6a143f2a93eb982ad084d8caa75553d7ca403c6c1743037006f201c31e",
+    "picard/brownian/strong/n1/zero":
+        "64e617db208c4246ed48be86bc56d84f755d3aff31a84ae0f6709ba36592434f",
+    "picard/brownian/strong/n2/array":
+        "8f56aad80ac1f3f3c8b8fa57e0cf4d04bb770d80f3c137cd9f903d335d3e1302",
+    "picard/brownian/strong/n2/callable":
+        "8db2b999c242075c449a383075b2789786e41b966a62c6f01e81904373f6abba",
+    "picard/brownian/strong/n2/zero":
+        "92966b59aca82ff95922f59e9bfc29968eaa569487823276a9649088f184af5d",
+    "picard/brownian/strong/n37/array":
+        "fc6debd071e85de47d5f51c886bf74ad02438498395cd008ac6bf1bb5bb0686c",
+    "picard/brownian/strong/n37/callable":
+        "71fdc6ae9acd839f1cb759dbf565307eea22ac75ab5245dd044238c5f35675f4",
+    "picard/brownian/strong/n37/zero":
+        "4c601948a0935a9b6e8f003cf7d71c97050f0ec273d115b17000e57709a49b6b",
+    "picard/relativistic-1.7-1/cos/n1/array":
+        "a53bb2966c57c9e5ab50cb4baf73808ccf19bbacccc31e6d4a2e3fe2fe28ce65",
+    "picard/relativistic-1.7-1/cos/n1/callable":
+        "23aaa17e5b34b99e5fac9f1afa65fc01cd37462a237e44321132179c0130c1a2",
+    "picard/relativistic-1.7-1/cos/n1/zero":
+        "f915ce5e5f23735aad58e3ab9c1f5f75ef38c66d78df7986d5080cb82b61be06",
+    "picard/relativistic-1.7-1/cos/n2/array":
+        "ea004752a7ed51301016f8257b6695da5adfeb0d29a4005d692912e74519382f",
+    "picard/relativistic-1.7-1/cos/n2/callable":
+        "c9a710ffca0b6ded031d56de092e82bdd45c9f408d2cde72532ff7b10968558c",
+    "picard/relativistic-1.7-1/cos/n2/zero":
+        "31ea66cee540159667c83b502fa2149f14d10b37dec4efd150072186c3d06d86",
+    "picard/relativistic-1.7-1/cos/n37/array":
+        "34412932c711bba35b62c16bc50e2ef211e257970da820c146ed210b4fb63991",
+    "picard/relativistic-1.7-1/cos/n37/callable":
+        "66175e5ef9c87719f8e9b41722f9914118a050c1d1ee455ddcbc3cf7ecf1a95d",
+    "picard/relativistic-1.7-1/cos/n37/zero":
+        "a6da10c1a624f1dfad2de5f99b9c07f9c9d6a5e06c2b69af60cb9aca15d624c5",
+    "picard/relativistic-1.7-1/cos_time/n1/array":
+        "a53bb2966c57c9e5ab50cb4baf73808ccf19bbacccc31e6d4a2e3fe2fe28ce65",
+    "picard/relativistic-1.7-1/cos_time/n1/callable":
+        "23aaa17e5b34b99e5fac9f1afa65fc01cd37462a237e44321132179c0130c1a2",
+    "picard/relativistic-1.7-1/cos_time/n1/zero":
+        "f915ce5e5f23735aad58e3ab9c1f5f75ef38c66d78df7986d5080cb82b61be06",
+    "picard/relativistic-1.7-1/cos_time/n2/array":
+        "877d28a64a59b9347513a8d030a188c92aa02bd25ae490c12335057a26cd3782",
+    "picard/relativistic-1.7-1/cos_time/n2/callable":
+        "eb1fba0c5e96baeb17c205094213daab94025afe07086e30faa23eb8cadf2a44",
+    "picard/relativistic-1.7-1/cos_time/n2/zero":
+        "31ea66cee540159667c83b502fa2149f14d10b37dec4efd150072186c3d06d86",
+    "picard/relativistic-1.7-1/cos_time/n37/array":
+        "96432213342c51c6c820b24d61e0dc8b7b5b43419db92c6fe6807d002de5e86c",
+    "picard/relativistic-1.7-1/cos_time/n37/callable":
+        "a3a94781d0e0616c65f8085d7476622b17b89fd58135e40f91ab616fc9a2a4cc",
+    "picard/relativistic-1.7-1/cos_time/n37/zero":
+        "a6da10c1a624f1dfad2de5f99b9c07f9c9d6a5e06c2b69af60cb9aca15d624c5",
+    "picard/relativistic-1.7-1/rough_sin/n1/array":
+        "8c34c896a0b80ee16bb759f368e539192643bf632cfd1397d70ed76855d59ae0",
+    "picard/relativistic-1.7-1/rough_sin/n1/callable":
+        "303d40b50a98652d570951ca137fa8acf37ce01d209e8bfdcb78b8073702a858",
+    "picard/relativistic-1.7-1/rough_sin/n1/zero":
+        "26a72e9e4806d1d695e042ab90dbbbca02b04bfd62d55f0f91d0754a6d0329db",
+    "picard/relativistic-1.7-1/rough_sin/n2/array":
+        "a7267e3451c6e3265c1fc29f7d00303898b581ee38dfb675da1283789b4c2b6c",
+    "picard/relativistic-1.7-1/rough_sin/n2/callable":
+        "3e8f3c8c4c89bc763aa5f7f9db4f128bb2757748b7c1ace728dc68a443f98ed6",
+    "picard/relativistic-1.7-1/rough_sin/n2/zero":
+        "ea5b1cb902e24f60286d4bf95628b55ba99bc20b7fd5e72d9b34bc5e617cc19d",
+    "picard/relativistic-1.7-1/rough_sin/n37/array":
+        "a9fa189607b81b978b8e423abd8ec3a66c1feab5e798adfa6d91eb2ae04f850a",
+    "picard/relativistic-1.7-1/rough_sin/n37/callable":
+        "527a4a502569fa06787718a91cf1b149bb73c1b4ff4eb311edae3ed27623e34d",
+    "picard/relativistic-1.7-1/rough_sin/n37/zero":
+        "780c27c2d143a16d3690c88d76efa1fff6a33f61a3725d0df42da7b80436da4f",
+    "picard/relativistic-1.7-1/strong/n1/array":
+        "d5534d628a732cc8ceebcb2a136158c2a13975a1cf81181cf1666bace375ceb2",
+    "picard/relativistic-1.7-1/strong/n1/callable":
+        "39974bb7b6364ec8eba6ff881faf0b580f5fd04241017454f56ca3f72b6da93c",
+    "picard/relativistic-1.7-1/strong/n1/zero":
+        "646d2655e2dd98e1b9f24051abca6d00de5c3bc0792c15381b901c9742763bf1",
+    "picard/relativistic-1.7-1/strong/n2/array":
+        "e8869106c0164f74b234cb0739b3ad41e48f619a9b9ed323616a1c7863d0a03b",
+    "picard/relativistic-1.7-1/strong/n2/callable":
+        "dd2f3bc16fdae99aa7291e6482961c1c47f3a4934e91221df3dc612a8fc5c363",
+    "picard/relativistic-1.7-1/strong/n2/zero":
+        "f9b6d9e691d228afa345d52aca8911bb057153233beb8066e51f41d9cbf5da09",
+    "picard/relativistic-1.7-1/strong/n37/array":
+        "8e372a4a55c82b3ec5487b55500bd32e675954bd7cf14f04a0845a774996c865",
+    "picard/relativistic-1.7-1/strong/n37/callable":
+        "a98b3f0430bcbcc47b3e2b8741c571eae758f15ecbab681ea15d76e0260b9631",
+    "picard/relativistic-1.7-1/strong/n37/zero":
+        "f0287298ed8d326cbd611f3726b5b87a37e4c3b23dd17cd15f7e6ed702746b44",
+    "picard/tempered-1.5-1/cos/n1/array":
+        "d6ec6a397a283d4b7b6bce5046564be274e35ac90e85721e5f1f18fb8d263637",
+    "picard/tempered-1.5-1/cos/n1/callable":
+        "e32ba39a14402a3bc769c9f547670e705ac983e92af18c2726e2088731488e11",
+    "picard/tempered-1.5-1/cos/n1/zero":
+        "9345d670624fceb97f7e6e3bb95bcfed90489e09162b7cc5ad78ce5685e3f9b8",
+    "picard/tempered-1.5-1/cos/n2/array":
+        "c15f69d610bb4099e3f8a43bf0ea045db0b1b56b0b5ffa507f1e5fa40065f981",
+    "picard/tempered-1.5-1/cos/n2/callable":
+        "f113b66eabfbd9696be1508d4832d739545b8529d7304b0dfb3a10074880eacc",
+    "picard/tempered-1.5-1/cos/n2/zero":
+        "234f46d38595d9689b332a68287da0543692d6adb545a0d2c1a7093e535a8437",
+    "picard/tempered-1.5-1/cos/n37/array":
+        "7cd3a590079e2a1fe8b66ac2d7e902f054d20081914eae29ed76454cc6fc1069",
+    "picard/tempered-1.5-1/cos/n37/callable":
+        "6674d2ded045fe506151ed813dffb936036e3a744fc8688641e7bb55615f8b23",
+    "picard/tempered-1.5-1/cos/n37/zero":
+        "445c93540fa76e52487ef4a599ce29ba88ef10927dceb30b3e8d4ed28ea69c75",
+    "picard/tempered-1.5-1/cos_time/n1/array":
+        "d6ec6a397a283d4b7b6bce5046564be274e35ac90e85721e5f1f18fb8d263637",
+    "picard/tempered-1.5-1/cos_time/n1/callable":
+        "e32ba39a14402a3bc769c9f547670e705ac983e92af18c2726e2088731488e11",
+    "picard/tempered-1.5-1/cos_time/n1/zero":
+        "9345d670624fceb97f7e6e3bb95bcfed90489e09162b7cc5ad78ce5685e3f9b8",
+    "picard/tempered-1.5-1/cos_time/n2/array":
+        "7877bfe5d0420859a27c2f2d0f2f7ec841c7efdfa60b1e58775f837ad2b08b01",
+    "picard/tempered-1.5-1/cos_time/n2/callable":
+        "7a14e0b88bc2e2f5f59a9c47d7a06207afaae9de81e3be9eb39c2df2baec33c6",
+    "picard/tempered-1.5-1/cos_time/n2/zero":
+        "234f46d38595d9689b332a68287da0543692d6adb545a0d2c1a7093e535a8437",
+    "picard/tempered-1.5-1/cos_time/n37/array":
+        "a9267cf544f858f64d1962f422a873cb08e6b77e28d93980b2e54671c748dfe9",
+    "picard/tempered-1.5-1/cos_time/n37/callable":
+        "c5ab6474f5d3eb1b348c2431da0d28a981aab46e8dfab2814453796a9ffc98ea",
+    "picard/tempered-1.5-1/cos_time/n37/zero":
+        "445c93540fa76e52487ef4a599ce29ba88ef10927dceb30b3e8d4ed28ea69c75",
+    "picard/tempered-1.5-1/rough_sin/n1/array":
+        "dc4415d96c582159677531a459b874754a472340655ae9e1c84bd889b3bcfc53",
+    "picard/tempered-1.5-1/rough_sin/n1/callable":
+        "b3177b10514e00a63ccaf5c68898476ae68d696bd6894e810da9c008660f2d7d",
+    "picard/tempered-1.5-1/rough_sin/n1/zero":
+        "fa23810a734c8c89b86a600b6402df0e0e2da9e638fe669156b3a79cbc3736fc",
+    "picard/tempered-1.5-1/rough_sin/n2/array":
+        "f6e5af09d7cda3947ef86ff117a3940aad7f39ccef450842a78a932fd527e411",
+    "picard/tempered-1.5-1/rough_sin/n2/callable":
+        "9c8274cea4a42ae9306f5bce828dec89b142f4f38665df4a0f85244bd953b7e5",
+    "picard/tempered-1.5-1/rough_sin/n2/zero":
+        "13ab4f55580009b8a58ed63480a5cb000d3b18a8f00e590acaac511ff265eac1",
+    "picard/tempered-1.5-1/rough_sin/n37/array":
+        "c82bb3d2fc35a340394391eb64c83b715bfe34128235e6993fce050a51ad7f8a",
+    "picard/tempered-1.5-1/rough_sin/n37/callable":
+        "9965748ad2191d5f2670bdce1c6aa0d70686617b0d8a30aeee435a6cfe017a18",
+    "picard/tempered-1.5-1/rough_sin/n37/zero":
+        "bfa44b1b8aa12691749e299389fc91678d9bd1c2bffd85c837d55f4aca2a9add",
+    "picard/tempered-1.5-1/strong/n1/array":
+        "88f1c2cac67eeb59cc1cfc07886565569a5a57fd408b56b87fd1b5021929a319",
+    "picard/tempered-1.5-1/strong/n1/callable":
+        "6a7a00b91702a11bdeda60fcc3e38b22a177f9a8893d2ea6a9fd0b6b9cc1ecef",
+    "picard/tempered-1.5-1/strong/n1/zero":
+        "0f405726c4400e728d79f975ae2167f400def2564d9c0c996b5faede66b5b81d",
+    "picard/tempered-1.5-1/strong/n2/array":
+        "a1fbdcef29478cc7f9c5dfcd2aac8bba95c3282447768927581ca6cdee8996c2",
+    "picard/tempered-1.5-1/strong/n2/callable":
+        "1aa2c53e2cf7ed5477cf54c0de1f6222494ae5b27f32bd16e64323e491b0bf3f",
+    "picard/tempered-1.5-1/strong/n2/zero":
+        "1d56f64f89d0c4645c15200a9ad36cc7f2a42da067cf06e130fa63151c49c521",
+    "picard/tempered-1.5-1/strong/n37/array":
+        "e421092f3544c58b0f10ae99c98d3fd485bfd90697387836174dbe85fcd7be0b",
+    "picard/tempered-1.5-1/strong/n37/callable":
+        "5bd07759eb679142f7269eb80b124bb3c6eb6effac37caee5fef0b7e0a32a851",
+    "picard/tempered-1.5-1/strong/n37/zero":
+        "081b4d5165851122047b8b141765cf95d7f4edddc2eb17e54bf28a9ad1318a38",
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,27 @@ def empirical_cf_gap(values, model, t, xi_grid):
 
 
 class TestStreams:
+    @pytest.mark.parametrize("draw", ["integers", "uniform"])
+    def test_chunked_draws_give_one_whole_draw(self, draw):
+        # the jump path draws its tilt tests and signs a chunk at a time; on a
+        # Philox stream, chunks of any lengths, odd ones included, give the
+        # bytes of one whole call (a 32-bit draw keeps its spare half in the
+        # bit generator), and leave the stream where the whole call does
+        def take(gen, k):
+            return gen.integers(0, 2, k) if draw == "integers" else gen.uniform(size=k)
+
+        lengths = (1, 4095, 3, 8192, 5, 1)
+        whole_gen = RngStream(31, 0).generator()
+        whole = take(whole_gen, sum(lengths))
+        gen = RngStream(31, 0).generator()
+        parts = np.concatenate([take(gen, k) for k in lengths])
+        assert whole.tobytes() == parts.tobytes()
+
+        def after(g):
+            return g.integers(0, 2, 3).tobytes() + g.uniform(size=3).tobytes()
+
+        assert after(whole_gen) == after(gen)
+
     def test_bit_reproducible(self):
         a = RngStream(123, 5).generator().standard_normal(100)
         b = RngStream(123, 5).generator().standard_normal(100)
@@ -265,6 +287,23 @@ class TestJumpDecomposition:
                 eps = default_epsilon(model, 1.0 / n)
                 assert 0.0 < eps <= 1.0
                 assert rd.mass(eps, math.inf) / n <= 64.0 * 1.01
+
+    @pytest.mark.parametrize("model", [LevyModel.tempered_stable(1.5, 1.0),
+                                       LevyModel.truncated_stable(1.5),
+                                       LevyModel.layered_stable(1.5, 2.5)],
+                             ids=["tempered", "truncated", "layered"])
+    def test_jump_path_holds_about_two_jump_arrays(self, model):
+        # 512 steps at 64 expected jumps each: the peak is the radii and their
+        # owners, as the tilt test and the signs run a chunk at a time.  The
+        # warm-up call imports numpy.random and fills the threshold caches.
+        increments(model, 1.0, 512, RngStream(32, 0))
+        tracemalloc.start()
+        try:
+            increments(model, 1.0, 512, RngStream(32, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 64 * 512 * 8
 
     def test_epsilon_domain(self):
         with pytest.raises(DomainError):
