@@ -16,7 +16,9 @@ together, and the Monte Carlo harness calls it once per block of paths.
 It keeps only the current state of each path and each level's running sup
 gap, never a path table, so its memory does not grow with the step count.
 States are updated in place, and the squared gaps of a few steps at a time
-are folded into the sup with one max-reduction, which is exact.
+are folded into the sup with one max-reduction, which is exact.  The
+variant's drift step is bound once per call, so a step makes one Python
+call per drift evaluation.
 """
 
 from __future__ import annotations
@@ -120,27 +122,36 @@ def as_state(x0, d: int) -> np.ndarray:
     return x
 
 
-def _step_drift(drift: DriftSpec, t_lo: float, dt: float, x, variant: str, out=None):
-    """Drift contribution of one step given the frozen state argument x,
-    written into ``out`` when it is given."""
+def _step_drift(drift: DriftSpec, dt: float, variant: str):
+    """The drift contribution of one step of length dt, as a function
+    ``step(t_lo, x, out=None)`` of the step's left time and the frozen state
+    argument x; it writes into ``out`` when that is given."""
+    fn = drift.fn
     if variant == "frozen":
-        return np.multiply(drift(t_lo, x), dt, out=out)
-    if variant == "timeint":
-        acc = 0.0
-        for w, c in zip(_GL4_WEIGHTS, _GL4_NODES):
-            acc = acc + w * drift(t_lo + c * dt, x)
-        return np.multiply(acc, dt, out=out)
-    raise DomainError(f"unknown scheme variant {variant!r}")
+        def step(t_lo, x, out=None):
+            return np.multiply(fn(t_lo, x), dt, out=out)
+    elif variant == "timeint":
+        nodes = [(w, c * dt) for w, c in zip(_GL4_WEIGHTS, _GL4_NODES)]
+
+        def step(t_lo, x, out=None):
+            acc = 0.0
+            for w, offset in nodes:
+                acc = acc + w * fn(t_lo + offset, x)
+            return np.multiply(acc, dt, out=out)
+    else:
+        raise DomainError(f"unknown scheme variant {variant!r}")
+    return step
 
 
 def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
                  variant: str = "frozen"):
     """The fine scheme and the coarse scheme of every ladder level in one pass.
 
-    ``noise`` holds the fine increments, shape (paths, n, d).  The level with
-    factor f runs the n // f step scheme on the fine grid under the same
-    increments: its drift argument is held at its last coarse node while
-    noise is added per fine increment.  With ``frozen`` a level evaluates its
+    ``noise`` holds the fine increments, shape (paths, n, d); as a transposed
+    view of a time-major (n, paths, d) buffer it gives one contiguous row per
+    step.  The level with factor f runs the n // f step scheme on the fine
+    grid under the same increments: its drift argument is held at its last
+    coarse node while noise is added per fine increment.  With ``frozen`` a level evaluates its
     drift once per coarse step, at its own grid time; with ``timeint`` time
     runs over each fine substep and all levels share one drift call per
     Gauss node.  Non-finite states are not checked; they propagate.
@@ -156,6 +167,8 @@ def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
     if not T > 0 or n < 1:
         raise DomainError(f"need T > 0 and n >= 1, got T={T} and n={n}")
     dt = T / n
+    step = _step_drift(drift, dt, variant)
+    frozen = variant == "frozen"
     times = T * np.arange(n + 1) / n
     level_times = [T * np.arange(n // f + 1) / (n // f) for f in factors]
     # the levels that start a coarse step at step i are schedule[i % period],
@@ -170,36 +183,42 @@ def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
         levels = [k for k, f in enumerate(factors, 1) if i % f == 0]
         schedule.append(starts.setdefault(tuple(levels), levels))
     x = np.tile(as_state(x0, d), (len(factors) + 1, paths, 1))
+    steps = noise.transpose(1, 0, 2)  # one (paths, d) row per step
+    if d == 1:
+        # the same elements without the unit coordinate axis, which every
+        # ufunc below would otherwise broadcast over; in d = 1 the squared
+        # gap is its own sum over coordinates, bit for bit
+        x, steps = x[..., 0], steps[..., 0]
     fine, coarse = x[0], x[1:]  # views: x is only ever updated in place
     held = x.copy()  # per level: drift term (frozen) or drift argument (timeint)
+    xs, terms = list(x), list(held)  # per-level views, indexed once
     sup2 = np.zeros((len(factors), paths))
     gap = None if d == 1 else np.empty((len(factors), paths, d))
     gap2 = np.empty((_GAP_ROWS, len(factors), paths))  # squared gaps, one row per step
-    for i in range(n):
+    gap_rows = list(gap2)
+    for i, (t, dL) in enumerate(zip(times, steps)):
         new = schedule[i % period]
-        if variant == "frozen":
-            _step_drift(drift, times[i], dt, fine, variant, out=held[0])
+        if frozen:
+            step(t, fine, terms[0])
             for k in new:
-                j = i // factors[k - 1]
-                _step_drift(drift, level_times[k - 1][j], dt, x[k], variant, out=held[k])
+                step(level_times[k - 1][i // factors[k - 1]], xs[k], terms[k])
             term = held
         else:
             held[0] = fine
             held[new] = x[new]
-            term = _step_drift(drift, times[i], dt, held, variant)
+            term = step(t, held)
         np.add(x, term, out=x)
-        np.add(x, noise[:, i], out=x)
+        np.add(x, dL, out=x)
         row = i % _GAP_ROWS
-        # in d = 1 the squared gap is its own sum over coordinates, bit for bit
-        sq = gap2[row, ..., None] if d == 1 else gap
+        sq = gap_rows[row] if d == 1 else gap
         np.subtract(fine, coarse, out=sq)
         np.multiply(sq, sq, out=sq)
         if d > 1:
-            np.add.reduce(sq, axis=-1, out=gap2[row])
+            np.add.reduce(sq, axis=-1, out=gap_rows[row])
         if row == _GAP_ROWS - 1 or i == n - 1:
             # max is exact and carries NaN, so folding the rows in blocks
             # gives the per-step running max bit for bit
             np.maximum(sup2, np.maximum.reduce(gap2[:row + 1], axis=0), out=sup2)
     # the sup of squared distances: sqrt is monotone, so this equals the sup
     # of np.linalg.norm(gap, axis=-1) bit for bit
-    return fine, np.sqrt(sup2)
+    return fine.reshape(paths, d), np.sqrt(sup2)

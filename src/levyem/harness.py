@@ -7,8 +7,10 @@ sup-error^p are fitted on a log-log scale and compared against the predicted
 exponent min{1, p beta/gamma0, p eta}.
 
 Paths run serially, one block of ``ExperimentConfig.chunk`` paths at a
-time, and each path draws from its own stream; so the report does not depend
-on the block size, which only bounds the memory one block holds.  A block
+time, and each path draws from its own stream (seed, k + 1); so the report
+does not depend on the block size, which only bounds the memory one block
+holds.  A block builds one Philox bit generator and re-keys it to each
+path's stream, which draws exactly what a fresh generator per path would.  A block
 holds one time-major noise buffer of n_ref x chunk x d floats, filled from a
 tile of a few paths at a time: the ladder keeps each path's current state and
 running sup gap, not its fine path.
@@ -159,10 +161,12 @@ def _noise_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     tile's transpose is copied in, which writes every cache line of the
     buffer once.  No tile is named, so none outlives its copy."""
     buf = np.empty((config.n_ref, hi - lo, config.model.dim))
+    gen = RngStream(config.seed).generator()  # re-keyed to stream k + 1 for path k
     for start in range(lo, hi, _TILE):
         stop = min(start + _TILE, hi)
         buf[:, start - lo:stop - lo] = np.stack(
-            [increments(config.model, config.T, config.n_ref, RngStream(config.seed, k + 1)).values
+            [increments(config.model, config.T, config.n_ref,
+                        RngStream(config.seed, k + 1)._seat(gen)).values
              for k in range(start, stop)]).transpose(1, 0, 2)
     return buf
 

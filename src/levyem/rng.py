@@ -3,7 +3,9 @@
 Each (seed, stream_id) pair keys an independent Philox counter stream, so
 per-path generators can be created in any order and still
 reproduce bit-for-bit.  There is no sequential jump-ahead: the stream id is
-part of the key.
+part of the key.  The key alone selects the stream, so one Philox bit
+generator can be re-keyed from stream to stream in place of building a new
+one per stream; ``RngStream._seat`` is the one place that keys a generator.
 """
 
 from __future__ import annotations
@@ -33,8 +35,19 @@ class RngStream:
                               f"seed={self.seed}, stream_id={self.stream_id}")
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return self._seat(np.random.Generator(np.random.Philox(key=0)))
+
+    def _seat(self, gen: np.random.Generator) -> np.random.Generator:
+        """Put the Philox bit generator of ``gen`` at the start of this stream
+        and return ``gen``: the key [seed, stream_id], a zero counter, an
+        empty output buffer and no spare 32-bit half, whatever it drew
+        before.  ``gen`` then draws exactly what a fresh ``generator()``
+        draws."""
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (self.seed, self.stream_id)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return gen
 
 
 def as_generator(rng) -> np.random.Generator:

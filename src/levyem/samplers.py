@@ -56,8 +56,8 @@ def sample_stable(alpha: float, scale: float, count: int, rng) -> np.ndarray:
     """I.i.d. symmetric alpha-stable variates, CF exp(-scale^alpha |xi|^alpha)."""
     if not (0.0 < alpha <= 2.0):
         raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
-    if scale <= 0:
-        raise DomainError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise DomainError(f"scale must be finite and > 0, got {scale}")
     if count < 1:
         raise DomainError("count must be >= 1")
     gen = as_generator(rng)
@@ -76,8 +76,8 @@ def sample_stable_subordinator(rho: float, t: float, rng, size: int) -> np.ndarr
     """
     if not (0.0 < rho <= 1.0):
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     if rho == 1.0:
         return np.full(size, float(t))
     gen = as_generator(rng)
@@ -217,8 +217,8 @@ def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
         raise UnsupportedModelError("jump decomposition is one-dimensional")
     if not (0.0 < epsilon <= 1.0):
         raise DomainError("epsilon must lie in (0, 1]")
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
     rd = radial_density(model)
     sigma2, intensity = _decomposition_stats(model, epsilon)
     if dt * intensity > MAX_STEP_WORK:
@@ -265,7 +265,7 @@ class IncrementBatch:
             raise ShapeError("values must be an (n, d) array")
         if v.shape[1] != self.model.dim:
             raise ShapeError(f"values have dimension {v.shape[1]}, model is {self.model.dim}-d")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ShapeError("increments contain non-finite entries")
 
     @property
@@ -285,8 +285,8 @@ def increments(model: LevyModel, T: float, n: int, rng) -> IncrementBatch:
     if n > MAX_ELEMENTS // model.dim:
         raise DomainError(f"n={n} increments in dim={model.dim} are more elements than "
                           f"an array can hold (at most {MAX_ELEMENTS})")
-    if T <= 0:
-        raise DomainError("T must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError(f"T must be finite and > 0, got {T}")
     dt = T / n
     seed, stream = (rng.seed, rng.stream_id) if isinstance(rng, RngStream) else (0, 0)
     gen = as_generator(rng)

@@ -211,6 +211,21 @@ class TestMcStrongError:
             tracemalloc.stop()
         assert peak <= 1.25 * cfg.paths * cfg.n_ref * 8
 
+    def test_one_bit_generator_per_block(self, monkeypatch):
+        # each path re-keys its block's Philox instead of building its own;
+        # 300 paths span two blocks
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        cfg = small_config(n_list=(4, 8, 16), n_ref=128, paths=300)
+        mc_strong_error(cfg)
+        assert 0 < len(built) <= math.ceil(cfg.paths / cfg.chunk)
+
     def test_report_serialisation_round_trip(self):
         rep = run_experiment(small_config())
         data = json.loads(rep.to_json())

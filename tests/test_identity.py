@@ -2,10 +2,12 @@
 that a change keeps every bit is checked here rather than rebuilt by hand.
 
 Pinned: ``euler_ladder`` terminal states and sup gaps for both variants in
-d = 1 and 3 on fixed noise (including no levels, a level of factor 1, step
-counts below and not a multiple of the ladder's gap-buffer length);
-``mc_strong_error`` means and stderrs at 300 paths (one full block and one
-partial block); ``increments`` at small ``n`` for every catalog family
+d = 1 and 3 on fixed noise (including no levels, a level of factor 1, a
+single path, step counts below and not a multiple of the ladder's
+gap-buffer length); ``mc_strong_error`` means and stderrs at 300 paths (one
+full block and one partial block) for stable noise and, through the jump
+decomposition, tempered and truncated stable noise; ``increments`` at small
+``n`` for every catalog family
 that has a sampler, and at ``n = 512`` (about 32,000 jumps) for the
 jump-decomposition families; ``density_fft`` for six families at jittered
 times; and ``picard_solve`` over families, drifts (one of which halves the
@@ -38,12 +40,14 @@ LADDER_GRIDS = ((1, ()), (15, ()), (45, ()), (1, (1,)), (15, (1, 3, 5)),
                 (45, (1, 3, 5)), (8, (2, 4, 8)), (40, (8, 4, 2)), (48, (16,)),
                 (64, (32, 8, 2)))
 LADDER_PATHS = 5
+# a single path: the ladder's per-path axis has length one
+ONE_PATH_GRIDS = ((15, (1, 3, 5)), (64, (32, 8, 2)))
 
 
-def ladder_bytes(variant, drift, d, n, factors):
+def ladder_bytes(variant, drift, d, n, factors, paths=LADDER_PATHS):
     # heavy-tailed fixed noise that does not depend on any library sampler
     gen = RngStream(31, 100 * d + n).generator()
-    noise = gen.standard_cauchy((LADDER_PATHS, n, d)) * (1.0 / n) ** (1.0 / 1.5)
+    noise = gen.standard_cauchy((paths, n, d)) * (1.0 / n) ** (1.0 / 1.5)
     x_T, sup = euler_ladder(LADDER_DRIFTS[drift], 0.3, 1.0, noise, factors, variant)
     return x_T.tobytes() + sup.tobytes()
 
@@ -54,6 +58,11 @@ MC_CONFIGS = {
                                        "timeint"),
     "stable-1.5-d3-cos-frozen": (LevyModel.isotropic_stable(1.5, dim=3), drift_cos(),
                                  "frozen"),
+    # the jump path: poisson, multinomial, shuffle and spare-32-bit integers draws
+    "tempered-1.5-1-cos_time-timeint": (LevyModel.tempered_stable(1.5, 1.0),
+                                        drift_cos_time(), "timeint"),
+    "truncated-1.5-cos_time-timeint": (LevyModel.truncated_stable(1.5), drift_cos_time(),
+                                       "timeint"),
 }
 
 
@@ -159,6 +168,9 @@ def _cases():
                 for n, factors in LADDER_GRIDS:
                     key = f"ladder/{variant}/{drift}/d{d}/n{n}/f{','.join(map(str, factors))}"
                     cases[key] = (ladder_bytes, variant, drift, d, n, factors)
+                for n, factors in ONE_PATH_GRIDS:
+                    key = f"ladder-1path/{variant}/{drift}/d{d}/n{n}/f{','.join(map(str, factors))}"
+                    cases[key] = (ladder_bytes, variant, drift, d, n, factors, 1)
     cases.update({f"mc/{name}": (mc_bytes, name) for name in MC_CONFIGS})
     cases.update({f"increments/{name}": (increments_bytes, name) for name in SAMPLER_MODELS})
     cases.update({f"increments-512/{name}": (long_increments_bytes, name)
@@ -204,6 +216,10 @@ SHA256 = {
         "57e9b3b010fc4b09d483eda86bfaab42311ac65ad25b02ee4883e3644ed14d20",
     "ladder/frozen/cos_time/d1/n64/f32,8,2":
         "41032d2e20968a819a8db4ee887e5de561857265f86b132733f8d5cff313c89a",
+    "ladder-1path/frozen/cos_time/d1/n15/f1,3,5":
+        "b97fca7b4ac618fac934d38dfd1c7b6ff20d136928b3797cecadc7e1602fc06e",
+    "ladder-1path/frozen/cos_time/d1/n64/f32,8,2":
+        "299c18a9790a845b11b4d5a57f65a1a3158a46b334f776bc08d733c4c3cd7c78",
     "ladder/frozen/cos_time/d3/n1/f":
         "1843e848568ac4616bed766d11909d5c33034cac1da8682a33e3aac285484549",
     "ladder/frozen/cos_time/d3/n15/f":
@@ -224,6 +240,10 @@ SHA256 = {
         "2eedd3eca26ec66c22fe565bc29eff9b331493de82ebce4193a6758cb9476ed5",
     "ladder/frozen/cos_time/d3/n64/f32,8,2":
         "570c5522af8581c7f70cdd11b3210d790894a65756bdb3396f929cd8db136c39",
+    "ladder-1path/frozen/cos_time/d3/n15/f1,3,5":
+        "c673630c9b0ff20b23fc91f5c73f97ec1ceeda13461b21d883bc41833337709e",
+    "ladder-1path/frozen/cos_time/d3/n64/f32,8,2":
+        "9fd64e82ae745f3c5fb84bd758db1fcabae412d03941a50096a6d7a5a4c5df6d",
     "ladder/frozen/rough_sin/d1/n1/f":
         "510cc10f127259b083952d9beda6dbf1203c901703a24ffe806a16fc0a0198c8",
     "ladder/frozen/rough_sin/d1/n15/f":
@@ -244,6 +264,10 @@ SHA256 = {
         "619d97f381753873c77ab4255bc62652596e09315dd3845b2c5d5e96738c20a9",
     "ladder/frozen/rough_sin/d1/n64/f32,8,2":
         "2e60cc390d6940f12ba98b81264f68f1d1f7030bf36eeafd8edddf6bc8261e03",
+    "ladder-1path/frozen/rough_sin/d1/n15/f1,3,5":
+        "5d6b0cc4e3c69241f6d9b52cba31912421a0c31db71ce8674d942ef67288bd1e",
+    "ladder-1path/frozen/rough_sin/d1/n64/f32,8,2":
+        "957b7f5323514250d9205ab200319e207f677af9f9a8ff59312cc934da04ab02",
     "ladder/frozen/rough_sin/d3/n1/f":
         "98c10fe31c5544d6ac71b687e3b73f29f4c47ea9fb1d9f8fabf1e45472ce558c",
     "ladder/frozen/rough_sin/d3/n15/f":
@@ -264,6 +288,10 @@ SHA256 = {
         "9c829bd458ae286bc9652c723f950211eeb215762c70dfd3c3f906d61aba472b",
     "ladder/frozen/rough_sin/d3/n64/f32,8,2":
         "efae3fda07797bc497eea7157bb607c34cbd851e979bd94d46faa9d8fee6b45a",
+    "ladder-1path/frozen/rough_sin/d3/n15/f1,3,5":
+        "c6f05858fd449ef1d2db93ef48ec56374019dab4337a893fb8dac3753d2a870d",
+    "ladder-1path/frozen/rough_sin/d3/n64/f32,8,2":
+        "567ac2f6c06d0f65dfdd2ab16f4733e88e3a9c7bd8be2429024694958c9051bc",
     "ladder/timeint/cos_time/d1/n1/f":
         "9e9b9b2bb28a10b36db73ee6919f03a85cc467c041df97365a20841a5ec633f1",
     "ladder/timeint/cos_time/d1/n15/f":
@@ -284,6 +312,10 @@ SHA256 = {
         "7cb79fb730ee27818d039b9759f94c0225344221dc5ca8a7cbe641219147a7a1",
     "ladder/timeint/cos_time/d1/n64/f32,8,2":
         "f7790869b7cb5a97f02b63310f39bf1cc5928eed0726f6cb47b7de9b3541da1b",
+    "ladder-1path/timeint/cos_time/d1/n15/f1,3,5":
+        "3190956cb8675253c216249a6962f4927a20d61839a1aa2d039fd73ae402ef6d",
+    "ladder-1path/timeint/cos_time/d1/n64/f32,8,2":
+        "e90927c1010f48baead9e3ecd5216300c2ef662131903c4ae03f7a8ce4e032aa",
     "ladder/timeint/cos_time/d3/n1/f":
         "8c8f5c0e8c9a5533f36e9f11eb6d5e3a0d75695620f6570767d1c7bd93ebe480",
     "ladder/timeint/cos_time/d3/n15/f":
@@ -304,6 +336,10 @@ SHA256 = {
         "55278bb1c12dc460f9d9f25743031648c730057049e021493e306fd63eac6645",
     "ladder/timeint/cos_time/d3/n64/f32,8,2":
         "688af18c4493f1cc6fd47772c1cf1e1f7bdf93deff7dcb0979db2fc91fe22245",
+    "ladder-1path/timeint/cos_time/d3/n15/f1,3,5":
+        "d548ce97ce6fb5af9a275af55f9934bd111c5e760471414f269926fd370af8b3",
+    "ladder-1path/timeint/cos_time/d3/n64/f32,8,2":
+        "9994b40c8e6bfa904fd142e53cda196aec3aecdcc98b9f3a95028276bbddd2ac",
     "ladder/timeint/rough_sin/d1/n1/f":
         "89f289411e5d5a1c0a9246d2f74c3396dcc59490a4c4adcd53df13ba7d43a236",
     "ladder/timeint/rough_sin/d1/n15/f":
@@ -324,6 +360,10 @@ SHA256 = {
         "7ed28f0cf120d36d3411639d43ea32b1fe660612a145927e2d10724b920ac065",
     "ladder/timeint/rough_sin/d1/n64/f32,8,2":
         "518db77a8f30a1fb76047702e31dfff7a62be7bfe3d3d5274ea6be8755586ede",
+    "ladder-1path/timeint/rough_sin/d1/n15/f1,3,5":
+        "5d6b0cc4e3c69241f6d9b52cba31912421a0c31db71ce8674d942ef67288bd1e",
+    "ladder-1path/timeint/rough_sin/d1/n64/f32,8,2":
+        "957b7f5323514250d9205ab200319e207f677af9f9a8ff59312cc934da04ab02",
     "ladder/timeint/rough_sin/d3/n1/f":
         "7e53a3d0c20335d80897b257c9ceeed42b4ef4e60fbe77600dbf8348d5b6b7d0",
     "ladder/timeint/rough_sin/d3/n15/f":
@@ -344,12 +384,20 @@ SHA256 = {
         "ac16a81d61cdd7fec08a02e206e916114242793ea3e50030940e8bde56ff4b2d",
     "ladder/timeint/rough_sin/d3/n64/f32,8,2":
         "1724a80069659ecf252fa233ed3c664370bfe8d27beec9022e50a31864ca90bf",
+    "ladder-1path/timeint/rough_sin/d3/n15/f1,3,5":
+        "c6f05858fd449ef1d2db93ef48ec56374019dab4337a893fb8dac3753d2a870d",
+    "ladder-1path/timeint/rough_sin/d3/n64/f32,8,2":
+        "890fce2685b09691fac58e08ba879456aa4d7ea52d61157ed5d878143ccb316e",
     "mc/stable-1.5-d1-cos-frozen":
         "42831693ec247275187f3b16abd5b8dc6d1b1589a7be171040ebe5b252a40442",
     "mc/stable-1.5-d1-cos_time-timeint":
         "eda48608528b47b29d42df27941346748173195fec47f733a7eb17624db607e1",
     "mc/stable-1.5-d3-cos-frozen":
         "791f118dd4ebcf64104cd9612b1bd87db9666a4e5989ffef44c47edb6adc5199",
+    "mc/tempered-1.5-1-cos_time-timeint":
+        "77284f4526b3d25a410209c32c4397e7c8e54443d142140e7e991a6f902e9fb1",
+    "mc/truncated-1.5-cos_time-timeint":
+        "6697f6f24061502ab6c79964ea17112f7e102efca539515078197de03aa2c599",
     "increments/brownian-d1":
         "e8ac2cc30d5de418a8d9d139adbf633d109ef164c83f076b892b68c65ccf0999",
     "increments/brownian-d3":

@@ -369,6 +369,30 @@ class TestIncrements:
         assert abs(a.mean() - b.mean()) / b.mean() < 0.25
 
 
+_TEMPERED = LevyModel.tempered_stable(1.5, 1.0)
+# each sampler with a NaN or infinite step or scale in place of its time argument
+NON_FINITE_CALLS = {
+    "increments-isotropic": lambda t, g: increments(LevyModel.isotropic_stable(1.5), t, 8, g),
+    "increments-isotropic-d2": lambda t, g: increments(LevyModel.isotropic_stable(1.5, dim=2),
+                                                       t, 8, g),
+    "increments-tempered": lambda t, g: increments(_TEMPERED, t, 4, g),
+    "increments-brownian": lambda t, g: increments(LevyModel.brownian(), t, 4, g),
+    "jump_decomposition": lambda t, g: sample_jump_decomposition(_TEMPERED, 0.1, t, g, 4),
+    "stable": lambda t, g: sample_stable(1.5, t, 4, g),
+    "stable_subordinator": lambda t, g: sample_stable_subordinator(0.5, t, g, 4),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_time_or_scale_refused_before_any_draw(call, value):
+    gen = RngStream(8, 1).generator()
+    with pytest.raises(DomainError, match="must be finite"):
+        NON_FINITE_CALLS[call](value, gen)
+    # nothing was drawn: the stream still starts where a fresh one does
+    assert np.array_equal(gen.uniform(size=4), RngStream(8, 1).generator().uniform(size=4))
+
+
 class TestBinaryDump:
     def test_round_trip(self, tmp_path):
         model = LevyModel.tempered_stable(1.5, 1.0)
