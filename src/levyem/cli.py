@@ -226,7 +226,7 @@ def cmd_density(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     def write_csv(table):
-        table.to_csv(out / f"density_t{table.t:g}.csv", max_rows=4096)
+        table.to_csv(out / f"density_t{table.t:g}.csv")
 
     # each CSV is written as its table is computed, so a table that fails
     # leaves the earlier CSVs and no summary

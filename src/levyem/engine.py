@@ -24,7 +24,7 @@ call per drift evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -45,43 +45,38 @@ _GAP_ROWS = 16
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift b(t, x) with declared Hoelder exponents and sup bound.
+    """Drift b(t, x) with declared Hoelder exponents in space and time.
 
     ``fn`` must act elementwise on an array x of any shape (componentwise
     for d > 1): the ``timeint`` scheme stacks the fine path and every coarse
     level into one array of shape (levels+1, paths, d).
-    The declared (beta, eta, bound) are the catalog author's responsibility;
-    the library does not test them against ``fn``.
+    The declared (beta, eta) are the catalog author's responsibility; the
+    library does not test them against ``fn``.
     """
 
     fn: Callable
     beta: float
     eta: float
-    bound: float
-    name: str = "custom"
+    name: str = field(default="custom", kw_only=True)
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0) or not (0.0 < self.eta <= 1.0):
             raise DomainError("beta and eta must lie in (0, 1]")
-        if self.bound <= 0:
-            raise DomainError("bound must be positive")
 
     def __call__(self, t, x):
         return self.fn(t, x)
 
 
 def drift_zero() -> DriftSpec:
-    return DriftSpec(lambda t, x: np.zeros_like(x), beta=1.0, eta=1.0, bound=1e-300,
-                     name="zero")
+    return DriftSpec(lambda t, x: np.zeros_like(x), beta=1.0, eta=1.0, name="zero")
 
 
 def drift_const(c: float) -> DriftSpec:
-    return DriftSpec(lambda t, x: np.full_like(x, c), beta=1.0, eta=1.0,
-                     bound=max(abs(c), 1e-300), name="const")
+    return DriftSpec(lambda t, x: np.full_like(x, c), beta=1.0, eta=1.0, name="const")
 
 
 def drift_cos() -> DriftSpec:
-    return DriftSpec(lambda t, x: np.cos(x), beta=1.0, eta=1.0, bound=1.0, name="cos")
+    return DriftSpec(lambda t, x: np.cos(x), beta=1.0, eta=1.0, name="cos")
 
 
 def drift_rough(beta: float) -> DriftSpec:
@@ -93,13 +88,12 @@ def drift_rough(beta: float) -> DriftSpec:
         s = np.sin(x)
         return np.sign(s) * np.abs(s) ** beta
 
-    return DriftSpec(fn, beta=beta, eta=1.0, bound=1.0, name="rough_sin")
+    return DriftSpec(fn, beta=beta, eta=1.0, name="rough_sin")
 
 
 def drift_cos_time() -> DriftSpec:
     """b(t, x) = cos(x + t): Lipschitz in both arguments."""
-    return DriftSpec(lambda t, x: np.cos(x + t), beta=1.0, eta=1.0, bound=1.0,
-                     name="cos_time")
+    return DriftSpec(lambda t, x: np.cos(x + t), beta=1.0, eta=1.0, name="cos_time")
 
 
 DRIFT_CATALOG = {
@@ -161,11 +155,13 @@ def euler_ladder(drift: DriftSpec, x0, T: float, noise: np.ndarray, factors=(),
     fine state at step k is the terminal state of the run on the first k
     increments over [0, T k / n].
     """
+    if noise.ndim != 3:
+        raise ShapeError(f"noise must be a (paths, n, d) array, got shape {noise.shape}")
     paths, n, d = noise.shape
     if any(f < 1 or n % f for f in factors):
         raise ShapeError(f"ladder factors {tuple(factors)} must divide {n} steps")
-    if not T > 0 or n < 1:
-        raise DomainError(f"need T > 0 and n >= 1, got T={T} and n={n}")
+    if not 0 < T < math.inf or n < 1:
+        raise DomainError(f"need finite T > 0 and n >= 1, got T={T} and n={n}")
     dt = T / n
     step = _step_drift(drift, dt, variant)
     frozen = variant == "frozen"

@@ -171,22 +171,18 @@ def _noise_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     return buf
 
 
-def _path_block(config: ExperimentConfig, p_eff: float, lo: int, hi: int):
-    """Sup-error^p for paths lo..hi-1, one column per ladder entry."""
-    noise = _noise_block(config, lo, hi).transpose(1, 0, 2)
-    factors = [config.n_ref // n for n in config.n_list]
-    _, sup = euler_ladder(config.drift, config.x0, config.T, noise, factors,
-                          config.variant)
-    return (sup ** p_eff).T
-
-
 def _error_powers(config: ExperimentConfig, p_eff: float) -> np.ndarray:
     """Sup-error^p of every path (rows) at every ladder entry (columns)."""
     M = config.paths
+    factors = [config.n_ref // n for n in config.n_list]
     values = np.empty((M, len(config.n_list)))
     for lo in range(0, M, config.chunk):
         hi = min(lo + config.chunk, M)
-        values[lo:hi] = _path_block(config, p_eff, lo, hi)
+        # the noise buffer is not named, so it is freed before the next block's
+        _, sup = euler_ladder(config.drift, config.x0, config.T,
+                              _noise_block(config, lo, hi).transpose(1, 0, 2), factors,
+                              config.variant)
+        values[lo:hi] = (sup ** p_eff).T
     return values
 
 

@@ -415,19 +415,6 @@ class _Piece:
     lo: float
     hi: float
 
-    def q(self, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.zeros_like(r)
-        mask = (r > self.lo) & (r <= self.hi) if math.isfinite(self.hi) else (r > self.lo)
-        rm = r[mask]
-        val = self.c * rm ** (-1.0 - self.s)
-        if self.m > 0:
-            val = val * np.exp(-self.m * rm)
-        out[mask] = val
-        return float(out[0]) if scalar else out
-
     def moment(self, k: float, a: float, b: float) -> float:
         """int_a^b r^k * c r^(-1-s) e^(-m r) dr restricted to the piece."""
         a = max(a, self.lo)
@@ -480,15 +467,6 @@ class RadialDensity:
     @property
     def support_hi(self) -> float:
         return max(p.hi for p in self.pieces)
-
-    def q(self, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.zeros_like(r, dtype=float)
-        for p in self.pieces:
-            out = out + p.q(r)
-        return float(out[0]) if scalar else out
 
     def moment(self, k: float, a: float, b: float) -> float:
         return float(sum(p.moment(k, a, b) for p in self.pieces))
@@ -641,8 +619,8 @@ def predicted_rate(p: float, beta: float, eta: float, gamma0: float,
                    alpha: Optional[float] = None,
                    gamma0_is_open: bool = False) -> RatePrediction:
     """rate = min{1, p beta / gamma0, p eta}."""
-    if p <= 0:
-        raise DomainError("p must be positive")
+    if not p > 0:  # NaN too: min(1.0, nan, nan) would read 1.0
+        raise DomainError(f"p must be > 0, got {p}")
     if not (0.0 < beta <= 1.0) or not (0.0 < eta <= 1.0):
         raise DomainError("beta and eta must lie in (0, 1]")
     if not (1.0 <= gamma0 <= 2.0):

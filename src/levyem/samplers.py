@@ -78,6 +78,8 @@ def sample_stable_subordinator(rho: float, t: float, rng, size: int) -> np.ndarr
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
     if not 0 <= t < math.inf:
         raise DomainError(f"t must be finite and >= 0, got {t}")
+    if size < 0:
+        raise DomainError(f"size must be >= 0, got {size}")
     if rho == 1.0:
         return np.full(size, float(t))
     gen = as_generator(rng)
@@ -105,6 +107,8 @@ def sample_tempered_subordinator(rho: float, m: float, t: float, rng,
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
     if not 0 <= t < math.inf:
         raise DomainError(f"t must be finite and >= 0, got {t}")
+    if size < 0:
+        raise DomainError(f"size must be >= 0, got {size}")
     pieces = t * m ** (2.0 * rho) / 0.7  # finite m^2 and rho < 1: no OverflowError
     if pieces > MAX_STEP_WORK:
         raise DomainError(f"t={t} with tilt m={m} needs {pieces:.3g} rejection pieces "
@@ -137,7 +141,7 @@ def sample_subordinator(sub: SubordinatorSpec, t: float, rng, size: int) -> np.n
 
 
 def sample_subordinated_bm(sub_sample, d: int, rng) -> np.ndarray:
-    """Gaussian increment at a random time: sqrt(2 S) Z with Z standard normal.
+    """One row sqrt(2 S) Z, Z standard normal in R^d, per sample S of the 1-D ``sub_sample``.
 
     The factor 2 matches the catalog normalisation psi(xi) = f(|xi|^2): a
     subordinator increment S with E exp(-lam S) = exp(-t f(lam)) yields
@@ -145,15 +149,12 @@ def sample_subordinated_bm(sub_sample, d: int, rng) -> np.ndarray:
     """
     if d < 1:
         raise DomainError("d must be >= 1")
-    gen = as_generator(rng)
     s = np.asarray(sub_sample, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    if np.any(s < 0):
-        raise DomainError("subordinator sample must be nonnegative")
-    z = gen.standard_normal((s.size, d))
-    out = np.sqrt(2.0 * s)[:, None] * z
-    return out[0] if scalar else out
+    if s.ndim != 1:
+        raise ShapeError(f"subordinator samples must be a 1-D array, got shape {s.shape}")
+    if not np.all(s >= 0):  # NaN too
+        raise DomainError("subordinator samples must be nonnegative numbers")
+    return np.sqrt(2.0 * s)[:, None] * as_generator(rng).standard_normal((s.size, d))
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +220,8 @@ def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
         raise DomainError("epsilon must lie in (0, 1]")
     if not 0 < dt < math.inf:
         raise DomainError(f"dt must be finite and > 0, got {dt}")
+    if size < 0:
+        raise DomainError(f"size must be >= 0, got {size}")
     rd = radial_density(model)
     sigma2, intensity = _decomposition_stats(model, epsilon)
     if dt * intensity > MAX_STEP_WORK:

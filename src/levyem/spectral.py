@@ -26,6 +26,9 @@ from .models import (Family, LevyModel, SubFamily, char_exponent_radial,
                      kappa_exponent, stable_constant)
 from .samplers import MAX_ELEMENTS
 
+_CSV_ROWS = 4096  # the most rows a density CSV keeps
+_MAX_HALVINGS = 5  # horizon halvings before picard_solve gives up on contraction
+
 
 @dataclass(frozen=True)
 class SpaceGrid:
@@ -93,8 +96,9 @@ class DensityTable:
     deriv2: np.ndarray
     mass: float
 
-    def to_csv(self, path, max_rows: Optional[int] = None) -> None:
-        stride = 1 if max_rows is None else max(1, self.grid.n_points // max_rows)
+    def to_csv(self, path) -> None:
+        """Every node a fixed stride max(1, n_points // 4096) apart: <= 4096 rows."""
+        stride = max(1, self.grid.n_points // _CSV_ROWS)
         data = np.column_stack([col[::stride] for col in (
             self.grid.nodes, self.values, self.deriv1, self.deriv2)])
         np.savetxt(path, data, delimiter=",", comments="", newline="\n",
@@ -398,14 +402,14 @@ def _distinct_rows(table: np.ndarray) -> np.ndarray:
 
 def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGrid,
                  n_time: int = 128, max_iter: int = 60, tol: float = 1e-8,
-                 max_halvings: int = 5, target_ratio: float = 0.95,
+                 target_ratio: float = 0.95,
                  force_unbalanced: bool = False) -> PicardSolution:
     """Solve d_t u + A u + b . grad u = -g on [0, T] with u(T, .) = 0.
 
     Iterates u <- integral of P_{s-t} [b grad u + g] with the semigroup factor
     integrated exactly per mode over each uniform time interval (the source is
     interpolated linearly).  When the measured contraction factor exceeds
-    ``target_ratio`` the horizon is halved, up to ``max_halvings`` times.
+    ``target_ratio`` the horizon is halved, at most a fixed 5 times.
     The solution carries its certificate and the residual of the equation.
     """
     if not 0 < T < math.inf:
@@ -461,7 +465,7 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         if converged and contracting:
             return _finish(model, grid, drift.beta, kappa, horizon, halvings, times,
                            u, grad, tuple(diffs), b_tab, g_tab, g_norm)
-        if halvings >= max_halvings:
+        if halvings >= _MAX_HALVINGS:
             raise StiffnessError(
                 f"no contraction after halving the horizon {halvings} times "
                 f"(last ratios {ratios[-3:]})")

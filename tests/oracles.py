@@ -1,7 +1,8 @@
 """Independent reference computations that only the tests use.
 
 Each one checks a library result by a route the library does not take:
-dyadic-shell quadrature for the closed-form moment indices, random-pair
+dyadic-shell quadrature for the closed-form moment indices, the radial
+jump density evaluated pointwise from its pieces, random-pair
 spot checks for a drift's declared regularity, a node-clustered resolvent
 integral for the Picard solve, and a one-row Hoelder quotient for the
 certificate's seminorms.  The subordination inverse-moment diagnostic behind
@@ -19,7 +20,7 @@ import numpy as np
 from levyem.engine import DriftSpec
 from levyem.errors import DensityError, DomainError, ShapeError
 from levyem.fitting import fit_powerlaw
-from levyem.models import LevyModel, SubordinatorSpec
+from levyem.models import LevyModel, RadialDensity, SubordinatorSpec
 from levyem.rng import RngStream
 from levyem.samplers import sample_subordinator
 from levyem.spectral import (SpaceGrid, _dyadic_peaks, _holder_quotient, _phi1,
@@ -89,13 +90,28 @@ def verify_levy_moment(q, gamma: float, region: str,
     return MomentCheck(True, total + tail, len(shells))
 
 
+def radial_q(density: RadialDensity, r):
+    """Q(r), the sum over the pieces c r^(-1-s) e^(-m r) on (lo, hi] of
+    ``density``; a float for a scalar r, an array of r's shape otherwise."""
+    r = np.asarray(r, dtype=float)
+    flat = np.atleast_1d(r)
+    out = np.zeros_like(flat)
+    for p in density.pieces:
+        inside = (flat > p.lo) & (flat <= p.hi)
+        val = p.c * flat[inside] ** (-1.0 - p.s)
+        if p.m > 0:
+            val = val * np.exp(-p.m * flat[inside])
+        out[inside] += val
+    return float(out[0]) if r.ndim == 0 else out
+
+
 # ----------------------------------------------------------------------
 # drift regularity
 # ----------------------------------------------------------------------
 
 def drift_diagnostics(drift: DriftSpec, rng, n_pairs: int = 10_000,
                       box: float = 10.0, t_max: float = 1.0) -> dict:
-    """Necessary-condition spot checks of (bound, beta, eta) on random pairs."""
+    """Necessary-condition spot checks of (sup, beta, eta) on random pairs."""
     gen = rng.generator() if hasattr(rng, "generator") else rng
     t = gen.uniform(0.0, t_max, n_pairs)
     x = gen.uniform(-box, box, n_pairs)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -71,6 +72,19 @@ class TestEmPath:
         with pytest.raises(ShapeError):
             euler_ladder(drift_zero(), 0.0, 1.0, np.zeros((1, 8, 1)), (3,))
 
+    @pytest.mark.parametrize("T", [math.inf, -math.inf])
+    def test_infinite_horizon_refused_before_any_step(self, T):
+        calls = []
+        drift = DriftSpec(lambda t, x: calls.append(t) or np.zeros_like(x), 1.0, 1.0)
+        with pytest.raises(DomainError, match="finite T"):
+            euler_ladder(drift, 0.0, T, np.zeros((2, 8, 1)), (2,))
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 8), (1, 2, 8, 1)])
+    def test_noise_must_be_three_dimensional(self, shape):
+        with pytest.raises(ShapeError, match=r"\(paths, n, d\)"):
+            euler_ladder(drift_cos(), 0.0, 1.0, np.zeros(shape))
+
     def test_timeint_variant_matches_frozen_for_time_free_drift(self):
         noise = brownian_noise(1.0, 16, 3)
         a = fine_path(drift_cos(), 0.0, 1.0, noise, variant="frozen")
@@ -80,7 +94,7 @@ class TestEmPath:
     def test_timeint_integrates_time_dependence(self):
         # b(t, x) = cos(t) with zero noise: the scheme with exact time
         # integration reproduces sin(t) on the grid up to quadrature error
-        drift = DriftSpec(lambda t, x: np.full_like(x, math.cos(t)), 1.0, 1.0, 1.0)
+        drift = DriftSpec(lambda t, x: np.full_like(x, math.cos(t)), 1.0, 1.0)
         n = 16
         states = fine_path(drift, 0.0, 1.0, np.zeros((1, n, 1)), variant="timeint")
         assert np.allclose(states[0, :, 0], np.sin(np.arange(n + 1) / n), atol=1e-10)
@@ -142,8 +156,8 @@ class TestCoupledError:
         gen = RngStream(11, 0).generator()
         noise = gen.integers(-8, 9, size=(1, 8, 1)).astype(float) / 16.0
         v = 2.75
-        base_drift = DriftSpec(lambda t, x: x, 1.0, 1.0, 100.0)
-        shifted_drift = DriftSpec(lambda t, x: x - v, 1.0, 1.0, 100.0)
+        base_drift = DriftSpec(lambda t, x: x, 1.0, 1.0)
+        shifted_drift = DriftSpec(lambda t, x: x - v, 1.0, 1.0)
         base = fine_path(base_drift, 0.0, 1.0, noise)
         shifted = fine_path(shifted_drift, v, 1.0, noise)
         assert np.array_equal(shifted, base + v)
@@ -152,7 +166,7 @@ class TestCoupledError:
         v = 2.75
         noise = increments(LevyModel.brownian(), 1.0, 32, RngStream(11, 1)).values[None]
         base = fine_path(drift_cos(), 0.0, 1.0, noise)
-        shifted_drift = DriftSpec(lambda t, x: np.cos(x - v), 1.0, 1.0, 1.0)
+        shifted_drift = DriftSpec(lambda t, x: np.cos(x - v), 1.0, 1.0)
         shifted = fine_path(shifted_drift, v, 1.0, noise)
         assert np.allclose(shifted, base + v, atol=1e-13)
 
@@ -199,7 +213,15 @@ class TestDriftCatalog:
         with pytest.raises(DomainError):
             drift_rough(1.0)
         with pytest.raises(DomainError):
-            DriftSpec(lambda t, x: x, beta=0.0, eta=1.0, bound=1.0)
+            DriftSpec(lambda t, x: x, beta=0.0, eta=1.0)
+
+    def test_name_is_keyword_only_and_no_bound_is_declared(self):
+        # a fourth positional value, such as a sup bound, is refused rather
+        # than taken as the name
+        with pytest.raises(TypeError):
+            DriftSpec(lambda t, x: x, 1.0, 1.0, 1.0)
+        assert [f.name for f in dataclasses.fields(DriftSpec)] == ["fn", "beta", "eta", "name"]
+        assert DriftSpec(lambda t, x: x, 1.0, 1.0, name="id").name == "id"
 
 
 # sha256 of the other paths' terminal states and sup gaps in

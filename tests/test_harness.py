@@ -186,8 +186,7 @@ class TestMcStrongError:
             assert means[k + 1] <= means[k] + 2 * math.hypot(ses[k], ses[k + 1])
 
     def test_all_paths_flagged_aborts(self):
-        exploding = DriftSpec(lambda t, x: np.sign(x) * np.abs(x) ** 5 + 1.0,
-                              1.0, 1.0, 1e308)
+        exploding = DriftSpec(lambda t, x: np.sign(x) * np.abs(x) ** 5 + 1.0, 1.0, 1.0)
         cfg = small_config(drift=exploding, x0=10.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ExperimentAbortedError):
@@ -244,7 +243,7 @@ class TestMcStrongError:
         factor = lam ** (1.0 - 1.0 / alpha)
         scale = lam ** (1.0 / alpha)
         drift1 = drift_cos()
-        drift2 = DriftSpec(lambda t, x: factor * np.cos(x / scale), 1.0, 1.0, factor)
+        drift2 = DriftSpec(lambda t, x: factor * np.cos(x / scale), 1.0, 1.0)
         rep1 = run_experiment(small_config(model=LevyModel.isotropic_stable(alpha),
                                            drift=drift1, p=1.0, paths=600))
         rep2 = run_experiment(small_config(model=LevyModel.isotropic_stable(alpha),

@@ -10,8 +10,10 @@ decomposition, tempered and truncated stable noise; ``increments`` at small
 ``n`` for every catalog family
 that has a sampler, and at ``n = 512`` (about 32,000 jumps) for the
 jump-decomposition families; ``density_fft`` for six families at jittered
-times; and ``picard_solve`` over families, drifts (one of which halves the
-horizon), step counts and array, callable and zero sources.
+times; ``picard_solve`` over families, drifts (one of which halves the
+horizon), step counts and array, callable and zero sources; and the test
+oracle ``radial_q`` for the three radial densities around their piece edge,
+recorded from the library's former ``RadialDensity.q``.
 
 Regenerate the table with
 
@@ -29,10 +31,11 @@ import pytest
 
 from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough, euler_ladder
 from levyem.harness import ExperimentConfig, mc_strong_error
-from levyem.models import LevyModel, SubordinatorSpec
+from levyem.models import LevyModel, SubordinatorSpec, radial_density
 from levyem.rng import RngStream
 from levyem.samplers import increments
 from levyem.spectral import SpaceGrid, density_fft, picard_solve
+from oracles import radial_q
 
 LADDER_DRIFTS = {"cos_time": drift_cos_time(), "rough_sin": drift_rough(0.5)}
 # (n, factors): no levels, a factor-1 level, n below 16 and n not a multiple of 16
@@ -138,7 +141,7 @@ PICARD_DRIFTS = {
     "cos": (drift_cos(), 0.25, {}),
     "cos_time": (drift_cos_time(), 0.25, {}),
     "rough_sin": (drift_rough(0.7), 0.25, {}),
-    "strong": (DriftSpec(lambda t, x: 5.0 * np.cos(x + t), 1.0, 1.0, 5.0), 0.5,
+    "strong": (DriftSpec(lambda t, x: 5.0 * np.cos(x + t), 1.0, 1.0), 0.5,
                {"target_ratio": 0.5}),
 }
 PICARD_GRID = SpaceGrid(16 * math.pi, 512)
@@ -158,6 +161,18 @@ def picard_bytes(name, drift, n_time, source):
                             sol.kappa, sol.residual) + tuple(v for _, v in cert))
     return (sol.u.tobytes() + sol.grad_u.tobytes() + sol.times.tobytes()
             + repr([k for k, _ in cert]).encode() + _hex(scalars))
+
+
+# 0, the piece edge 1 and its two neighbours, and points in and past each piece
+RADIAL_Q_POINTS = np.array([0.0, 1e-3, 0.37, np.nextafter(1.0, 0.0), 1.0,
+                            np.nextafter(1.0, 2.0), 2.5, 40.0])
+
+
+def radial_q_bytes(name):
+    density = radial_density(SPECTRAL_MODELS[name])
+    # a scalar argument gives a float, inside the first piece and at its edge
+    return (radial_q(density, RADIAL_Q_POINTS).tobytes()
+            + _hex([radial_q(density, 0.37), radial_q(density, 1.0)]))
 
 
 def _cases():
@@ -184,6 +199,8 @@ def _cases():
                 for source in PICARD_SOURCES:
                     key = f"picard/{name}/{drift}/n{n_time}/{source}"
                     cases[key] = (picard_bytes, name, drift, n_time, source)
+    for name in ("tempered-1.5-1", "truncated-1.5", "layered-1.5-2.5"):
+        cases[f"radial-q/{name}"] = (radial_q_bytes, name)
     return cases
 
 
@@ -776,6 +793,12 @@ SHA256 = {
         "5bd07759eb679142f7269eb80b124bb3c6eb6effac37caee5fef0b7e0a32a851",
     "picard/tempered-1.5-1/strong/n37/zero":
         "081b4d5165851122047b8b141765cf95d7f4edddc2eb17e54bf28a9ad1318a38",
+    "radial-q/tempered-1.5-1":
+        "9447f42891e72c4de50528025cb56057f17b8ba05c68e88b9266df3e6270e437",
+    "radial-q/truncated-1.5":
+        "99cf024233b5e3257ec01f4b25d201aa499c00348953701fa3b8c64eeb9e1520",
+    "radial-q/layered-1.5-2.5":
+        "b677feae8a1b89521eb11d371f3edcd0801a4ca927b863a39e7d355b11d0f977",
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from levyem.models import (Family, LevyModel, SubFamily, SubordinatorSpec,
                            kappa_exponent, lamperti_bernstein,
                            one_minus_cos_constant, predict_for_model,
                            predicted_rate, radial_density, stable_constant)
-from oracles import verify_levy_moment
+from oracles import radial_q, verify_levy_moment
 
 
 def catalog():
@@ -73,7 +74,7 @@ class TestCharExponent:
         model = LevyModel.tempered_stable(1.5, 1.0)
         rd = radial_density(model)
         for s in (0.5, 2.0, 9.0):
-            num, _ = integrate.quad(lambda r: (1 - np.cos(s * r)) * rd.q(r),
+            num, _ = integrate.quad(lambda r: (1 - np.cos(s * r)) * radial_q(rd, r),
                                     0, np.inf, limit=400)
             assert char_exponent_radial(model, s) == pytest.approx(num, rel=1e-6)
 
@@ -261,6 +262,15 @@ class TestBalanceAndRate:
         pred = predict_for_model(model, beta=1.0, eta=1.0, p=2.0)
         assert pred.p == 1.5 and pred.p_clamped
 
+    @pytest.mark.parametrize("p", [math.nan, 0.0, -1.0, -math.inf])
+    def test_moment_order_must_be_positive(self, p):
+        # min(1.0, nan, nan) is 1.0, so a NaN p would read as the best rate
+        with pytest.raises(DomainError, match="p must be > 0"):
+            predicted_rate(p, 1.0, 1.0, 1.5)
+        for model in (LevyModel.isotropic_stable(1.5), LevyModel.brownian()):
+            with pytest.raises(DomainError, match="p must be > 0"):
+                predict_for_model(model, beta=1.0, eta=1.0, p=p)
+
 
 class TestMomentVerification:
     def test_inner_power_closed_form(self):
@@ -299,19 +309,19 @@ class TestMomentVerification:
         LevyModel.layered_stable(1.5, 2.5),
     ])
     def test_gamma0_is_open_infimum_of_density(self, model):
-        rd = radial_density(model)
+        q = partial(radial_q, radial_density(model))
         g0 = model.moments.gamma0
-        assert verify_levy_moment(rd.q, g0 + 0.1, "inner").finite
-        assert not verify_levy_moment(rd.q, g0, "inner").finite
+        assert verify_levy_moment(q, g0 + 0.1, "inner").finite
+        assert not verify_levy_moment(q, g0, "inner").finite
 
     def test_layered_tail_index(self):
-        rd = radial_density(LevyModel.layered_stable(1.5, 2.5))
-        assert verify_levy_moment(rd.q, 2.4, "outer").finite
-        assert not verify_levy_moment(rd.q, 2.6, "outer").finite
+        q = partial(radial_q, radial_density(LevyModel.layered_stable(1.5, 2.5)))
+        assert verify_levy_moment(q, 2.4, "outer").finite
+        assert not verify_levy_moment(q, 2.6, "outer").finite
 
     def test_truncated_has_no_tail(self):
-        rd = radial_density(LevyModel.truncated_stable(1.5))
-        res = verify_levy_moment(rd.q, 5.0, "outer")
+        q = partial(radial_q, radial_density(LevyModel.truncated_stable(1.5)))
+        res = verify_levy_moment(q, 5.0, "outer")
         assert res.finite and res.value == 0.0
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from levyem.samplers import (IncrementBatch, default_epsilon, increments,
                              sample_stable, sample_stable_subordinator,
                              sample_subordinated_bm,
                              sample_tempered_subordinator, save_batch)
+from oracles import radial_q
 
 
 def empirical_cf_gap(values, model, t, xi_grid):
@@ -161,7 +163,7 @@ class TestTemperedSubordinator:
 
 class TestSubordinatedBM:
     def test_zero_time_gives_zero(self):
-        out = sample_subordinated_bm(0.0, 3, RngStream(12, 0))
+        out = sample_subordinated_bm(np.zeros(1), 3, RngStream(12, 0))[0]
         assert np.array_equal(out, np.zeros(3))
 
     def test_norm_is_scaled_chi3(self):
@@ -173,7 +175,12 @@ class TestSubordinatedBM:
 
     def test_negative_subordinator_rejected(self):
         with pytest.raises(DomainError):
-            sample_subordinated_bm(-0.1, 1, RngStream(0, 0))
+            sample_subordinated_bm(np.array([-0.1]), 1, RngStream(0, 0))
+
+    @pytest.mark.parametrize("sample", [1.0, [[1.0, 2.0]]])
+    def test_samples_must_be_one_dimensional(self, sample):
+        with pytest.raises(ShapeError, match="1-D array"):
+            sample_subordinated_bm(sample, 2, RngStream(0, 0))
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("dt", [1.0, 0.1, 1.0 / 3.0, 2.0 ** -11])
@@ -228,7 +235,7 @@ class TestJumpDecomposition:
             rd = radial_density(model)
             eps = 0.07
             _, meta = sample_jump_decomposition(model, eps, 0.1, RngStream(16, 0), size=8)
-            oracle, _ = integrate.quad(lambda r: r * r * rd.q(r), 0, eps,
+            oracle, _ = integrate.quad(lambda r: r * r * radial_q(rd, r), 0, eps,
                                        points=[eps / 2], limit=200)
             assert meta.sigma2 == pytest.approx(oracle, rel=1e-8)
 
@@ -242,8 +249,8 @@ class TestJumpDecomposition:
         gen = RngStream(17, 0).generator()
         gen.standard_normal(mm)
         counts = gen.poisson(dt * meta.intensity, mm)
-        tail_a, _ = integrate.quad(rd.q, eps, 1.0, limit=200)
-        tail_b, _ = integrate.quad(rd.q, 1.0, np.inf, limit=200)
+        tail_a, _ = integrate.quad(partial(radial_q, rd), eps, 1.0, limit=200)
+        tail_b, _ = integrate.quad(partial(radial_q, rd), 1.0, np.inf, limit=200)
         target = dt * (tail_a + tail_b)
         se = counts.std(ddof=1) / math.sqrt(mm)
         assert abs(counts.mean() - target) <= 3 * se
@@ -391,6 +398,24 @@ def test_non_finite_time_or_scale_refused_before_any_draw(call, value):
         NON_FINITE_CALLS[call](value, gen)
     # nothing was drawn: the stream still starts where a fresh one does
     assert np.array_equal(gen.uniform(size=4), RngStream(8, 1).generator().uniform(size=4))
+
+
+# each sampler with a negative size, or NaN among the subordinator samples
+BAD_SIZE_CALLS = {
+    "stable_subordinator": lambda g: sample_stable_subordinator(0.5, 1.0, g, -1),
+    "stable_subordinator-rho1": lambda g: sample_stable_subordinator(1.0, 1.0, g, -1),
+    "tempered_subordinator": lambda g: sample_tempered_subordinator(0.5, 1.0, 1.0, g, -2),
+    "jump_decomposition": lambda g: sample_jump_decomposition(_TEMPERED, 0.1, 0.5, g, -1),
+    "subordinated_bm-nan": lambda g: sample_subordinated_bm(np.array([1.0, math.nan]), 2, g),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_SIZE_CALLS))
+def test_negative_size_or_nan_subordinator_refused_before_any_draw(call):
+    gen = RngStream(8, 2).generator()
+    with pytest.raises(DomainError, match="size must be >= 0|nonnegative numbers"):
+        BAD_SIZE_CALLS[call](gen)
+    assert np.array_equal(gen.uniform(size=4), RngStream(8, 2).generator().uniform(size=4))
 
 
 class TestBinaryDump:

@@ -325,7 +325,7 @@ class TestPicard:
         grid = SpaceGrid(16 * math.pi, 512)
         g = mode(grid, 3)
         T = 0.4
-        zero = DriftSpec(lambda t, x: np.zeros_like(x), 1.0, 1.0, 1e-300)
+        zero = DriftSpec(lambda t, x: np.zeros_like(x), 1.0, 1.0)
         sol = picard_solve(zero, g, T, STABLE15, grid, n_time=64)
         assert len(sol.diffs) == 1  # recursion closes after a single correction
         for j in (0, 13, 50):
@@ -377,12 +377,12 @@ class TestPicard:
         assert not sol.certified
         assert sol.kappa >= 1.0
 
-    def test_stiffness_error_when_drift_overwhelms(self):
+    def test_stiffness_error_when_drift_overwhelms(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_HALVINGS", 2)
         grid = SpaceGrid(16 * math.pi, 256)
-        huge = DriftSpec(lambda t, x: 500.0 * np.cos(x), 1.0, 1.0, 500.0)
+        huge = DriftSpec(lambda t, x: 500.0 * np.cos(x), 1.0, 1.0)
         with pytest.raises(StiffnessError):
-            picard_solve(huge, np.cos(grid.nodes), 4.0, STABLE15, grid,
-                         n_time=32, max_halvings=2)
+            picard_solve(huge, np.cos(grid.nodes), 4.0, STABLE15, grid, n_time=32)
 
     # (n_time + 1) x points past what an array can hold is refused before any
     # table is built, not left to a MemoryError
@@ -513,7 +513,7 @@ class TestPicardSweep:
     def test_matches_whole_table_iteration_through_halvings(self, rows, monkeypatch):
         grid = SpaceGrid(16 * math.pi, 512)
         monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * grid.n_points * rows)
-        strong = DriftSpec(lambda t, x: 5.0 * np.cos(x + t), 1.0, 1.0, 5.0)
+        strong = DriftSpec(lambda t, x: 5.0 * np.cos(x + t), 1.0, 1.0)
         sol = self._assert_matches_oracle(strong, np.cos(grid.nodes), 0.5, grid, 37,
                                           target_ratio=0.5)
         assert sol.halvings == 2 and sol.converged
@@ -593,7 +593,7 @@ class TestKolmogorovResidual:
         # a zero source converges on its first sweep; kappa < 1 here, so the
         # solution is certified with or without force_unbalanced
         grid = SpaceGrid(16 * math.pi, 512)
-        zero = DriftSpec(lambda t, x: np.zeros_like(x), 1.0, 1.0, 1e-300)
+        zero = DriftSpec(lambda t, x: np.zeros_like(x), 1.0, 1.0)
         for force in (False, True):
             sol = picard_solve(zero, np.zeros(grid.n_points), 0.3, STABLE15, grid,
                                n_time=32, force_unbalanced=force)
@@ -604,7 +604,7 @@ class TestKolmogorovResidual:
     def test_single_mode_zero_drift(self):
         grid = SpaceGrid(16 * math.pi, 1024)
         g = mode(grid, 4)
-        zero = DriftSpec(lambda t, x: np.zeros_like(x), 1.0, 1.0, 1e-300)
+        zero = DriftSpec(lambda t, x: np.zeros_like(x), 1.0, 1.0)
         sol = picard_solve(zero, g, 0.25, STABLE15, grid, n_time=128)
         assert sol.residual <= 1e-4
 
