@@ -306,11 +306,8 @@ def cmd_kolmogorov(args) -> int:
     }
     (out / "kolmogorov_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    u0 = sol.u[0]
-    du0 = sol.grad_u[0]
-    data = np.column_stack([grid.nodes, u0, du0])
-    np.savetxt(out / "kolmogorov_u0.csv", data, delimiter=",", comments="",
-               newline="\n", header="x,u,grad_u")
+    spectral.write_csv(out / "kolmogorov_u0.csv", "x,u,grad_u",
+                       np.column_stack([grid.nodes, sol.u[0], sol.grad_u[0]]))
     print(f"horizon {sol.horizon:g} (halved {sol.halvings}x), kappa {sol.kappa:.4f}, "
           f"residual {sol.residual:.2e}, certified={sol.certified}")
     return 0 if sol.certified else 2
@@ -330,8 +327,8 @@ def cmd_sample(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     samplers.save_batch(batch, out / name)
     if write_csv:
-        np.savetxt(out / (name + ".csv"), batch.values, delimiter=",", comments="",
-                   newline="\n", header=",".join(f"dL_{i+1}" for i in range(model.dim)))
+        spectral.write_csv(out / (name + ".csv"),
+                           ",".join(f"dL_{i+1}" for i in range(model.dim)), batch.values)
     print(f"wrote {n} increments (dt={batch.dt:g}) to {out / name}")
     return 0
 

@@ -464,10 +464,6 @@ class RadialDensity:
 
     pieces: tuple
 
-    @property
-    def support_hi(self) -> float:
-        return max(p.hi for p in self.pieces)
-
     def moment(self, k: float, a: float, b: float) -> float:
         return float(sum(p.moment(k, a, b) for p in self.pieces))
 

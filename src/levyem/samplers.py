@@ -181,7 +181,7 @@ def default_epsilon(model: LevyModel, dt: float) -> float:
     target that also keeps the expected jump count per step within budget."""
     rd = radial_density(model)
     target = DEFAULT_BIAS_COEFF * dt ** (1.0 / model.gradient_index)
-    lo, hi = 1e-12, min(1.0, rd.support_hi)
+    lo, hi = 1e-12, 1.0  # sample_jump_decomposition refuses eps > 1
 
     def bracket_root(gap):
         """Zero of a gap increasing in log eps; lo or hi if it has no sign change."""

@@ -99,10 +99,22 @@ class DensityTable:
     def to_csv(self, path) -> None:
         """Every node a fixed stride max(1, n_points // 4096) apart: <= 4096 rows."""
         stride = max(1, self.grid.n_points // _CSV_ROWS)
-        data = np.column_stack([col[::stride] for col in (
-            self.grid.nodes, self.values, self.deriv1, self.deriv2)])
-        np.savetxt(path, data, delimiter=",", comments="", newline="\n",
-                   header="x,value,derivative,second_derivative")
+        write_csv(path, "x,value,derivative,second_derivative", np.column_stack(
+            [col[::stride] for col in (self.grid.nodes, self.values, self.deriv1,
+                                       self.deriv2)]))
+
+
+def write_csv(path, header: str, data: np.ndarray) -> None:
+    """A header line, then one line per row of the 2-D ``data``, each value
+    as ``%.18e`` and joined by commas: the bytes ``np.savetxt`` writes with
+    ``delimiter=","``, ``comments=""`` and its default format.  Each run of
+    _CSV_ROWS rows is formatted by one ``%`` and written at once."""
+    line = ",".join(["%.18e"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, data.shape[0], _CSV_ROWS):
+            rows = data[start:start + _CSV_ROWS]
+            fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def tail_mass_estimate(model: LevyModel, t: float, R: float) -> float:
@@ -233,7 +245,7 @@ def gradient_scaling_exponent(model: LevyModel, t_list,
                               on_table: Optional[Callable[[DensityTable], None]] = None
                               ) -> GradientScaling:
     """Fitted slope of log ||p_t'||_L1 against log t, plus the second-derivative
-    propagation check at doubled times.
+    propagation check at doubled times; t_list needs 4 distinct times.
 
     One table is computed per distinct time in t_list and 2 t_list, in
     ascending order, and dropped once its norms are taken, so one table is
@@ -241,8 +253,9 @@ def gradient_scaling_exponent(model: LevyModel, t_list,
     t_list, once, before it is dropped; if a later table fails, the calls
     already made stand."""
     t_list = tuple(sorted(float(t) for t in t_list))
-    if len(t_list) < 4:
-        raise DomainError("need at least 4 positive t values")
+    distinct = len(set(t_list))
+    if distinct < 4:  # a repeated time adds no point to the fit
+        raise DomainError(f"need at least 4 distinct positive t values, got {distinct}")
     for t in t_list:
         if not 0 < t < math.inf:
             raise DomainError(f"t values must be finite and > 0, got {t}")
@@ -444,9 +457,9 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         b_tab = _time_table(lambda t: drift(t, nodes), times, grid.n_points)
 
         z = delta * psi
-        decay = np.exp(-z)
-        w_lo = delta * _phi1(z)
-        w_hi_minus_lo = delta * _phi2(z)
+        decay = np.exp(-z).astype(complex)
+        w_lo = (delta * _phi1(z)).astype(complex)
+        w_hi_minus_lo = (delta * _phi2(z)).astype(complex)
 
         u = np.zeros((n_time + 1, grid.n_points))
         grad = np.zeros_like(u)
@@ -479,32 +492,59 @@ def _picard_sweep(b_tab: np.ndarray, g_tab: np.ndarray, u: np.ndarray,
                   w_hi_minus_lo: np.ndarray, ik: np.ndarray) -> float:
     """One Picard iteration, in place: u <- the exponential-quadrature solve
     with source b grad u + g and u(T, .) = 0, and grad <- its spectral
-    gradient.  Returns max |u_new - u|.
+    gradient.  Returns max |u_new - u|.  ``decay``, ``w_lo`` and
+    ``w_hi_minus_lo`` are complex, so no row step casts them.
 
     The time rows are swept backward in cache-sized blocks: each block is
     transformed, run through the recurrence row by row (the transforms of
     the row after the block carried over from the previous block) and
     transformed back before the next block is touched, so no whole complex
-    table is ever built.  The arithmetic of every row is the whole-table
+    table is ever built.  Every block lives in the same few buffers and
+    every row step writes into them, so a sweep makes no temporary the size
+    of a row or more.  The arithmetic of every row is the whole-table
     iteration's, so the result is identical to it bit for bit.
     """
     n_rows, n_points = u.shape
+    blocks = _row_blocks(0, n_rows, n_points)
+    shape = (blocks[0].stop - blocks[0].start, n_points)
+    real_buf = np.empty(shape)
+    hhat_buf = np.empty(shape, dtype=complex)
+    uhat_buf = np.empty(shape, dtype=complex)
+    work_buf = np.empty(shape, dtype=complex)
+    h_carry = np.empty(n_points, dtype=complex)
+    u_carry = np.empty(n_points, dtype=complex)
     d = 0.0
     h_next = u_next = None  # transforms of the row after the current one
-    for blk in reversed(_row_blocks(0, n_rows, n_points)):
-        hhat = np.fft.fft(b_tab[blk] * grad[blk] + g_tab[blk], axis=1)
-        uhat = np.empty_like(hhat)
-        for k in range(hhat.shape[0] - 1, -1, -1):
+    for blk in reversed(blocks):
+        m = blk.stop - blk.start
+        real, hhat, uhat, work = real_buf[:m], hhat_buf[:m], uhat_buf[:m], work_buf[:m]
+        np.multiply(b_tab[blk], grad[blk], out=real)
+        np.add(real, g_tab[blk], out=real)
+        hhat[...] = real
+        np.fft.fft(hhat, axis=1, out=hhat)
+        for k in range(m - 1, -1, -1):
+            hk, uk, tmp = hhat[k], uhat[k], work[k]
             if u_next is None:
-                uhat[k] = 0.0  # terminal row
-            else:
-                local = hhat[k] * w_lo + (h_next - hhat[k]) * w_hi_minus_lo
-                uhat[k] = decay * u_next + local
-            h_next, u_next = hhat[k], uhat[k]
-        u_new = np.fft.ifft(uhat, axis=1).real
-        d = float(np.maximum(d, np.max(np.abs(u_new - u[blk]))))  # NaN carries
-        u[blk] = u_new
-        grad[blk] = np.fft.ifft(ik * uhat, axis=1).real
+                uk.fill(0.0)  # terminal row
+            else:  # uk = decay * u_next + (hk * w_lo + (h_next - hk) * w_hi_minus_lo)
+                np.multiply(hk, w_lo, out=uk)
+                np.subtract(h_next, hk, out=tmp)
+                np.multiply(tmp, w_hi_minus_lo, out=tmp)
+                np.add(uk, tmp, out=uk)
+                np.multiply(decay, u_next, out=tmp)
+                np.add(tmp, uk, out=uk)
+            h_next, u_next = hk, uk
+        np.fft.ifft(uhat, axis=1, out=work)
+        np.subtract(work.real, u[blk], out=real)
+        np.abs(real, out=real)
+        d = float(np.maximum(d, np.max(real)))  # NaN carries
+        u[blk] = work.real
+        np.multiply(ik, uhat, out=work)
+        np.fft.ifft(work, axis=1, out=work)
+        grad[blk] = work.real
+        h_carry[...] = h_next  # the next block overwrites the buffers
+        u_carry[...] = u_next
+        h_next, u_next = h_carry, u_carry
     return d
 
 
@@ -516,19 +556,37 @@ def _finish(model, grid, beta, kappa, horizon, halvings, times, u, grad, diffs,
     ``grad``, and A u."""
     n_rows, n_points = u.shape
     ik = 1j * grid.dual
-    neg_psi = -_psi_on_grid(model, grid)
+    neg_psi = (-_psi_on_grid(model, grid)).astype(complex)
     delta = times[1] - times[0]
+    blocks = _row_blocks(0, n_rows, n_points)
+    shape = (blocks[0].stop - blocks[0].start, n_points)
+    real_buf, term_buf = np.empty(shape), np.empty(shape)
+    uhat_buf = np.empty(shape, dtype=complex)
+    work_buf = np.empty(shape, dtype=complex)
     worst = 0.0
-    for blk in _row_blocks(0, n_rows, n_points):
-        uhat = np.fft.fft(u[blk], axis=1)
-        grad[blk] = np.fft.ifft(ik * uhat, axis=1).real
+    for blk in blocks:
+        m = blk.stop - blk.start
+        uhat, work = uhat_buf[:m], work_buf[:m]
+        uhat[...] = u[blk]
+        np.fft.fft(uhat, axis=1, out=uhat)
+        np.multiply(ik, uhat, out=work)
+        np.fft.ifft(work, axis=1, out=work)
+        grad[blk] = work.real
         lo, hi = max(blk.start, 1), min(blk.stop, n_rows - 1)  # interior rows
         if lo < hi:
-            du_dt = (u[lo + 1:hi + 1] - u[lo - 1:hi - 1]) / (2.0 * delta)
-            au = np.fft.ifft(neg_psi * uhat[lo - blk.start:hi - blk.start], axis=1).real
-            bgrad = b_tab[lo:hi] * grad[lo:hi]
-            peak = np.max(np.abs(du_dt + au + bgrad + g_tab[lo:hi]))
-            worst = float(np.maximum(worst, peak))  # NaN carries
+            # (du_dt + A u) + b grad u + g, each term written into a buffer
+            r = hi - lo
+            res, term, au = real_buf[:r], term_buf[:r], work[:r]
+            np.subtract(u[lo + 1:hi + 1], u[lo - 1:hi - 1], out=res)
+            np.divide(res, 2.0 * delta, out=res)
+            np.multiply(neg_psi, uhat[lo - blk.start:hi - blk.start], out=au)
+            np.fft.ifft(au, axis=1, out=au)
+            np.add(res, au.real, out=res)
+            np.multiply(b_tab[lo:hi], grad[lo:hi], out=term)
+            np.add(res, term, out=res)
+            np.add(res, g_tab[lo:hi], out=res)
+            np.abs(res, out=res)
+            worst = float(np.maximum(worst, np.max(res)))  # NaN carries
     gamma0 = model.moments.gamma0
     grad_peaks = _dyadic_peaks(grad, grid.h, 2.0)
     sem_beta = _holder_quotient(grad_peaks, beta)

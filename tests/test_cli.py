@@ -139,6 +139,9 @@ MALFORMED = [
     ("kolmogorov", MODE_SOURCE + "mode:1\nt = nan\n", "[kolmogorov] t:"),
     ("kolmogorov", MODE_SOURCE + "mode:1\nhalf_width = nan\n", "[kolmogorov] half_width:"),
     ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.2,nan,0.4\n", "[density] t_list:"),
+    # a repeated time is one point of the fit: two distinct times are refused
+    ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.1,0.2,0.2\n",
+     "need at least 4 distinct positive t values, got 2"),
     ("converge", BASE_EXPERIMENT + "tol = nan\n", "[experiment] tol:"),
     ("converge", BASE_EXPERIMENT + "tol = -0.1\n", "tol must be finite and >= 0"),
     ("converge", BASE_EXPERIMENT.replace("t = 1.0", "t = inf"), "[experiment] t:"),
@@ -539,7 +542,14 @@ target_ratio = 0.5
         assert summary["certified"] is True
         assert summary["residual"] <= 5e-3
         assert len(summary["contraction_history"]) >= 2
-        assert (out / "kolmogorov_u0.csv").exists()
+        grid = spectral.SpaceGrid(50.26548245743669, 1024)
+        sol = spectral.picard_solve(drift_cos(), drift_cos()(0.0, grid.nodes), 0.25,
+                                    LevyModel.isotropic_stable(1.5), grid, n_time=128,
+                                    target_ratio=0.5)
+        expected = tmp_path / "expected.csv"
+        np.savetxt(expected, np.column_stack([grid.nodes, sol.u[0], sol.grad_u[0]]),
+                   delimiter=",", comments="", newline="\n", header="x,u,grad_u")
+        assert (out / "kolmogorov_u0.csv").read_bytes() == expected.read_bytes()
 
     def test_unbalanced_pair_refused_with_exit_two(self, tmp_path):
         text = """
@@ -608,3 +618,16 @@ csv = true
         direct = increments(model, 1.0, 64, RngStream(5, 0))
         assert np.array_equal(loaded.values, direct.values)
         assert (out / "increments.bin.csv").exists()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_csv_is_savetxt_of_the_batch(self, dim, tmp_path):
+        text = (f"[model]\nfamily = brownian\ndim = {dim}\n"
+                "[sample]\nt = 1.0\nn = 64\nseed = 5\ncsv = true\n")
+        out = tmp_path / "dump"
+        assert cli.main(["sample", "--config", write(tmp_path, text),
+                         "--out-dir", str(out)]) == 0
+        batch = increments(LevyModel.brownian(dim), 1.0, 64, RngStream(5, 0))
+        expected = tmp_path / "expected.csv"
+        np.savetxt(expected, batch.values, delimiter=",", comments="", newline="\n",
+                   header=",".join(f"dL_{i + 1}" for i in range(dim)))
+        assert (out / "increments.bin.csv").read_bytes() == expected.read_bytes()

@@ -124,6 +124,51 @@ class TestDensity:
             suggest_grid(bm, 0.05, 1.6, tail_target=3e-6)
 
 
+def _savetxt_bytes(tmp_path, header, data):
+    """What np.savetxt writes for ``data`` with the CSV settings levyem uses."""
+    path = tmp_path / "savetxt.csv"
+    np.savetxt(path, data, delimiter=",", comments="", newline="\n", header=header)
+    return path.read_bytes()
+
+
+class TestWriteCsv:
+    """The one CSV writer gives np.savetxt's bytes exactly."""
+
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.8e308,
+               -1.8e308, 1.0 / 3.0, -2.5e-17]
+
+    @pytest.mark.parametrize("shape", [(11, 1), (1, 11), (1, 1), (4, 3), (0, 3)],
+                             ids=["one-column", "single-row", "one-value",
+                                  "three-columns", "no-rows"])
+    def test_bytes_match_savetxt(self, shape, tmp_path):
+        values = np.resize(np.array(self.SPECIAL), shape[0] * shape[1]).reshape(shape)
+        header = ",".join(f"c{i}" for i in range(shape[1]))
+        path = tmp_path / "written.csv"
+        spectral.write_csv(path, header, values)
+        assert path.read_bytes() == _savetxt_bytes(tmp_path, header, values)
+
+    @pytest.mark.parametrize("n_rows", [4096, 4097, 8193])
+    def test_bytes_match_savetxt_across_row_runs(self, n_rows, tmp_path):
+        values = np.random.default_rng(n_rows).standard_normal((n_rows, 3)) \
+            * np.logspace(-300, 300, n_rows)[:, None]
+        values[::7, 1] = -0.0
+        path = tmp_path / "written.csv"
+        spectral.write_csv(path, "x,u,grad_u", values)
+        assert path.read_bytes() == _savetxt_bytes(tmp_path, "x,u,grad_u", values)
+
+    @pytest.mark.parametrize("n_points", [2 ** 12, 2 ** 14])
+    def test_density_table_matches_savetxt(self, n_points, tmp_path):
+        grid = SpaceGrid(60.0, n_points)
+        table = density_fft(STABLE15, 0.1, grid)
+        path = tmp_path / "table.csv"
+        table.to_csv(path)
+        stride = max(1, n_points // 4096)
+        data = np.column_stack([col[::stride] for col in (
+            grid.nodes, table.values, table.deriv1, table.deriv2)])
+        assert path.read_bytes() == _savetxt_bytes(
+            tmp_path, "x,value,derivative,second_derivative", data)
+
+
 class TestGradientNorms:
     def test_gaussian_grad_l1_is_twice_peak(self):
         # unimodal symmetric density: int |p'| = 2 p(0)
@@ -176,6 +221,16 @@ class TestGradientScaling:
     def test_needs_four_points(self):
         with pytest.raises(DomainError):
             gradient_scaling_exponent(STABLE15, (0.1, 0.2, 0.4))
+
+    def test_repeated_times_count_once(self, monkeypatch):
+        # four listed times but two distinct ones: refused before any table
+        def no_table(*args, **kwargs):
+            raise AssertionError("a density table was built")
+
+        monkeypatch.setattr(spectral, "density_fft", no_table)
+        with pytest.raises(DomainError,
+                           match="need at least 4 distinct positive t values, got 2"):
+            gradient_scaling_exponent(STABLE15, (0.1, 0.1, 0.2, 0.2), on_table=no_table)
 
     def test_nan_time_refused(self):
         # a NaN among the times would otherwise end as a density-mass ResolutionError
@@ -481,8 +536,8 @@ def _whole_table_picard(drift, g, T, model, grid, n_time, tol=1e-8,
 
 class TestPicardSweep:
     """The row-block sweep against the whole-table iteration, exactly, with
-    blocks of one row, of three rows (partial blocks and block edges) and
-    of more rows than the solve has."""
+    blocks of one row, of three rows (partial blocks and block edges), of
+    exactly every row and of more rows than the solve has."""
 
     @staticmethod
     def _assert_matches_oracle(drift, g, T, grid, n_time, **kwargs):
@@ -497,10 +552,13 @@ class TestPicardSweep:
         assert sol.certificate == cert
         return sol
 
-    @pytest.mark.parametrize("rows", [1, 3, 100])
+    @pytest.mark.parametrize("rows", [1, 3, 100, "all"])
     @pytest.mark.parametrize("n_time", [1, 2, 37])
     def test_matches_whole_table_iteration(self, n_time, rows, monkeypatch):
+        # "all" is a block of exactly every row: the buffers hold the whole
+        # solve, and no carry crosses a block edge; one row carries every row
         grid = SpaceGrid(16 * math.pi, 512)
+        rows = n_time + 1 if rows == "all" else rows
         monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * grid.n_points * rows)
 
         def src(t):
@@ -509,9 +567,10 @@ class TestPicardSweep:
         sol = self._assert_matches_oracle(drift_cos_time(), src, 0.25, grid, n_time)
         assert sol.converged and len(sol.diffs) >= 2
 
-    @pytest.mark.parametrize("rows", [1, 3, 100])
+    @pytest.mark.parametrize("rows", [1, 3, 100, "all"])
     def test_matches_whole_table_iteration_through_halvings(self, rows, monkeypatch):
         grid = SpaceGrid(16 * math.pi, 512)
+        rows = 38 if rows == "all" else rows
         monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * grid.n_points * rows)
         strong = DriftSpec(lambda t, x: 5.0 * np.cos(x + t), 1.0, 1.0)
         sol = self._assert_matches_oracle(strong, np.cos(grid.nodes), 0.5, grid, 37,
@@ -624,7 +683,7 @@ class TestKolmogorovResidual:
     def test_matches_row_by_row_oracle(self, n_time, monkeypatch):
         # the residual of each interior time row, computed one row at a time,
         # for a callable and an array source, with blocks of one row, of three
-        # rows and of more rows than the solve has
+        # rows, of exactly every row and of more rows than the solve has
         grid = SpaceGrid(16 * math.pi, 512)
         drift = drift_cos_time()
         model = STABLE15
@@ -634,7 +693,7 @@ class TestKolmogorovResidual:
                 return np.cos(grid.nodes + shift * t)
 
             g = src if shift else src(0.0)
-            for rows in (1, 3, 100):
+            for rows in (1, 3, 100, n_time + 1):
                 monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * grid.n_points * rows)
                 sol = picard_solve(drift, g, 0.25, model, grid, n_time=n_time)
                 times, u = sol.times, sol.u
