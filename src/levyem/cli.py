@@ -31,9 +31,9 @@ _SECTION_KEYS = {
     "experiment": {"t", "p", "n_list", "n_ref", "paths", "seed", "tol", "variant",
                    "x0"},
     "density": {"t_list", "half_width", "points"},
-    "kolmogorov": {"t", "n_time", "points", "half_width", "source", "tol",
-                   "max_iter", "target_ratio", "force_unbalanced"},
-    "sample": {"t", "n", "seed", "out", "csv"},
+    "kolmogorov": {"t", "n_time", "points", "half_width", "tol", "max_iter",
+                   "target_ratio", "force_unbalanced"},
+    "sample": {"t", "n", "seed", "csv"},
 }
 
 
@@ -128,6 +128,15 @@ def build_model(cfg) -> models.LevyModel:
         raise ConfigError("model", "alpha", str(exc).removeprefix("alpha ")) from exc
 
 
+def _build_line_model(cfg) -> models.LevyModel:
+    """The [model] of ``density`` and ``kolmogorov``, which work on a line:
+    dim > 1 is refused, never reduced to its 1-D marginal."""
+    model = build_model(cfg)
+    if model.dim > 1:
+        raise ConfigError("model", "dim", f"{model.dim} > 1; this command is one-dimensional")
+    return model
+
+
 def build_drift(cfg) -> engine.DriftSpec:
     name = _get(cfg, "drift", "name", required=True)
     if name not in engine.DRIFT_CATALOG:
@@ -147,7 +156,7 @@ def build_drift(cfg) -> engine.DriftSpec:
     return engine.DRIFT_CATALOG[name](**kwargs)
 
 
-def build_experiment(cfg, seed_override=None) -> harness.ExperimentConfig:
+def build_experiment(cfg) -> harness.ExperimentConfig:
     model = build_model(cfg)
     drift = build_drift(cfg)
     n_values = _get(cfg, "experiment", "n_list", _values(_count), required=True)
@@ -156,8 +165,6 @@ def build_experiment(cfg, seed_override=None) -> harness.ExperimentConfig:
         x0 = engine.as_state(x0, model.dim)
     except ValueError as exc:
         raise ConfigError("experiment", "x0", str(exc)) from exc
-    seed = seed_override if seed_override is not None \
-        else _get(cfg, "experiment", "seed", int, required=True)
     return harness.ExperimentConfig(
         model=model,
         drift=drift,
@@ -167,9 +174,14 @@ def build_experiment(cfg, seed_override=None) -> harness.ExperimentConfig:
         n_list=n_values,
         n_ref=_get(cfg, "experiment", "n_ref", _count, required=True),
         paths=_get(cfg, "experiment", "paths", _count, required=True),
-        seed=seed,
+        seed=_get(cfg, "experiment", "seed", int, required=True),
         **_given(cfg, "experiment", {"tol": _finite, "variant": str}),
     )
+
+
+def _write_json(path, obj) -> None:
+    """Every JSON artifact: two-space indent, sorted keys, a trailing newline."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -200,11 +212,10 @@ def cmd_converge(args) -> int:
     if args.threads < 0:
         raise DomainError(f"threads must be >= 0, got {args.threads}")
     cfg = load_config(args.config)
-    config = build_experiment(cfg, seed_override=args.seed_override)
-    report = harness.run_experiment(config)
+    report = harness.run_experiment(build_experiment(cfg))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n")
+    _write_json(out / "report.json", report.to_dict())
     (out / "report.csv").write_text(report.to_csv())
     slope = "n/a" if report.slope is None else f"{report.slope:.4f}"
     print(f"fitted rate {slope} vs predicted {report.prediction.rate:.4f} "
@@ -214,7 +225,7 @@ def cmd_converge(args) -> int:
 
 def cmd_density(args) -> int:
     cfg = load_config(args.config)
-    model = build_model(cfg)
+    model = _build_line_model(cfg)
     t_list = _get(cfg, "density", "t_list", _values(_finite), required=True)
     half_width = _get(cfg, "density", "half_width", _finite)
     points = _get(cfg, "density", "points", _count)
@@ -242,7 +253,7 @@ def cmd_density(args) -> int:
         "propagation_ok": result.propagation_ok,
         "grid": {"half_width": result.grid.half_width, "points": result.grid.n_points},
     }
-    (out / "density_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "density_summary.json", summary)
     print(f"gradient norm slope {result.slope:.4f} "
           f"(theory {-1.0 / model.gradient_index:.4f})")
     return 0
@@ -250,12 +261,11 @@ def cmd_density(args) -> int:
 
 def cmd_kolmogorov(args) -> int:
     cfg = load_config(args.config)
-    model = build_model(cfg)
+    model = _build_line_model(cfg)
     drift = build_drift(cfg)
     T = _get(cfg, "kolmogorov", "t", _finite, default=0.25)
     points = _get(cfg, "kolmogorov", "points", _count, default=2048)
     half_width = _get(cfg, "kolmogorov", "half_width", _finite, default=16 * math.pi)
-    source = _get(cfg, "kolmogorov", "source", str, default="drift")
     force = _get(cfg, "kolmogorov", "force_unbalanced", bool, default=False)
     solver = _given(cfg, "kolmogorov", {"n_time": _count, "max_iter": int, "tol": _finite,
                                         "target_ratio": _finite})
@@ -265,19 +275,7 @@ def cmd_kolmogorov(args) -> int:
     if solver.get("max_iter", 1) < 1:
         raise ConfigError("kolmogorov", "max_iter", f"{solver['max_iter']} is below 1")
     grid = spectral.SpaceGrid(half_width, points)
-
-    if source == "drift":
-        g = np.asarray(drift(0.0, grid.nodes), dtype=float)
-    elif source.startswith("mode:"):
-        try:
-            k = int(source.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError("kolmogorov", "source", f"cannot parse {source!r}") from exc
-        if not 0 <= k < points:
-            raise ConfigError("kolmogorov", "source", f"mode {k} outside [0, {points})")
-        g = np.cos(grid.dual[k] * grid.nodes)
-    else:
-        raise ConfigError("kolmogorov", "source", f"unknown source {source!r}")
+    g = np.asarray(drift(0.0, grid.nodes), dtype=float)  # the source: the drift at t = 0
 
     kappa = models.kappa_exponent(model.gradient_index, model.moments.gamma0, drift.beta)
     out = Path(args.out_dir)
@@ -285,8 +283,7 @@ def cmd_kolmogorov(args) -> int:
     if kappa >= 1.0 and not force:
         summary = {"kappa": kappa, "certified": False,
                    "reason": "balance condition violated (kappa >= 1)"}
-        (out / "kolmogorov_summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "kolmogorov_summary.json", summary)
         print(f"kappa = {kappa:.4f} >= 1: certification refused")
         return 2
 
@@ -304,8 +301,7 @@ def cmd_kolmogorov(args) -> int:
         "residual": sol.residual,
         "certificate": sol.certificate,
     }
-    (out / "kolmogorov_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "kolmogorov_summary.json", summary)
     spectral.write_csv(out / "kolmogorov_u0.csv", "x,u,grad_u",
                        np.column_stack([grid.nodes, sol.u[0], sol.grad_u[0]]))
     print(f"horizon {sol.horizon:g} (halved {sol.halvings}x), kappa {sol.kappa:.4f}, "
@@ -318,18 +314,17 @@ def cmd_sample(args) -> int:
     model = build_model(cfg)
     T = _get(cfg, "sample", "t", _finite, default=1.0)
     n = _get(cfg, "sample", "n", _count, required=True)
-    seed = args.seed_override if args.seed_override is not None \
-        else _get(cfg, "sample", "seed", int, required=True)
-    name = _get(cfg, "sample", "out", str, default="increments.bin")
+    seed = _get(cfg, "sample", "seed", int, required=True)
     write_csv = _get(cfg, "sample", "csv", bool, default=False)
     batch = samplers.increments(model, T, n, RngStream(seed, 0))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    samplers.save_batch(batch, out / name)
+    dump = out / "increments.bin"
+    samplers.save_batch(batch, dump)
     if write_csv:
-        spectral.write_csv(out / (name + ".csv"),
+        spectral.write_csv(f"{dump}.csv",
                            ",".join(f"dL_{i+1}" for i in range(model.dim)), batch.values)
-    print(f"wrote {n} increments (dt={batch.dt:g}) to {out / name}")
+    print(f"wrote {n} increments (dt={batch.dt:g}) to {dump}")
     return 0
 
 
@@ -347,8 +342,6 @@ def _parser() -> argparse.ArgumentParser:
         if name == "converge":
             p.add_argument("--threads", type=int, default=0,
                            help="accepted and ignored: paths always run serially")
-        if name in ("converge", "sample"):
-            p.add_argument("--seed-override", type=int, default=None)
         p.set_defaults(fn=fn)
     return parser
 

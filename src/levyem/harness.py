@@ -18,7 +18,6 @@ running sup gap, not its fine path.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -139,9 +138,6 @@ class ConvergenceReport:
             "verdict": self.verdict,
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         lines = ["n,mean,stderr,predicted_line"]

@@ -245,17 +245,17 @@ def gradient_scaling_exponent(model: LevyModel, t_list,
                               on_table: Optional[Callable[[DensityTable], None]] = None
                               ) -> GradientScaling:
     """Fitted slope of log ||p_t'||_L1 against log t, plus the second-derivative
-    propagation check at doubled times; t_list needs 4 distinct times.
+    propagation check at doubled times.  Each distinct time of t_list is one
+    point of the fit, and 4 are needed.
 
     One table is computed per distinct time in t_list and 2 t_list, in
     ascending order, and dropped once its norms are taken, so one table is
     alive at a time.  ``on_table`` is handed each table whose time is in
     t_list, once, before it is dropped; if a later table fails, the calls
     already made stand."""
-    t_list = tuple(sorted(float(t) for t in t_list))
-    distinct = len(set(t_list))
-    if distinct < 4:  # a repeated time adds no point to the fit
-        raise DomainError(f"need at least 4 distinct positive t values, got {distinct}")
+    t_list = tuple(sorted({float(t) for t in t_list}))  # a repeated time is one point
+    if len(t_list) < 4:
+        raise DomainError(f"need at least 4 distinct positive t values, got {len(t_list)}")
     for t in t_list:
         if not 0 < t < math.inf:
             raise DomainError(f"t values must be finite and > 0, got {t}")

@@ -117,27 +117,24 @@ lambda_tail = 2.5
 
 
 STABLE_MODEL = "[model]\nfamily = isotropic_stable\nalpha = 1.5\n"
-MODE_SOURCE = STABLE_MODEL + "[drift]\nname = zero\n[kolmogorov]\npoints = 512\nsource = "
+ZERO_DRIFT = STABLE_MODEL + "[drift]\nname = zero\n[kolmogorov]\npoints = 512\n"
 
 
 MALFORMED = [
     ("check", "[experiment]\nwhat = 1\n", "[experiment] what:"),
     ("density", STABLE_MODEL + "[density]\nt_list = 0.1,abc\n", "[density] t_list:"),
-    ("kolmogorov", MODE_SOURCE + "mode:xyz\n", "[kolmogorov] source:"),
-    ("kolmogorov", MODE_SOURCE + "mode:512\n", "[kolmogorov] source:"),
-    ("kolmogorov", MODE_SOURCE + "mode:-1\n", "[kolmogorov] source:"),
-    ("kolmogorov", MODE_SOURCE + "mode:1\nn_time = 0\n", "[kolmogorov] n_time:"),
-    ("kolmogorov", MODE_SOURCE + "mode:1\nn_time = -3\n", "[kolmogorov] n_time:"),
-    ("kolmogorov", MODE_SOURCE + "mode:1\nn_time = 1\n", "[kolmogorov] n_time:"),
-    ("kolmogorov", MODE_SOURCE + "mode:1\nmax_iter = 0\n", "[kolmogorov] max_iter:"),
+    ("kolmogorov", ZERO_DRIFT + "n_time = 0\n", "[kolmogorov] n_time:"),
+    ("kolmogorov", ZERO_DRIFT + "n_time = -3\n", "[kolmogorov] n_time:"),
+    ("kolmogorov", ZERO_DRIFT + "n_time = 1\n", "[kolmogorov] n_time:"),
+    ("kolmogorov", ZERO_DRIFT + "max_iter = 0\n", "[kolmogorov] max_iter:"),
     ("converge", BASE_EXPERIMENT + "x0 = nan\n", "[experiment] x0:"),
     ("converge", BASE_EXPERIMENT.replace("dim = 1", "dim = 2") + "x0 = 0,1,2\n",
      "[experiment] x0:"),
     ("converge", BASE_EXPERIMENT.replace("seed = 77", "seed = -1"), "seed=-1"),
     ("sample", "[model]\nfamily = brownian\n[sample]\nn = 8\nseed = -1\n", "seed=-1"),
     # non-finite floats are refused where they are read, never downstream
-    ("kolmogorov", MODE_SOURCE + "mode:1\nt = nan\n", "[kolmogorov] t:"),
-    ("kolmogorov", MODE_SOURCE + "mode:1\nhalf_width = nan\n", "[kolmogorov] half_width:"),
+    ("kolmogorov", ZERO_DRIFT + "t = nan\n", "[kolmogorov] t:"),
+    ("kolmogorov", ZERO_DRIFT + "half_width = nan\n", "[kolmogorov] half_width:"),
     ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.2,nan,0.4\n", "[density] t_list:"),
     # a repeated time is one point of the fit: two distinct times are refused
     ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.1,0.2,0.2\n",
@@ -156,7 +153,7 @@ MALFORMED = [
     # a boolean key takes a boolean word, never reads a typo as false
     ("sample", "[model]\nfamily = brownian\n[sample]\nn = 8\nseed = 1\ncsv = ture\n",
      "[sample] csv:"),
-    ("kolmogorov", MODE_SOURCE + "mode:1\nforce_unbalanced = maybe\n",
+    ("kolmogorov", ZERO_DRIFT + "force_unbalanced = maybe\n",
      "[kolmogorov] force_unbalanced:"),
     # a density grid is given whole or not at all
     ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.2,0.4,0.8\nhalf_width = 50\n",
@@ -170,9 +167,9 @@ MALFORMED = [
     ("check", "family = brownian\n" + STABLE_MODEL, "[file]: File contains no section headers"),
     ("check", STABLE_MODEL + "dim 1\n", "[file]: Source contains parsing errors"),
     # solver settings outside their range are refused before the solve runs
-    ("kolmogorov", MODE_SOURCE + "mode:1\ntol = 0\n", "tol must be finite and > 0"),
-    ("kolmogorov", MODE_SOURCE + "mode:1\ntol = -1e-8\n", "tol must be finite and > 0"),
-    ("kolmogorov", MODE_SOURCE + "mode:1\ntarget_ratio = 0\n",
+    ("kolmogorov", ZERO_DRIFT + "tol = 0\n", "tol must be finite and > 0"),
+    ("kolmogorov", ZERO_DRIFT + "tol = -1e-8\n", "tol must be finite and > 0"),
+    ("kolmogorov", ZERO_DRIFT + "target_ratio = 0\n",
      "target_ratio must lie in (0, 1)"),
     # sampler work is bounded and refused before any draw
     ("sample", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = 1.0\n"
@@ -193,9 +190,9 @@ MALFORMED = [
      "Unable to allocate 7.11 PiB"),
     ("converge", BASE_EXPERIMENT.replace("paths = 200", f"paths = {10**15}"),
      "Unable to allocate 28.4 PiB"),
-    ("kolmogorov", MODE_SOURCE.replace("points = 512", f"points = {2**50}") + "mode:1\n",
+    ("kolmogorov", ZERO_DRIFT.replace("points = 512", f"points = {2**50}"),
      "Unable to allocate 8.00 PiB"),
-    ("kolmogorov", MODE_SOURCE + f"mode:1\nn_time = {10**15}\n", "Unable to allocate 7.11 PiB"),
+    ("kolmogorov", ZERO_DRIFT + f"n_time = {10**15}\n", "Unable to allocate 7.11 PiB"),
     # no drift in the catalog takes eta
     ("check", STABLE_MODEL + "[drift]\nname = cos\neta = 0.5\n", "[drift] eta: unknown key"),
     # counts no array can hold are refused where they are read: numpy would
@@ -212,8 +209,19 @@ MALFORMED = [
     ("converge", STABLE_MODEL + "[drift]\nname = cos\n[experiment]\np = 1.0\n"
      f"n_list = 4,8,16\nn_ref = {2**55}\npaths = 100\nseed = 3\n",
      f"n_ref={2**55} steps of 100 paths in dim=1 are more elements than an array"),
-    ("kolmogorov", MODE_SOURCE + f"mode:1\nn_time = {2**52}\n",
+    ("kolmogorov", ZERO_DRIFT + f"n_time = {2**52}\n",
      f"n_time={2**52} time steps of 512 points are more elements than an array"),
+    # the Fourier side is one-dimensional: a d > 1 model is refused, never
+    # tabulated as its 1-D marginal under a d > 1 label
+    ("density", STABLE_MODEL + "dim = 3\n[density]\nt_list = 0.1,0.2,0.4,0.8\n",
+     "[model] dim: 3 > 1"),
+    ("kolmogorov", ZERO_DRIFT.replace("alpha = 1.5", "alpha = 1.5\ndim = 3"),
+     "[model] dim: 3 > 1"),
+    # the dump is always increments.bin in --out-dir, and the Kolmogorov
+    # source is always the drift
+    ("sample", "[model]\nfamily = brownian\n[sample]\nn = 8\nseed = 1\nout = x.bin\n",
+     "[sample] out: unknown key"),
+    ("kolmogorov", ZERO_DRIFT + "source = drift\n", "[kolmogorov] source: unknown key"),
 ]
 
 
@@ -231,8 +239,7 @@ class TestExitCodes:
         assert cli.main(["check", "--config", str(cfg)]) == 1
         assert "[file]: 'utf-8' codec can't decode" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,message", [("--seed-override", "seed=-1"),
-                                              ("--threads", "threads must be >= 0")])
+    @pytest.mark.parametrize("flag,message", [("--threads", "threads must be >= 0")])
     def test_negative_converge_flag_exits_one(self, tmp_path, capsys, flag, message):
         # 300 paths span two blocks
         cfg = write(tmp_path, BASE_EXPERIMENT.replace("paths = 200", "paths = 300"))
@@ -244,10 +251,13 @@ class TestExitCodes:
     def test_flags_refused_where_they_do_nothing(self, tmp_path, capsys):
         # usage errors exit 1: code 2 is reserved for a theory violation
         cfg = write(tmp_path, BASE_EXPERIMENT)
+        # the config's seed is the only seed: no command takes --seed-override
         for command, flag in (("check", "--threads"), ("check", "--seed-override"),
+                              ("converge", "--seed-override"),
                               ("density", "--threads"), ("density", "--seed-override"),
                               ("kolmogorov", "--threads"),
-                              ("kolmogorov", "--seed-override"), ("sample", "--threads")):
+                              ("kolmogorov", "--seed-override"), ("sample", "--threads"),
+                              ("sample", "--seed-override")):
             assert cli.main([command, "--config", cfg, flag, "3"]) == 1, (command, flag)
             assert "unrecognized arguments" in capsys.readouterr().err, (command, flag)
         for command in ("check", "converge", "density", "kolmogorov", "sample"):
@@ -396,6 +406,24 @@ def test_generated_malformed_inputs_exit_cleanly(tmp_path, capsys, family, comma
     capsys.readouterr()
 
 
+def test_every_declared_key_is_read(tmp_path, capsys):
+    # "abc" is no valid value of any key, so a key that some command reads
+    # makes that command exit 1; a declared key nothing reads would be
+    # accepted and ignored, which the sweep above cannot tell from a clean run
+    cfg = tmp_path / "run.cfg"
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+
+    def refused(command, section, key):
+        cfg.write_text(sweep_config("isotropic", command, section, key, "abc"))
+        return cli.main([command] + argv) == 1
+
+    for section, keys in cli._SECTION_KEYS.items():
+        readers = [c for c in sorted(SWEEP_READS) if section in ("model",) + SWEEP_READS[c]]
+        for key in sorted(keys):
+            assert any(refused(command, section, key) for command in readers), (section, key)
+    capsys.readouterr()
+
+
 class TestConverge:
     def test_zero_drift_degenerate_exits_zero(self, tmp_path, capsys):
         text = BASE_EXPERIMENT.replace("name = cos", "name = zero")
@@ -430,18 +458,8 @@ class TestConverge:
         lib = run_experiment(ExperimentConfig(
             model=LevyModel.brownian(), drift=drift_cos(), x0=0.0, T=1.0, p=2.0,
             n_list=(8, 16, 32, 64), n_ref=512, paths=200, seed=77))
-        assert (out1 / "report.json").read_text() == lib.to_json() + "\n"
-
-    def test_seed_override_changes_results(self, tmp_path):
-        cfg = write(tmp_path, BASE_EXPERIMENT)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        cli.main(["converge", "--config", cfg, "--out-dir", str(out1)])
-        cli.main(["converge", "--config", cfg, "--out-dir", str(out2),
-                  "--seed-override", "123"])
-        r1 = json.loads((out1 / "report.json").read_text())
-        r2 = json.loads((out2 / "report.json").read_text())
-        assert r1["table"]["mean"] != r2["table"]["mean"]
-        assert r2["config"]["seed"] == 123
+        assert (out1 / "report.json").read_text() \
+            == json.dumps(lib.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 class TestDensityCommand:
@@ -572,27 +590,6 @@ points = 512
         summary = json.loads((out / "kolmogorov_summary.json").read_text())
         assert summary["certified"] is False
         assert summary["kappa"] >= 1.0
-
-    def test_zero_drift_contraction_history_length_one(self, tmp_path):
-        text = """
-[model]
-family = isotropic_stable
-alpha = 1.5
-
-[drift]
-name = zero
-
-[kolmogorov]
-t = 0.25
-points = 512
-source = mode:3
-"""
-        cfg = write(tmp_path, text)
-        out = tmp_path / "kol3"
-        code = cli.main(["kolmogorov", "--config", cfg, "--out-dir", str(out)])
-        assert code == 0
-        summary = json.loads((out / "kolmogorov_summary.json").read_text())
-        assert len(summary["contraction_history"]) == 1
 
 
 class TestSampleCommand:

@@ -227,7 +227,7 @@ class TestMcStrongError:
 
     def test_report_serialisation_round_trip(self):
         rep = run_experiment(small_config())
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
         assert data["verdict"] == rep.verdict
         assert data["fit"]["slope"] == rep.slope
         csv_text = rep.to_csv()

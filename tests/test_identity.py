@@ -11,9 +11,11 @@ decomposition, tempered and truncated stable noise; ``increments`` at small
 that has a sampler, and at ``n = 512`` (about 32,000 jumps) for the
 jump-decomposition families; ``density_fft`` for six families at jittered
 times; ``picard_solve`` over families, drifts (one of which halves the
-horizon), step counts and array, callable and zero sources; and the test
+horizon), step counts and array, callable and zero sources; the test
 oracle ``radial_q`` for the three radial densities around their piece edge,
-recorded from the library's former ``RadialDensity.q``.
+recorded from the library's former ``RadialDensity.q``; and every file that
+``levyem sample`` and ``levyem converge`` write for the four
+jump-decomposition models, which no benchmark golden covers.
 
 Regenerate the table with
 
@@ -23,12 +25,18 @@ which prints ``SHA256`` as it should read.  A change that moves a digest on
 purpose re-records its rows and lists the largest differences in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 import math
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levyem import cli
 from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough, euler_ladder
 from levyem.harness import ExperimentConfig, mc_strong_error
 from levyem.models import LevyModel, SubordinatorSpec, radial_density
@@ -175,6 +183,39 @@ def radial_q_bytes(name):
             + _hex([radial_q(density, 0.37), radial_q(density, 1.0)]))
 
 
+CLI_MODELS = {
+    "tempered-1.5-1": "family = tempered_stable\nalpha = 1.5\nm = 1.0\n",
+    "tempered-1.3-2": "family = tempered_stable\nalpha = 1.3\nm = 2.0\n",
+    "truncated-1.5": "family = truncated_stable\nalpha = 1.5\n",
+    "layered-1.5-2.5": "family = layered_stable\nalpha = 1.5\nlambda_tail = 2.5\n",
+}
+CLI_SECTIONS = {
+    "sample": "[sample]\nt = 1.0\nn = 64\nseed = 11\ncsv = true\n",
+    "converge": ("[drift]\nname = cos\n[experiment]\np = 1.0\nn_list = 4,8,16\n"
+                 "n_ref = 128\npaths = 100\nseed = 5\n"),
+}
+CLI_FILES = {"sample": ("increments.bin", "increments.bin.csv"),
+             "converge": ("report.csv", "report.json")}
+
+
+@lru_cache(maxsize=None)
+def cli_artifacts(name, command):
+    """Every file one ``levyem <command>`` run writes, by file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("[model]\n" + CLI_MODELS[name] + CLI_SECTIONS[command])
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()):  # keep the printed table clean
+            assert cli.main([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+def cli_bytes(name, command, file):
+    artifacts = cli_artifacts(name, command)
+    assert sorted(artifacts) == sorted(CLI_FILES[command])  # and no other file
+    return artifacts[file]
+
+
 def _cases():
     cases = {}
     for variant in ("frozen", "timeint"):
@@ -201,6 +242,10 @@ def _cases():
                     cases[key] = (picard_bytes, name, drift, n_time, source)
     for name in ("tempered-1.5-1", "truncated-1.5", "layered-1.5-2.5"):
         cases[f"radial-q/{name}"] = (radial_q_bytes, name)
+    for name in CLI_MODELS:
+        for command, files in CLI_FILES.items():
+            for file in files:
+                cases[f"cli/{name}/{command}/{file}"] = (cli_bytes, name, command, file)
     return cases
 
 
@@ -799,6 +844,38 @@ SHA256 = {
         "99cf024233b5e3257ec01f4b25d201aa499c00348953701fa3b8c64eeb9e1520",
     "radial-q/layered-1.5-2.5":
         "b677feae8a1b89521eb11d371f3edcd0801a4ca927b863a39e7d355b11d0f977",
+    "cli/tempered-1.5-1/sample/increments.bin":
+        "06849ca3f5534334fe9d2ae533c201e2444a784308d436a374ef5c4a7bfe1ae6",
+    "cli/tempered-1.5-1/sample/increments.bin.csv":
+        "8d372d36370c3f254eca30bb761de5caa285bc16610f2c75a7f27fbcb9da88f6",
+    "cli/tempered-1.5-1/converge/report.csv":
+        "2736cc4c4a83499fcd70398f601188cb4b661e54dd0de2ca117609186ea17289",
+    "cli/tempered-1.5-1/converge/report.json":
+        "6e9018055e74c68a07dba0dda15664a73cdaf2963482d2b07c72814cb0f7c8db",
+    "cli/tempered-1.3-2/sample/increments.bin":
+        "77cf052761ed4a440cfd6dbd85dd231958d315cb69e3f914aa317d385a6a58e5",
+    "cli/tempered-1.3-2/sample/increments.bin.csv":
+        "0dd536dc616cdb1d1aa83f38586f4ea13017497bb6534c18f61676e6732d6dbd",
+    "cli/tempered-1.3-2/converge/report.csv":
+        "476d81b7f1e45fc5436a981d6a2903fa831de69471230be41d2699b320111795",
+    "cli/tempered-1.3-2/converge/report.json":
+        "636d91129871de04f6dfa4b58d1a30070affebb1961306583a9cc565b170a74e",
+    "cli/truncated-1.5/sample/increments.bin":
+        "df498a3fd63c4364cb7df601a39d2a8d727ed198b49ce2a7f2b9a2c33c6ab0b1",
+    "cli/truncated-1.5/sample/increments.bin.csv":
+        "9213ed7e11f1400ffcb79c2592d90600ed06c3797be4d6b2db80fdfccc2707d7",
+    "cli/truncated-1.5/converge/report.csv":
+        "e7ce14c5853c519a7026b01ad44b41fb61c71254728db67d4c569f95c21d7fd7",
+    "cli/truncated-1.5/converge/report.json":
+        "7ae34c469e17a91f24ac0ddeb82d869a1065a0171da757b422d208fce9bf95f4",
+    "cli/layered-1.5-2.5/sample/increments.bin":
+        "f3affe9d46d66b61c5f9ad16245edde0896cee7de5597b75e705f17abc92db9e",
+    "cli/layered-1.5-2.5/sample/increments.bin.csv":
+        "5c94aea875472c4e2f21e97da5344c4213edb95e973142c83477721716ae8289",
+    "cli/layered-1.5-2.5/converge/report.csv":
+        "5e199bb57932da0b62bb4599788f11f669a75bd591a877f42f6d73007a5049c6",
+    "cli/layered-1.5-2.5/converge/report.json":
+        "b2638c7fe7e45549d95cc23b04da723e2e7e9c0f33058f1ad29038e2e6a323f5",
 }
 
 

@@ -232,6 +232,15 @@ class TestGradientScaling:
                            match="need at least 4 distinct positive t values, got 2"):
             gradient_scaling_exponent(STABLE15, (0.1, 0.1, 0.2, 0.2), on_table=no_table)
 
+    def test_repeated_time_fitted_once(self):
+        # a repeated time adds no information, so it neither weights the fit
+        # nor narrows its half-width
+        grid = SpaceGrid(60.0, 2 ** 13)
+        once = gradient_scaling_exponent(STABLE15, (0.1, 0.2, 0.4, 0.8), grid)
+        twice = gradient_scaling_exponent(STABLE15, (0.1, 0.1, 0.2, 0.4, 0.8), grid)
+        assert twice.t_values == once.t_values == (0.1, 0.2, 0.4, 0.8)
+        assert (twice.slope, twice.half_width) == (once.slope, once.half_width)
+
     def test_nan_time_refused(self):
         # a NaN among the times would otherwise end as a density-mass ResolutionError
         with pytest.raises(DomainError, match="t values must be finite and > 0, got nan"):
@@ -666,6 +675,7 @@ class TestKolmogorovResidual:
         zero = DriftSpec(lambda t, x: np.zeros_like(x), 1.0, 1.0)
         sol = picard_solve(zero, g, 0.25, STABLE15, grid, n_time=128)
         assert sol.residual <= 1e-4
+        assert len(sol.diffs) == 1  # the second sweep reproduces the first exactly
 
     def test_full_solve_residual_and_refinement(self):
         g_coarse = SpaceGrid(16 * math.pi, 1024)
