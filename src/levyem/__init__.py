@@ -15,7 +15,7 @@ from .engine import (DriftSpec, drift_const, drift_cos, drift_cos_time,
 from .harness import (ConvergenceReport, ExperimentConfig, compare_to_theory,
                       mc_strong_error, run_experiment)
 from .models import (Family, LevyModel, MomentIndices, RatePrediction,
-                     SubordinatorSpec, balance_check, balance_margin,
+                     SubFamily, SubordinatorSpec, balance_check, balance_margin,
                      bernstein_eval, char_exponent_radial, kappa_exponent,
                      lamperti_bernstein, predict_for_model, predicted_rate,
                      radial_density)

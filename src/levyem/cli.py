@@ -115,8 +115,8 @@ def build_model(cfg) -> models.LevyModel:
             if rho is None:
                 raise ConfigError("model", "rho", f"required for family {name}")
             m = params.pop("m")  # the subordinator's tilt
-            params["sub"] = models.SubordinatorSpec.stable(rho) if m is None \
-                else models.SubordinatorSpec.tempered(rho, m)
+            sub = models.SubFamily.STABLE if m is None else models.SubFamily.TEMPERED_STABLE
+            params["sub"] = models.SubordinatorSpec(sub, rho, 0.0 if m is None else m)
         elif rho is not None:
             raise ConfigError("model", "rho", f"family {name} takes no rho")
         model = models.LevyModel(family, dim=dim, **params)
@@ -275,7 +275,6 @@ def cmd_kolmogorov(args) -> int:
     if solver.get("max_iter", 1) < 1:
         raise ConfigError("kolmogorov", "max_iter", f"{solver['max_iter']} is below 1")
     grid = spectral.SpaceGrid(half_width, points)
-    g = np.asarray(drift(0.0, grid.nodes), dtype=float)  # the source: the drift at t = 0
 
     kappa = models.kappa_exponent(model.gradient_index, model.moments.gamma0, drift.beta)
     out = Path(args.out_dir)
@@ -287,7 +286,7 @@ def cmd_kolmogorov(args) -> int:
         print(f"kappa = {kappa:.4f} >= 1: certification refused")
         return 2
 
-    sol = spectral.picard_solve(drift, g, T, model, grid, force_unbalanced=force,
+    sol = spectral.picard_solve(drift, None, T, model, grid, force_unbalanced=force,
                                 **solver)
     summary = {
         "model": model.describe(),

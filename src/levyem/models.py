@@ -78,14 +78,6 @@ class SubordinatorSpec:
                 else self.m == 0):
             raise DomainError(f"tilt m={self.m}: tempered needs finite m > 0, stable m = 0")
 
-    @staticmethod
-    def stable(rho: float) -> "SubordinatorSpec":
-        return SubordinatorSpec(SubFamily.STABLE, rho)
-
-    @staticmethod
-    def tempered(rho: float, m: float) -> "SubordinatorSpec":
-        return SubordinatorSpec(SubFamily.TEMPERED_STABLE, rho, m)
-
 
 def bernstein_eval(sub: SubordinatorSpec, lam):
     """Evaluate the Laplace exponent f(lam) of a subordinator, lam >= 0."""
@@ -149,8 +141,12 @@ _ONE_DIMENSIONAL = (Family.TEMPERED_STABLE, Family.TRUNCATED_STABLE, Family.LAYE
 
 @dataclass(frozen=True)
 class LevyModel:
-    """A driving Levy process: family tag and parameters.  The gradient index
-    and the moment indices are derived from them."""
+    """A driving Levy process: a family and the parameters ``_PARAMETERS`` names for
+    it, e.g. ``LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0)``; the gradient and
+    moment indices are derived from them.  Isotropic stable, psi = |xi|^alpha, admits
+    alpha in (0, 2]; ``check_rate_scope`` refuses alpha <= 1.  Truncated stable has radial
+    density r^(-1-alpha) on (0, 1) only; layered stable adds r^(-1-lambda_tail) on
+    [1, inf).  Subordinated BM is BM time-changed by ``sub``: psi(xi) = f(|xi|^2)."""
 
     family: Family
     dim: int = 1
@@ -203,45 +199,6 @@ class LevyModel:
         object.__setattr__(self, "gradient_index", grad)
         object.__setattr__(self, "moments", moments)
 
-    @staticmethod
-    def brownian(dim: int = 1) -> "LevyModel":
-        return LevyModel(Family.BROWNIAN, dim=dim)
-
-    @staticmethod
-    def isotropic_stable(alpha: float, dim: int = 1) -> "LevyModel":
-        """psi(xi) = |xi|^alpha with alpha in (1, 2], the range the convergence
-        theory covers (``check_rate_scope``).  The plain constructor
-        ``LevyModel(Family.ISOTROPIC_STABLE, alpha=...)`` admits alpha in
-        (0, 2] for analysis-only uses such as the Cauchy density."""
-        return check_rate_scope(LevyModel(Family.ISOTROPIC_STABLE, dim=dim, alpha=alpha))
-
-    @staticmethod
-    def relativistic_stable(alpha: float, m: float, dim: int = 1) -> "LevyModel":
-        return LevyModel(Family.RELATIVISTIC_STABLE, dim=dim, alpha=alpha, m=m)
-
-    @staticmethod
-    def tempered_stable(alpha: float, m: float) -> "LevyModel":
-        return LevyModel(Family.TEMPERED_STABLE, alpha=alpha, m=m)
-
-    @staticmethod
-    def lamperti_stable(alpha: float, m: float, dim: int = 1) -> "LevyModel":
-        return LevyModel(Family.LAMPERTI_STABLE, dim=dim, alpha=alpha, m=m)
-
-    @staticmethod
-    def truncated_stable(alpha: float) -> "LevyModel":
-        """Radial density r^(-1-alpha) on (0, 1), no jumps beyond radius 1."""
-        return LevyModel(Family.TRUNCATED_STABLE, alpha=alpha)
-
-    @staticmethod
-    def layered_stable(alpha: float, lambda_tail: float) -> "LevyModel":
-        """Radial density r^(-1-alpha) on (0,1) and r^(-1-lambda_tail) on [1,inf)."""
-        return LevyModel(Family.LAYERED_STABLE, alpha=alpha, lambda_tail=lambda_tail)
-
-    @staticmethod
-    def subordinated_bm(sub: SubordinatorSpec, dim: int = 1) -> "LevyModel":
-        """Brownian motion time-changed by ``sub``: psi(xi) = f(|xi|^2)."""
-        return LevyModel(Family.SUBORDINATED_BM, dim=dim, sub=sub)
-
     def describe(self) -> str:
         parts = [self.family.value, f"d={self.dim}"]
         for name in ("alpha", "m", "lambda_tail"):
@@ -254,8 +211,7 @@ class LevyModel:
 
 
 def check_rate_scope(model: LevyModel) -> LevyModel:
-    """``model`` itself if the convergence theory covers it.  The theory needs
-    alpha > 1, while LevyModel admits isotropic stable alpha in (0, 2]."""
+    """``model`` itself if the convergence theory, which needs alpha > 1, covers it."""
     if model.family is Family.ISOTROPIC_STABLE and not model.alpha > 1.0:
         raise DomainError(f"alpha must lie in (1.0, 2], got {model.alpha}")
     return model

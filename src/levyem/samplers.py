@@ -52,6 +52,14 @@ MAX_STEP_WORK = 2.0 ** 16
 MAX_ELEMENTS = sys.maxsize // 8
 
 
+def _time_scale(t: float, exponent: float) -> float:
+    """The self-similar scale t ** exponent, refused where it overflows a float."""
+    try:
+        return float(t) ** exponent
+    except OverflowError:
+        raise DomainError(f"the scale t ** {exponent!r} overflows a float at t={t}") from None
+
+
 def sample_stable(alpha: float, scale: float, count: int, rng) -> np.ndarray:
     """I.i.d. symmetric alpha-stable variates, CF exp(-scale^alpha |xi|^alpha)."""
     if not (0.0 < alpha <= 2.0):
@@ -82,6 +90,7 @@ def sample_stable_subordinator(rho: float, t: float, rng, size: int) -> np.ndarr
         raise DomainError(f"size must be >= 0, got {size}")
     if rho == 1.0:
         return np.full(size, float(t))
+    scale = _time_scale(t, 1.0 / rho)
     gen = as_generator(rng)
     u = gen.uniform(0.0, np.pi, size)
     w = gen.standard_exponential(size)
@@ -89,7 +98,7 @@ def sample_stable_subordinator(rho: float, t: float, rng, size: int) -> np.ndarr
     a = (np.sin(rho * u) ** rho * np.sin((1.0 - rho) * u) ** (1.0 - rho)
          / np.sin(u)) ** (1.0 / (1.0 - rho))
     s1 = (a / w) ** ((1.0 - rho) / rho)
-    return t ** (1.0 / rho) * s1
+    return scale * s1
 
 
 def sample_tempered_subordinator(rho: float, m: float, t: float, rng,
@@ -300,17 +309,12 @@ def increments(model: LevyModel, T: float, n: int, rng) -> IncrementBatch:
     if fam is Family.BROWNIAN:
         vals = gen.standard_normal((n, d)) * math.sqrt(2.0 * dt)
     elif fam is Family.ISOTROPIC_STABLE and d == 1:
-        vals = sample_stable(model.alpha, dt ** (1.0 / model.alpha), n, gen)[:, None]
-    elif fam is Family.ISOTROPIC_STABLE:
-        s = sample_subordinator(SubordinatorSpec.stable(model.alpha / 2.0), dt, gen, n)
-        vals = sample_subordinated_bm(s, d, gen)
-    elif fam is Family.RELATIVISTIC_STABLE:
-        s = sample_subordinator(SubordinatorSpec.tempered(model.alpha / 2.0, model.m),
-                                dt, gen, n)
-        vals = sample_subordinated_bm(s, d, gen)
-    elif fam is Family.SUBORDINATED_BM:
-        s = sample_subordinator(model.sub, dt, gen, n)
-        vals = sample_subordinated_bm(s, d, gen)
+        vals = sample_stable(model.alpha, _time_scale(dt, 1.0 / model.alpha), n, gen)[:, None]
+    elif fam in (Family.ISOTROPIC_STABLE, Family.RELATIVISTIC_STABLE, Family.SUBORDINATED_BM):
+        sub = model.sub or SubordinatorSpec(
+            SubFamily.STABLE if fam is Family.ISOTROPIC_STABLE else SubFamily.TEMPERED_STABLE,
+            model.alpha / 2.0, model.m or 0.0)
+        vals = sample_subordinated_bm(sample_subordinator(sub, dt, gen, n), d, gen)
     elif fam in (Family.TEMPERED_STABLE, Family.TRUNCATED_STABLE, Family.LAYERED_STABLE):
         flat, meta = sample_jump_decomposition(model, default_epsilon(model, dt), dt, gen, n)
         vals = flat[:, None]

@@ -419,6 +419,7 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
                  force_unbalanced: bool = False) -> PicardSolution:
     """Solve d_t u + A u + b . grad u = -g on [0, T] with u(T, .) = 0.
 
+    ``g`` is an array on the grid, a callable of t, or None for the drift, g = b(t, .).
     Iterates u <- integral of P_{s-t} [b grad u + g] with the semigroup factor
     integrated exactly per mode over each uniform time interval (the source is
     interpolated linearly).  When the measured contraction factor exceeds
@@ -452,9 +453,10 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
     while True:
         times = horizon * np.arange(n_time + 1) / n_time
         delta = horizon / n_time
-        g_tab = _time_table(g if callable(g) else lambda t: g, times, grid.n_points)
-        g_norm = _sup_abs(_distinct_rows(g_tab))
         b_tab = _time_table(lambda t: drift(t, nodes), times, grid.n_points)
+        g_tab = b_tab if g is None else \
+            _time_table(g if callable(g) else lambda t: g, times, grid.n_points)
+        g_norm = _sup_abs(_distinct_rows(g_tab))
 
         z = delta * psi
         decay = np.exp(-z).astype(complex)

@@ -13,7 +13,7 @@ import pytest
 from levyem.engine import (drift_const, drift_cos, drift_rough, drift_zero,
                            euler_ladder)
 from levyem.harness import VERDICT_VIOLATES, ExperimentConfig, run_experiment
-from levyem.models import (LevyModel, SubordinatorSpec, balance_check,
+from levyem.models import (Family, LevyModel, SubFamily, SubordinatorSpec, balance_check,
                            char_exponent_radial, kappa_exponent)
 from levyem.rng import RngStream
 from levyem.samplers import increments
@@ -48,7 +48,7 @@ class TestA1BrownianRate:
     def test_a1(self):
         t0 = time.time()
         config = ExperimentConfig(
-            model=LevyModel.brownian(), drift=drift_cos(), x0=0.0, T=1.0, p=2.0,
+            model=LevyModel(Family.BROWNIAN), drift=drift_cos(), x0=0.0, T=1.0, p=2.0,
             n_list=(8, 16, 32, 64, 128, 256), n_ref=2048, paths=2000, seed=20240101,
             tol=0.15)
         rep = run_experiment(config)
@@ -66,7 +66,7 @@ class TestA2StableRate:
     def test_a2(self):
         t0 = time.time()
         config = ExperimentConfig(
-            model=LevyModel.isotropic_stable(1.5), drift=drift_cos(), x0=0.0,
+            model=LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5), drift=drift_cos(), x0=0.0,
             T=1.0, p=1.0, n_list=(8, 16, 32, 64, 128, 256), n_ref=2048,
             paths=4000, seed=20240102, tol=0.15)
         rep = run_experiment(config)
@@ -84,7 +84,7 @@ class TestA2StableRate:
 class TestA3RoughDriftSensitivity:
     def test_a3(self):
         config = ExperimentConfig(
-            model=LevyModel.isotropic_stable(1.9), drift=drift_rough(0.5), x0=0.0,
+            model=LevyModel(Family.ISOTROPIC_STABLE, alpha=1.9), drift=drift_rough(0.5), x0=0.0,
             T=1.0, p=1.0, n_list=(8, 16, 32, 64, 128, 256), n_ref=2048,
             paths=2000, seed=20240103, tol=0.15)
         rep = run_experiment(config)
@@ -99,16 +99,17 @@ class TestA3RoughDriftSensitivity:
 class TestA4Exactness:
     def test_a4(self):
         models = [
-            LevyModel.brownian(),
-            LevyModel.brownian(dim=2),
-            LevyModel.isotropic_stable(1.5),
-            LevyModel.isotropic_stable(1.5, dim=2),
-            LevyModel.relativistic_stable(1.5, 1.0),
-            LevyModel.subordinated_bm(SubordinatorSpec.stable(0.75)),
-            LevyModel.subordinated_bm(SubordinatorSpec.tempered(0.75, 1.0)),
-            LevyModel.tempered_stable(1.5, 1.0),
-            LevyModel.truncated_stable(1.5),
-            LevyModel.layered_stable(1.5, 2.5),
+            LevyModel(Family.BROWNIAN),
+            LevyModel(Family.BROWNIAN, dim=2),
+            LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5),
+            LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5, dim=2),
+            LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0),
+            LevyModel(Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 0.75)),
+            LevyModel(Family.SUBORDINATED_BM,
+                      sub=SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, 1.0)),
+            LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0),
+            LevyModel(Family.TRUNCATED_STABLE, alpha=1.5),
+            LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5),
         ]
         worst = 0.0
         checks = 0
@@ -130,13 +131,15 @@ class TestA5SamplerFidelity:
 
     def test_a5_exact_families(self):
         cases = [
-            ("brownian", LevyModel.brownian(), 0.25, 3.5),
-            ("isotropic_stable", LevyModel.isotropic_stable(1.5), 0.25, 3.5),
-            ("relativistic_stable", LevyModel.relativistic_stable(1.5, 1.0), 0.25, 3.5),
-            ("subordinated_bm/stable", LevyModel.subordinated_bm(
-                SubordinatorSpec.stable(0.75)), 0.25, 3.5),
-            ("subordinated_bm/tempered", LevyModel.subordinated_bm(
-                SubordinatorSpec.tempered(0.75, 1.0)), 0.25, 3.5),
+            ("brownian", LevyModel(Family.BROWNIAN), 0.25, 3.5),
+            ("isotropic_stable", LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5), 0.25, 3.5),
+            ("relativistic_stable", LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0),
+             0.25, 3.5),
+            ("subordinated_bm/stable", LevyModel(
+                Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 0.75)), 0.25, 3.5),
+            ("subordinated_bm/tempered", LevyModel(
+                Family.SUBORDINATED_BM,
+                sub=SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, 1.0)), 0.25, 3.5),
         ]
         bound = 3.0 / math.sqrt(self.M) + 1e-12
         for k, (name, model, t, xi_hi) in enumerate(cases):
@@ -150,9 +153,9 @@ class TestA5SamplerFidelity:
     def test_a5_decomposition_families(self):
         from levyem.samplers import sample_jump_decomposition
         cases = [
-            ("tempered_stable", LevyModel.tempered_stable(1.5, 1.0)),
-            ("truncated_stable", LevyModel.truncated_stable(1.5)),
-            ("layered_stable", LevyModel.layered_stable(1.5, 2.5)),
+            ("tempered_stable", LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0)),
+            ("truncated_stable", LevyModel(Family.TRUNCATED_STABLE, alpha=1.5)),
+            ("layered_stable", LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5)),
         ]
         t, eps = 0.25, 0.05
         xi = np.linspace(0.1, 3.5, 32)
@@ -178,7 +181,7 @@ class TestA6GradientScaling:
     def test_a6(self):
         t0 = time.time()
         for alpha in (1.25, 1.5, 1.75):
-            model = LevyModel.isotropic_stable(alpha)
+            model = LevyModel(Family.ISOTROPIC_STABLE, alpha=alpha)
             res = gradient_scaling_exponent(model, np.geomspace(0.05, 0.8, 6))
             ok = abs(res.slope - (-1.0 / alpha)) <= 0.01
             report("A6 gradient-scaling", ok,
@@ -189,15 +192,16 @@ class TestA6GradientScaling:
 class TestA7DerivativePropagation:
     def test_a7(self):
         catalog = [
-            ("brownian", LevyModel.brownian()),
-            ("isotropic_stable", LevyModel.isotropic_stable(1.5)),
-            ("relativistic_stable", LevyModel.relativistic_stable(1.5, 1.0)),
-            ("tempered_stable", LevyModel.tempered_stable(1.5, 1.0)),
-            ("lamperti_stable", LevyModel.lamperti_stable(1.5, 1.0)),
-            ("truncated_stable", LevyModel.truncated_stable(1.5)),
-            ("layered_stable", LevyModel.layered_stable(1.5, 2.5)),
-            ("subordinated_bm", LevyModel.subordinated_bm(
-                SubordinatorSpec.tempered(0.75, 1.0))),
+            ("brownian", LevyModel(Family.BROWNIAN)),
+            ("isotropic_stable", LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)),
+            ("relativistic_stable", LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0)),
+            ("tempered_stable", LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0)),
+            ("lamperti_stable", LevyModel(Family.LAMPERTI_STABLE, alpha=1.5, m=1.0)),
+            ("truncated_stable", LevyModel(Family.TRUNCATED_STABLE, alpha=1.5)),
+            ("layered_stable", LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5)),
+            ("subordinated_bm", LevyModel(
+                Family.SUBORDINATED_BM,
+                sub=SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, 1.0))),
         ]
         for name, model in catalog:
             grid = suggest_grid(model, 0.05, 0.8, tail_target=3e-6,
@@ -214,7 +218,7 @@ class TestA7DerivativePropagation:
 
 class TestA8PicardContraction:
     def test_a8(self):
-        model = LevyModel.isotropic_stable(1.5)
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)
         grid = SpaceGrid(16 * math.pi, 1024)
         g = np.cos(grid.nodes)
         drift = drift_cos()
@@ -257,7 +261,7 @@ class TestA9BalanceArithmetic:
 class TestA10InverseMomentDiagnostic:
     def test_a10(self):
         for rho in (0.6, 0.75, 0.9):
-            res = inverse_moment_scaling(SubordinatorSpec.stable(rho), 1,
+            res = inverse_moment_scaling(SubordinatorSpec(SubFamily.STABLE, rho), 1,
                                          (0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0),
                                          400_000, seed=int(1000 * rho))
             target = -1.0 / (2.0 * rho)

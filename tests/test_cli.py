@@ -7,10 +7,10 @@ import pytest
 from levyem import cli, spectral
 from levyem.errors import ConfigError
 from levyem.harness import ExperimentConfig, run_experiment
-from levyem.models import LevyModel, SubordinatorSpec
+from levyem.models import Family, LevyModel, SubFamily, SubordinatorSpec
 from levyem.rng import RngStream
 from levyem.samplers import increments, load_batch
-from levyem.engine import drift_cos
+from levyem.engine import drift_cos, drift_cos_time
 
 
 BASE_EXPERIMENT = """
@@ -65,17 +65,19 @@ alpha = 1.5
 lambda_tail = 2.5
 """
         model = cli.build_model(cli.load_config(write(tmp_path, text)))
-        assert model == LevyModel.layered_stable(1.5, 2.5)
+        assert model == LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5)
 
     @pytest.mark.parametrize("model", [
-        ("family = brownian\ndim = 2\n", LevyModel.brownian(dim=2)),
-        ("family = isotropic_stable\nalpha = 1.5\n", LevyModel.isotropic_stable(1.5)),
+        ("family = brownian\ndim = 2\n", LevyModel(Family.BROWNIAN, dim=2)),
+        ("family = isotropic_stable\nalpha = 1.5\n",
+         LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)),
         ("family = tempered_stable\nalpha = 1.7\nm = 0.5\n",
-         LevyModel.tempered_stable(1.7, 0.5)),
+         LevyModel(Family.TEMPERED_STABLE, alpha=1.7, m=0.5)),
         ("family = layered_stable\nalpha = 1.5\nlambda_tail = 2.5\n",
-         LevyModel.layered_stable(1.5, 2.5)),
+         LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5)),
         ("family = subordinated_bm\nrho = 0.75\nm = 2.0\n",
-         LevyModel.subordinated_bm(SubordinatorSpec.tempered(0.75, 2.0))),
+         LevyModel(Family.SUBORDINATED_BM,
+                   sub=SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, 2.0))),
     ])
     def test_model_serialisation_round_trips(self, tmp_path, model):
         keys, expected = model
@@ -178,6 +180,14 @@ MALFORMED = [
      "[sample]\nn = 8\nseed = 1\n", "tilt m must be positive with a finite square"),
     ("sample", "[model]\nfamily = subordinated_bm\nrho = 0.75\nm = 1.0\n"
      "[sample]\nt = 1e300\nn = 8\nseed = 1\n", "t=1.25e+299 with tilt m=1.0 needs"),
+    # so is a self-similar scale t ** (1 / index) beyond the float range
+    ("sample", "[model]\nfamily = subordinated_bm\nrho = 0.75\n[sample]\nt = 1e300\nn = 8\n"
+     "seed = 1\n", "error: the scale t ** 1.3333333333333333 overflows a float at t=1.25e+299"),
+    ("sample", STABLE_MODEL + "dim = 2\n[sample]\nt = 1e300\nn = 8\nseed = 1\n",
+     "error: the scale t ** 1.3333333333333333 overflows a float at t=1.25e+299"),
+    ("converge", "[model]\nfamily = subordinated_bm\nrho = 0.75\n[drift]\nname = cos\n"
+     "[experiment]\nt = 1e300\np = 1.0\nn_list = 4,8,16\nn_ref = 128\npaths = 100\nseed = 1\n",
+     "error: the scale t ** 1.3333333333333333 overflows a float at t=7.8125e+297"),
     # a tilt whose square overflows is refused where the model is built
     ("density", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = 1e300\n"
      "[density]\nt_list = 0.1,0.2,0.4,0.8\n", "m must be > 0 with a finite square, got 1e+300"),
@@ -456,7 +466,7 @@ class TestConverge:
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
         lib = run_experiment(ExperimentConfig(
-            model=LevyModel.brownian(), drift=drift_cos(), x0=0.0, T=1.0, p=2.0,
+            model=LevyModel(Family.BROWNIAN), drift=drift_cos(), x0=0.0, T=1.0, p=2.0,
             n_list=(8, 16, 32, 64), n_ref=512, paths=200, seed=77))
         assert (out1 / "report.json").read_text() \
             == json.dumps(lib.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -491,7 +501,7 @@ t_list = 0.05,0.1,0.2,0.4,0.8
         assert len(calls) == 6
         # the CSVs hold the tables on the grid the summary names
         grid = spectral.SpaceGrid(summary["grid"]["half_width"], summary["grid"]["points"])
-        model = LevyModel.isotropic_stable(1.5)
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)
         for t in summary["t_list"]:
             expected = tmp_path / f"expected_t{t:g}.csv"
             density_fft(model, t, grid).to_csv(expected)
@@ -516,7 +526,7 @@ t_list = 0.05,0.1,0.2,0.4,0.8
         t_list = [float(t) for t in self.JITTERED.split(",")]
         assert calls == sorted(t_list + [2.0 * t for t in t_list])
         grid = spectral.SpaceGrid(60.0, 8192)
-        model = LevyModel.isotropic_stable(1.5)
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)
         for t in t_list:
             expected = tmp_path / f"expected_t{t:g}.csv"
             density_fft(model, t, grid).to_csv(expected)
@@ -562,11 +572,28 @@ target_ratio = 0.5
         assert len(summary["contraction_history"]) >= 2
         grid = spectral.SpaceGrid(50.26548245743669, 1024)
         sol = spectral.picard_solve(drift_cos(), drift_cos()(0.0, grid.nodes), 0.25,
-                                    LevyModel.isotropic_stable(1.5), grid, n_time=128,
-                                    target_ratio=0.5)
+                                    LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5), grid,
+                                    n_time=128, target_ratio=0.5)
         expected = tmp_path / "expected.csv"
         np.savetxt(expected, np.column_stack([grid.nodes, sol.u[0], sol.grad_u[0]]),
                    delimiter=",", comments="", newline="\n", header="x,u,grad_u")
+        assert (out / "kolmogorov_u0.csv").read_bytes() == expected.read_bytes()
+
+    def test_time_dependent_drift_is_the_source_at_every_time(self, tmp_path):
+        # cos_time solves the Zvonkin equation g = b(t, .), as picard_solve's
+        # g=None does, not the source frozen at t = 0
+        text = ("[model]\nfamily = isotropic_stable\nalpha = 1.5\n[drift]\nname = cos_time\n"
+                "[kolmogorov]\nt = 0.25\npoints = 512\nn_time = 64\n")
+        out = tmp_path / "kol"
+        assert cli.main(["kolmogorov", "--config", write(tmp_path, text),
+                         "--out-dir", str(out)]) == 0
+        grid = spectral.SpaceGrid(16 * math.pi, 512)
+        sol = spectral.picard_solve(drift_cos_time(), None, 0.25,
+                                    LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5), grid,
+                                    n_time=64)
+        expected = tmp_path / "expected.csv"
+        spectral.write_csv(expected, "x,u,grad_u",
+                           np.column_stack([grid.nodes, sol.u[0], sol.grad_u[0]]))
         assert (out / "kolmogorov_u0.csv").read_bytes() == expected.read_bytes()
 
     def test_unbalanced_pair_refused_with_exit_two(self, tmp_path):
@@ -610,7 +637,7 @@ csv = true
         out = tmp_path / "dump"
         code = cli.main(["sample", "--config", cfg, "--out-dir", str(out)])
         assert code == 0
-        model = LevyModel.tempered_stable(1.5, 1.0)
+        model = LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0)
         loaded = load_batch(out / "increments.bin", model)
         direct = increments(model, 1.0, 64, RngStream(5, 0))
         assert np.array_equal(loaded.values, direct.values)
@@ -623,7 +650,7 @@ csv = true
         out = tmp_path / "dump"
         assert cli.main(["sample", "--config", write(tmp_path, text),
                          "--out-dir", str(out)]) == 0
-        batch = increments(LevyModel.brownian(dim), 1.0, 64, RngStream(5, 0))
+        batch = increments(LevyModel(Family.BROWNIAN, dim=dim), 1.0, 64, RngStream(5, 0))
         expected = tmp_path / "expected.csv"
         np.savetxt(expected, batch.values, delimiter=",", comments="", newline="\n",
                    header=",".join(f"dL_{i + 1}" for i in range(dim)))

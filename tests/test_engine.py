@@ -8,7 +8,7 @@ import pytest
 from levyem.engine import (DriftSpec, as_state, drift_const, drift_cos, drift_cos_time,
                            drift_rough, drift_zero, euler_ladder)
 from levyem.errors import DomainError, ShapeError
-from levyem.models import LevyModel
+from levyem.models import Family, LevyModel
 from levyem.rng import RngStream
 from levyem.samplers import increments
 from oracles import drift_diagnostics
@@ -16,7 +16,7 @@ from oracles import drift_diagnostics
 
 def brownian_noise(T, n, seed):
     """One path of Brownian increments, shaped (1, n, 1) for the kernel."""
-    return increments(LevyModel.brownian(), T, n, RngStream(seed, 0)).values[None]
+    return increments(LevyModel(Family.BROWNIAN), T, n, RngStream(seed, 0)).values[None]
 
 
 def fine_path(drift, x0, T, noise, variant="frozen"):
@@ -102,13 +102,13 @@ class TestEmPath:
 
 class TestCoupledError:
     def test_zero_drift_exact_zero(self):
-        for model in (LevyModel.brownian(), LevyModel.isotropic_stable(1.5)):
+        for model in (LevyModel(Family.BROWNIAN), LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)):
             noise = increments(model, 1.0, 64, RngStream(7, 0)).values[None]
             _, sup = euler_ladder(drift_zero(), 0.0, 1.0, noise, (8,))
             assert sup[0, 0] == 0.0
 
     def test_constant_drift_exact_zero(self):
-        noise = increments(LevyModel.isotropic_stable(1.5), 1.0, 64,
+        noise = increments(LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5), 1.0, 64,
                            RngStream(8, 0)).values[None]
         _, sup = euler_ladder(drift_const(1.3), 0.2, 1.0, noise, (8,))
         assert sup[0, 0] == 0.0
@@ -120,7 +120,7 @@ class TestCoupledError:
     def test_cos_drift_matches_independent_two_pass_oracle(self):
         # one multi-path call with two ladder levels, as the harness makes it
         n_fine, factors, T = 32, (2, 4), 1.0
-        noise = np.stack([increments(LevyModel.brownian(), T, n_fine,
+        noise = np.stack([increments(LevyModel(Family.BROWNIAN), T, n_fine,
                                      RngStream(10, k)).values for k in range(3)])
         # the time-dependent drift checks that the coarse scheme freezes time
         # at its own nodes
@@ -164,7 +164,7 @@ class TestCoupledError:
 
     def test_translation_equivariance_generic(self):
         v = 2.75
-        noise = increments(LevyModel.brownian(), 1.0, 32, RngStream(11, 1)).values[None]
+        noise = increments(LevyModel(Family.BROWNIAN), 1.0, 32, RngStream(11, 1)).values[None]
         base = fine_path(drift_cos(), 0.0, 1.0, noise)
         shifted_drift = DriftSpec(lambda t, x: np.cos(x - v), 1.0, 1.0)
         shifted = fine_path(shifted_drift, v, 1.0, noise)
@@ -175,7 +175,7 @@ class TestCoupledError:
         # more than statistical noise
         paths = 1000
         T, n_fine = 1.0, 256
-        noise = np.stack([increments(LevyModel.brownian(), T, n_fine,
+        noise = np.stack([increments(LevyModel(Family.BROWNIAN), T, n_fine,
                                      RngStream(12, m)).values for m in range(paths)])
         _, (err_k, err_2k) = euler_ladder(drift_cos(), 0.0, T, noise,
                                           (n_fine // 8, n_fine // 16))

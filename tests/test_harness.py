@@ -15,7 +15,7 @@ from levyem.fitting import fit_decay_rate, fit_powerlaw
 from levyem.harness import (VERDICT_CONSISTENT, VERDICT_DEGENERATE, VERDICT_FASTER,
                             VERDICT_VIOLATES, ExperimentConfig, compare_to_theory,
                             mc_strong_error, run_experiment)
-from levyem.models import Family, LevyModel, SubordinatorSpec
+from levyem.models import Family, LevyModel, SubFamily, SubordinatorSpec
 from levyem.rng import RngStream
 from levyem.samplers import increments
 from levyem.engine import DriftSpec
@@ -24,7 +24,7 @@ from oracles import GAUSS_INV_NORM_3D, inverse_moment_scaling
 
 
 def small_config(**overrides):
-    base = dict(model=LevyModel.brownian(), drift=drift_cos(), x0=0.0, T=1.0,
+    base = dict(model=LevyModel(Family.BROWNIAN), drift=drift_cos(), x0=0.0, T=1.0,
                 p=2.0, n_list=(8, 16, 32, 64), n_ref=512, paths=200, seed=7)
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -47,7 +47,7 @@ class TestConfig:
 
     def test_p_clamped_with_warning(self):
         # the prediction's clamped p is the Monte Carlo exponent and the note
-        model = LevyModel.isotropic_stable(1.5)
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)
         cfg = small_config(model=model, p=2.0)
         with pytest.warns(UserWarning):
             pred = cfg.prediction()
@@ -57,7 +57,7 @@ class TestConfig:
         assert report.table == mc_strong_error(small_config(model=model, p=1.5))
 
     def test_clamping_warns_once_per_run(self):
-        cfg = small_config(model=LevyModel.isotropic_stable(1.5), p=2.0)
+        cfg = small_config(model=LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5), p=2.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run_experiment(cfg)
@@ -196,7 +196,7 @@ class TestMcStrongError:
         # A2's model and ladder, one full block: the peak is the block's
         # noise buffer plus small arrays, with no path table or stacked copy
         cfg = ExperimentConfig(
-            model=LevyModel.isotropic_stable(1.5), drift=drift_cos(), x0=0.0,
+            model=LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5), drift=drift_cos(), x0=0.0,
             T=1.0, p=1.0, n_list=(8, 16, 32, 64, 128, 256), n_ref=2048,
             paths=256, seed=20240102)
         # the first generator imports numpy.random; build one outside the
@@ -244,43 +244,43 @@ class TestMcStrongError:
         scale = lam ** (1.0 / alpha)
         drift1 = drift_cos()
         drift2 = DriftSpec(lambda t, x: factor * np.cos(x / scale), 1.0, 1.0)
-        rep1 = run_experiment(small_config(model=LevyModel.isotropic_stable(alpha),
-                                           drift=drift1, p=1.0, paths=600))
-        rep2 = run_experiment(small_config(model=LevyModel.isotropic_stable(alpha),
-                                           drift=drift2, p=1.0, T=lam, paths=600))
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=alpha)
+        rep1 = run_experiment(small_config(model=model, drift=drift1, p=1.0, paths=600))
+        rep2 = run_experiment(small_config(model=model, drift=drift2, p=1.0, T=lam, paths=600))
         band = rep1.fitted.half_width + rep2.fitted.half_width + 0.1
         assert abs(rep1.slope - rep2.slope) <= band
 
 
 class TestInverseMoment:
     def test_degenerate_brownian_time(self):
-        sub = SubordinatorSpec.stable(1.0)
+        sub = SubordinatorSpec(SubFamily.STABLE, 1.0)
         res = inverse_moment_scaling(sub, 1, (0.05, 0.1, 0.2, 0.4, 0.8), 20_000, 3)
         assert res.slope == pytest.approx(-0.5, abs=1e-9)
         for t, est in zip(res.t_values, res.estimates):
             assert est == pytest.approx(t ** -0.5 * res.norm_constant, rel=1e-12)
 
     def test_three_dimensional_constant(self):
-        res = inverse_moment_scaling(SubordinatorSpec.stable(0.75), 1,
+        res = inverse_moment_scaling(SubordinatorSpec(SubFamily.STABLE, 0.75), 1,
                                      (0.1, 0.2, 0.4), 200_000, 5)
         assert GAUSS_INV_NORM_3D == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-15)
         assert abs(res.norm_constant - GAUSS_INV_NORM_3D) <= 3 * res.norm_stderr
 
     def test_stable_rho_three_quarters(self):
-        res = inverse_moment_scaling(SubordinatorSpec.stable(0.75), 1,
+        res = inverse_moment_scaling(SubordinatorSpec(SubFamily.STABLE, 0.75), 1,
                                      (0.01, 0.03, 0.1, 0.3, 1.0), 200_000, 11)
         assert abs(res.slope - (-1.0 / 1.5)) <= 0.05
 
     def test_estimates_reproduce_recorded_draws(self):
         # recorded when the diagnostic still picked the subordinator sampler itself
         for sub, expected in (
-                (SubordinatorSpec.stable(0.75),
+                (SubordinatorSpec(SubFamily.STABLE, 0.75),
                  (3.758615028662299, 1.7943718811032883, 0.8646716948070201)),
-                (SubordinatorSpec.tempered(0.75, 2.0),
+                (SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, 2.0),
                  (4.166210944695914, 2.188448698387108, 1.2042357925457137))):
             res = inverse_moment_scaling(sub, 1, (0.1, 0.3, 0.9), 2000, 17)
             assert res.estimates == expected
 
     def test_t_domain(self):
         with pytest.raises(DomainError):
-            inverse_moment_scaling(SubordinatorSpec.stable(0.75), 1, (0.5, 2.0), 1000, 0)
+            inverse_moment_scaling(SubordinatorSpec(SubFamily.STABLE, 0.75), 1, (0.5, 2.0),
+                                   1000, 0)

@@ -39,7 +39,7 @@ import pytest
 from levyem import cli
 from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough, euler_ladder
 from levyem.harness import ExperimentConfig, mc_strong_error
-from levyem.models import LevyModel, SubordinatorSpec, radial_density
+from levyem.models import Family, LevyModel, SubFamily, SubordinatorSpec, radial_density
 from levyem.rng import RngStream
 from levyem.samplers import increments
 from levyem.spectral import SpaceGrid, density_fft, picard_solve
@@ -64,16 +64,17 @@ def ladder_bytes(variant, drift, d, n, factors, paths=LADDER_PATHS):
 
 
 MC_CONFIGS = {
-    "stable-1.5-d1-cos-frozen": (LevyModel.isotropic_stable(1.5), drift_cos(), "frozen"),
-    "stable-1.5-d1-cos_time-timeint": (LevyModel.isotropic_stable(1.5), drift_cos_time(),
-                                       "timeint"),
-    "stable-1.5-d3-cos-frozen": (LevyModel.isotropic_stable(1.5, dim=3), drift_cos(),
+    "stable-1.5-d1-cos-frozen": (LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5), drift_cos(),
                                  "frozen"),
+    "stable-1.5-d1-cos_time-timeint": (LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5),
+                                       drift_cos_time(), "timeint"),
+    "stable-1.5-d3-cos-frozen": (LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5, dim=3),
+                                 drift_cos(), "frozen"),
     # the jump path: poisson, multinomial, shuffle and spare-32-bit integers draws
-    "tempered-1.5-1-cos_time-timeint": (LevyModel.tempered_stable(1.5, 1.0),
+    "tempered-1.5-1-cos_time-timeint": (LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0),
                                         drift_cos_time(), "timeint"),
-    "truncated-1.5-cos_time-timeint": (LevyModel.truncated_stable(1.5), drift_cos_time(),
-                                       "timeint"),
+    "truncated-1.5-cos_time-timeint": (LevyModel(Family.TRUNCATED_STABLE, alpha=1.5),
+                                       drift_cos_time(), "timeint"),
 }
 
 
@@ -87,19 +88,19 @@ def mc_bytes(name):
 
 
 SAMPLER_MODELS = {
-    "brownian-d1": LevyModel.brownian(),
-    "brownian-d3": LevyModel.brownian(3),
-    "isotropic-1.5-d1": LevyModel.isotropic_stable(1.5),
-    "isotropic-1.5-d3": LevyModel.isotropic_stable(1.5, dim=3),
-    "relativistic-1.5-1-d1": LevyModel.relativistic_stable(1.5, 1.0),
-    "relativistic-1.5-1-d3": LevyModel.relativistic_stable(1.5, 1.0, dim=3),
-    "subordinated-stable-0.75-d2": LevyModel.subordinated_bm(SubordinatorSpec.stable(0.75),
-                                                             dim=2),
-    "subordinated-tempered-0.6-1-d1": LevyModel.subordinated_bm(
-        SubordinatorSpec.tempered(0.6, 1.0)),
-    "tempered-1.5-1": LevyModel.tempered_stable(1.5, 1.0),
-    "truncated-1.5": LevyModel.truncated_stable(1.5),
-    "layered-1.5-2.5": LevyModel.layered_stable(1.5, 2.5),
+    "brownian-d1": LevyModel(Family.BROWNIAN),
+    "brownian-d3": LevyModel(Family.BROWNIAN, dim=3),
+    "isotropic-1.5-d1": LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5),
+    "isotropic-1.5-d3": LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5, dim=3),
+    "relativistic-1.5-1-d1": LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0),
+    "relativistic-1.5-1-d3": LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0, dim=3),
+    "subordinated-stable-0.75-d2": LevyModel(
+        Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 0.75), dim=2),
+    "subordinated-tempered-0.6-1-d1": LevyModel(
+        Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.6, 1.0)),
+    "tempered-1.5-1": LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0),
+    "truncated-1.5": LevyModel(Family.TRUNCATED_STABLE, alpha=1.5),
+    "layered-1.5-2.5": LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5),
 }
 
 
@@ -109,10 +110,10 @@ def increments_bytes(name):
 
 # about 64 jumps per step: several chunks of the jump path and a partial last one
 LONG_SAMPLER_MODELS = {
-    "tempered-1.5-1": LevyModel.tempered_stable(1.5, 1.0),
-    "tempered-1.3-2": LevyModel.tempered_stable(1.3, 2.0),
-    "truncated-1.5": LevyModel.truncated_stable(1.5),
-    "layered-1.5-2.5": LevyModel.layered_stable(1.5, 2.5),
+    "tempered-1.5-1": LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0),
+    "tempered-1.3-2": LevyModel(Family.TEMPERED_STABLE, alpha=1.3, m=2.0),
+    "truncated-1.5": LevyModel(Family.TRUNCATED_STABLE, alpha=1.5),
+    "layered-1.5-2.5": LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5),
 }
 
 
@@ -125,12 +126,12 @@ def _hex(values):
 
 
 SPECTRAL_MODELS = {
-    "brownian": LevyModel.brownian(),
-    "isotropic-1.5": LevyModel.isotropic_stable(1.5),
-    "relativistic-1.7-1": LevyModel.relativistic_stable(1.7, 1.0),
-    "tempered-1.5-1": LevyModel.tempered_stable(1.5, 1.0),
-    "truncated-1.5": LevyModel.truncated_stable(1.5),
-    "layered-1.5-2.5": LevyModel.layered_stable(1.5, 2.5),
+    "brownian": LevyModel(Family.BROWNIAN),
+    "isotropic-1.5": LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5),
+    "relativistic-1.7-1": LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.7, m=1.0),
+    "tempered-1.5-1": LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0),
+    "truncated-1.5": LevyModel(Family.TRUNCATED_STABLE, alpha=1.5),
+    "layered-1.5-2.5": LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5),
 }
 # five jittered times, none twice another
 DENSITY_TIMES = (0.0512, 0.0981, 0.2043, 0.3962, 0.8127)

@@ -1,14 +1,16 @@
 """levyem runs on numpy alone: no command on any family loads scipy, and
 every command gives the same exit code when scipy cannot be imported at all.
 Importing it loads no thread pool either.  Each of those checks starts its
-own fresh interpreter.  Every name the package exports is one the library
-itself uses, apart from a short list of documented entry points."""
+own fresh interpreter.  Every name the package exports, and every public
+method of its classes, is one the library itself uses, apart from a short
+list of documented entry points."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -134,26 +136,38 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     assert run_fresh(tmp_path, script) == EXIT_CODES
 
 
-# exported names that no library module uses, and why each stays public
+# public names that no library module uses, and why each stays public
 UNUSED_EXPORTS = {
     "load_batch": "the documented reader of the replay format that `sample` writes",
     "semigroup_apply": "the benchmark's warm-up calls it; it leaves with the next "
                        "benchmark change",
+    "cf_bias_bound": "the documented CF-bias bound of a truncation; A5 and the README read it",
 }
 
 
+def referenced_names(tree):
+    """How often each name is read in ``tree``, as a bare name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
 def test_every_export_is_used_by_the_library():
-    # a test-only oracle belongs in tests/oracles.py, not in the public surface
+    # a test-only oracle belongs in tests/oracles.py, not in the public
+    # surface; so does a method, staticmethod or property only tests call
     package = SRC / "levyem"
     init = ast.parse((package / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    used = set()
-    for path in package.glob("*.py"):
-        if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-    assert sorted(exported - used - set(UNUSED_EXPORTS)) == []
+    modules = [ast.parse(path.read_text()) for path in package.glob("*.py")
+               if path.name != "__init__.py"]
+    used = sum((referenced_names(tree) for tree in modules), Counter())
+    unused = exported - set(used)
+    for tree in modules:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    # a reference inside the method itself does not count
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") \
+                            and used[fn.name] == referenced_names(fn)[fn.name]:
+                        unused.add(fn.name)
+    assert sorted(unused - set(UNUSED_EXPORTS)) == []

@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate, optimize
 
 from levyem import _quadpack, samplers
-from levyem.models import LevyModel
+from levyem.models import Family, LevyModel
 
 
 def scipy_qagse(f, a, b, limit):
@@ -110,10 +110,10 @@ def test_brentq_matches_scipy_on_random_brackets():
     assert {"ValueError", "RuntimeError"} < outcomes
 
 
-MODELS = ([LevyModel.tempered_stable(a, m) for a in (1.1, 1.3, 1.5, 1.7, 1.9)
+MODELS = ([LevyModel(Family.TEMPERED_STABLE, alpha=a, m=m) for a in (1.1, 1.3, 1.5, 1.7, 1.9)
            for m in (0.25, 1.0, 4.0)]
-          + [LevyModel.truncated_stable(a) for a in (1.1, 1.5, 1.9)]
-          + [LevyModel.layered_stable(a, lam) for a in (1.2, 1.5, 1.8)
+          + [LevyModel(Family.TRUNCATED_STABLE, alpha=a) for a in (1.1, 1.5, 1.9)]
+          + [LevyModel(Family.LAYERED_STABLE, alpha=a, lambda_tail=lam) for a in (1.2, 1.5, 1.8)
              for lam in (0.5, 2.5)])
 
 

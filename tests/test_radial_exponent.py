@@ -17,7 +17,7 @@ the same incomplete Gamma, to 30 digits.
 import numpy as np
 import pytest
 
-from levyem.models import LevyModel, char_exponent_radial
+from levyem.models import Family, LevyModel, char_exponent_radial
 
 S = np.array([0.01, 0.1, 0.5, 0.99, 1.0, 1.01, 2.0, 3.0, 5.0, 7.99, 8.0, 8.01,
               20.0, 100.0, 1e3, 1e4])
@@ -51,8 +51,8 @@ RECORDED = {
 
 
 def model_for(alpha, lam):
-    return LevyModel.truncated_stable(alpha) if lam is None \
-        else LevyModel.layered_stable(alpha, lam)
+    return LevyModel(Family.TRUNCATED_STABLE, alpha=alpha) if lam is None \
+        else LevyModel(Family.LAYERED_STABLE, alpha=alpha, lambda_tail=lam)
 
 
 @pytest.mark.parametrize("alpha,lam", sorted(RECORDED, key=str))

@@ -8,7 +8,8 @@ import pytest
 from scipy import integrate, special, stats
 
 from levyem.errors import DomainError, ShapeError, UnsupportedModelError
-from levyem.models import LevyModel, SubordinatorSpec, char_exponent_radial, radial_density
+from levyem.models import (Family, LevyModel, SubFamily, SubordinatorSpec, char_exponent_radial,
+                           radial_density)
 from levyem.rng import RngStream
 from levyem.samplers import (IncrementBatch, default_epsilon, increments,
                              load_batch, sample_jump_decomposition,
@@ -154,11 +155,11 @@ class TestTemperedSubordinator:
 
     def test_rho_one_is_the_identity_time_in_either_family(self):
         # (lam + m^2) - m^2 = lam: a tilted rho = 1 subordinator is S_t = t
-        tempered = increments(LevyModel.subordinated_bm(SubordinatorSpec.tempered(1.0, 2.0)),
-                              1.0, 4, RngStream(0, 0))
-        stable = increments(LevyModel.subordinated_bm(SubordinatorSpec.stable(1.0)),
-                            1.0, 4, RngStream(0, 0))
-        assert np.array_equal(tempered.values, stable.values)
+        subs = (SubordinatorSpec(SubFamily.TEMPERED_STABLE, 1.0, 2.0),
+                SubordinatorSpec(SubFamily.STABLE, 1.0))
+        tempered, stable = (increments(LevyModel(Family.SUBORDINATED_BM, sub=sub), 1.0, 4,
+                                       RngStream(0, 0)).values for sub in subs)
+        assert np.array_equal(tempered, stable)
 
 
 class TestSubordinatedBM:
@@ -188,7 +189,7 @@ class TestSubordinatedBM:
         # a rho = 1 stable subordinator draws nothing, so the subordination
         # route gives the Brownian increments from the same stream
         n = 64
-        vals = increments(LevyModel.isotropic_stable(2.0, dim=d), dt * n, n,
+        vals = increments(LevyModel(Family.ISOTROPIC_STABLE, alpha=2.0, dim=d), dt * n, n,
                           RngStream(8, 2)).values
         expected = RngStream(8, 2).generator().standard_normal((n, d)) * math.sqrt(2.0 * dt)
         assert np.array_equal(vals, expected)
@@ -197,21 +198,22 @@ class TestSubordinatedBM:
         # sha256 of the increments, recorded when each family still called
         # its subordinator sampler directly
         for model, digest in (
-                (LevyModel.isotropic_stable(1.5, dim=3),
+                (LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5, dim=3),
                  "02e74db4f9a3834c1092a23f651e17323dbdde59da95ce7520141e5614912a2c"),
-                (LevyModel.relativistic_stable(1.5, 1.0),
+                (LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0),
                  "561cb58dadd4b90ad6115a785add18c8923484cf0ca044a6a99eb5ed688d8652"),
-                (LevyModel.relativistic_stable(1.2, 2.0, dim=2),
+                (LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.2, m=2.0, dim=2),
                  "7c684dab63481a95e655933cba62060ac95e76f75cb760de3539ee9fdd643012"),
-                (LevyModel.subordinated_bm(SubordinatorSpec.stable(0.8)),
+                (LevyModel(Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 0.8)),
                  "b5950b52c0255d962d3a16968f78be0b4ea65bfaa738d3eb561a0c2175ff1fca"),
-                (LevyModel.subordinated_bm(SubordinatorSpec.tempered(0.75, 2.0), dim=2),
+                (LevyModel(Family.SUBORDINATED_BM,
+                           sub=SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, 2.0), dim=2),
                  "57601542ff4654ab4247501b49728be9deafca75b5b40be325dc00df8d1a9962")):
             vals = increments(model, 2.0, 64, RngStream(31, 4)).values
             assert hashlib.sha256(vals.tobytes()).hexdigest() == digest, model.describe()
 
     def test_relativistic_pipeline_cf(self):
-        model = LevyModel.relativistic_stable(1.5, 1.0)
+        model = LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0)
         t = 0.4
         mm = 400_000
         batch = increments(model, t * mm, mm, RngStream(14, 0))
@@ -221,7 +223,7 @@ class TestSubordinatedBM:
 
 class TestJumpDecomposition:
     def test_truncated_at_eps_one_is_pure_gaussian(self):
-        model = LevyModel.truncated_stable(1.5)
+        model = LevyModel(Family.TRUNCATED_STABLE, alpha=1.5)
         vals, meta = sample_jump_decomposition(model, 1.0, 0.1, RngStream(15, 0),
                                                size=200_000)
         assert meta.intensity == 0.0
@@ -230,8 +232,8 @@ class TestJumpDecomposition:
         assert stats.kstest(vals, "norm", args=(0.0, sd)).pvalue > 0.01
 
     def test_sigma2_matches_independent_quadrature(self):
-        for model in (LevyModel.tempered_stable(1.5, 1.0),
-                      LevyModel.layered_stable(1.5, 2.5)):
+        for model in (LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0),
+                      LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5)):
             rd = radial_density(model)
             eps = 0.07
             _, meta = sample_jump_decomposition(model, eps, 0.1, RngStream(16, 0), size=8)
@@ -240,7 +242,7 @@ class TestJumpDecomposition:
             assert meta.sigma2 == pytest.approx(oracle, rel=1e-8)
 
     def test_poisson_count_mean(self):
-        model = LevyModel.layered_stable(1.5, 2.5)
+        model = LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5)
         rd = radial_density(model)
         eps, dt = 0.2, 0.3
         mm = 100_000
@@ -257,7 +259,7 @@ class TestJumpDecomposition:
         assert meta.intensity == pytest.approx(tail_a + tail_b, rel=1e-8)
 
     def test_tempered_cf_with_bias_budget(self):
-        model = LevyModel.tempered_stable(1.5, 1.0)
+        model = LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0)
         t = 0.25
         mm = 200_000
         eps = 0.05
@@ -269,7 +271,7 @@ class TestJumpDecomposition:
             assert abs(emp - target) <= 3.0 / math.sqrt(mm) + meta.cf_bias_bound(x, t)
 
     def test_default_epsilon_budgets_jump_rate(self):
-        model = LevyModel.truncated_stable(1.5)
+        model = LevyModel(Family.TRUNCATED_STABLE, alpha=1.5)
         rd = radial_density(model)
         for dt in (0.5, 0.01):
             eps = default_epsilon(model, dt)
@@ -277,7 +279,7 @@ class TestJumpDecomposition:
             assert rd.mass(eps, math.inf) * dt <= 64.0 * 1.01
         # a long step of near-Cauchy activity meets the bias rule within the
         # budget, so the pure bias rule binds instead
-        model = LevyModel.truncated_stable(1.05)
+        model = LevyModel(Family.TRUNCATED_STABLE, alpha=1.05)
         rd = radial_density(model)
         eps = default_epsilon(model, 10.0)
         assert rd.mass(eps, math.inf) * 10.0 < 64.0
@@ -286,19 +288,20 @@ class TestJumpDecomposition:
     def test_default_epsilon_handles_tiny_steps(self):
         # at small dt the bias rule is unattainable within the bracket and the
         # budget floor must take over instead of breaking the root solve
-        for model in (LevyModel.layered_stable(1.5, 2.5),
-                      LevyModel.truncated_stable(1.5),
-                      LevyModel.tempered_stable(1.5, 1.0)):
+        for model in (LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5),
+                      LevyModel(Family.TRUNCATED_STABLE, alpha=1.5),
+                      LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0)):
             rd = radial_density(model)
             for n in (256, 2048):
                 eps = default_epsilon(model, 1.0 / n)
                 assert 0.0 < eps <= 1.0
                 assert rd.mass(eps, math.inf) / n <= 64.0 * 1.01
 
-    @pytest.mark.parametrize("model", [LevyModel.tempered_stable(1.5, 1.0),
-                                       LevyModel.truncated_stable(1.5),
-                                       LevyModel.layered_stable(1.5, 2.5)],
-                             ids=["tempered", "truncated", "layered"])
+    @pytest.mark.parametrize("model", [
+        LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0),
+        LevyModel(Family.TRUNCATED_STABLE, alpha=1.5),
+        LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5),
+    ], ids=["tempered", "truncated", "layered"])
     def test_jump_path_holds_about_two_jump_arrays(self, model):
         # 512 steps at 64 expected jumps each: the peak is the radii and their
         # owners, as the tilt test and the signs run a chunk at a time.  The
@@ -314,19 +317,19 @@ class TestJumpDecomposition:
 
     def test_epsilon_domain(self):
         with pytest.raises(DomainError):
-            sample_jump_decomposition(LevyModel.truncated_stable(1.5), 1.5, 0.1,
+            sample_jump_decomposition(LevyModel(Family.TRUNCATED_STABLE, alpha=1.5), 1.5, 0.1,
                                       RngStream(0, 0), size=4)
 
 
 class TestIncrements:
     def test_brownian_variance(self):
-        batch = increments(LevyModel.brownian(), 1.0, 4, RngStream(19, 0))
+        batch = increments(LevyModel(Family.BROWNIAN), 1.0, 4, RngStream(19, 0))
         assert batch.values.shape == (4, 1)
-        big = increments(LevyModel.brownian(), 25_000.0, 100_000, RngStream(19, 1))
+        big = increments(LevyModel(Family.BROWNIAN), 25_000.0, 100_000, RngStream(19, 1))
         assert big.values.var() == pytest.approx(2.0 * 0.25, rel=0.02)
 
     def test_additivity(self):
-        model = LevyModel.isotropic_stable(1.5)
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)
         mm = 30_000
         ends_fine, ends_coarse = np.empty(mm), np.empty(mm)
         for k in range(mm):
@@ -336,54 +339,56 @@ class TestIncrements:
         assert stats.ks_2samp(ends_fine, ends_coarse).pvalue > 0.01
 
     def test_self_similarity(self):
-        model = LevyModel.isotropic_stable(1.5)
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)
         t = 0.35
         a = increments(model, t * 50_000, 50_000, RngStream(22, 0)).values[:, 0]
         b = t ** (1 / 1.5) * increments(model, 50_000.0, 50_000, RngStream(22, 1)).values[:, 0]
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
     def test_reproducibility(self):
-        model = LevyModel.layered_stable(1.5, 2.5)
+        model = LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5)
         a = increments(model, 1.0, 64, RngStream(23, 7))
         b = increments(model, 1.0, 64, RngStream(23, 7))
         assert np.array_equal(a.values, b.values)
 
     def test_exact_samplers_have_no_meta(self):
-        assert increments(LevyModel.brownian(), 1.0, 8, RngStream(0, 0)).meta is None
-        assert increments(LevyModel.tempered_stable(1.5, 1.0), 1.0, 8,
+        assert increments(LevyModel(Family.BROWNIAN), 1.0, 8, RngStream(0, 0)).meta is None
+        assert increments(LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0), 1.0, 8,
                           RngStream(0, 0)).meta is not None
 
     def test_multidimensional_stable(self):
-        model = LevyModel.isotropic_stable(1.5, dim=3)
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5, dim=3)
         batch = increments(model, 1.0, 32, RngStream(24, 0))
         assert batch.values.shape == (32, 3)
 
     def test_unsupported_families(self):
         with pytest.raises(UnsupportedModelError):
-            increments(LevyModel.lamperti_stable(1.5, 1.0), 1.0, 8, RngStream(0, 0))
+            increments(LevyModel(Family.LAMPERTI_STABLE, alpha=1.5, m=1.0), 1.0, 8,
+                       RngStream(0, 0))
 
     def test_heavy_tail_moment_behaviour(self):
         # p = 1 < alpha: the empirical mean of |L_1| settles as M grows
-        model = LevyModel.isotropic_stable(1.5)
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)
         small = np.abs(increments(model, 100_000.0, 100_000, RngStream(25, 0)).values)
         large = np.abs(increments(model, 200_000.0, 200_000, RngStream(25, 1)).values)
         se = small.std(ddof=1) / math.sqrt(small.size)
         assert abs(small.mean() - large.mean()) <= 5 * se
         # the tempered family keeps fourth moments, stable under doubling
-        model = LevyModel.tempered_stable(1.5, 1.0)
+        model = LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0)
         a = sample_jump_decomposition(model, 0.05, 1.0, RngStream(26, 0), size=50_000)[0] ** 4
         b = sample_jump_decomposition(model, 0.05, 1.0, RngStream(26, 1), size=100_000)[0] ** 4
         assert abs(a.mean() - b.mean()) / b.mean() < 0.25
 
 
-_TEMPERED = LevyModel.tempered_stable(1.5, 1.0)
+_STABLE = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)
+_TEMPERED = LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0)
 # each sampler with a NaN or infinite step or scale in place of its time argument
 NON_FINITE_CALLS = {
-    "increments-isotropic": lambda t, g: increments(LevyModel.isotropic_stable(1.5), t, 8, g),
-    "increments-isotropic-d2": lambda t, g: increments(LevyModel.isotropic_stable(1.5, dim=2),
-                                                       t, 8, g),
+    "increments-isotropic": lambda t, g: increments(_STABLE, t, 8, g),
+    "increments-isotropic-d2": lambda t, g: increments(
+        LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5, dim=2), t, 8, g),
     "increments-tempered": lambda t, g: increments(_TEMPERED, t, 4, g),
-    "increments-brownian": lambda t, g: increments(LevyModel.brownian(), t, 4, g),
+    "increments-brownian": lambda t, g: increments(LevyModel(Family.BROWNIAN), t, 4, g),
     "jump_decomposition": lambda t, g: sample_jump_decomposition(_TEMPERED, 0.1, t, g, 4),
     "stable": lambda t, g: sample_stable(1.5, t, 4, g),
     "stable_subordinator": lambda t, g: sample_stable_subordinator(0.5, t, g, 4),
@@ -398,6 +403,30 @@ def test_non_finite_time_or_scale_refused_before_any_draw(call, value):
         NON_FINITE_CALLS[call](value, gen)
     # nothing was drawn: the stream still starts where a fresh one does
     assert np.array_equal(gen.uniform(size=4), RngStream(8, 1).generator().uniform(size=4))
+
+
+# each call whose self-similar scale t ** (1 / index) overflows a float
+OVERFLOW_CALLS = {
+    "increments-relativistic": (lambda g: increments(
+        LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1e-200), 1e300, 1, g),
+        "t ** 1.3333333333333333 overflows a float at t=5e+299"),
+    "increments-isotropic-0.5": (lambda g: increments(
+        LevyModel(Family.ISOTROPIC_STABLE, alpha=0.5), 1e200, 1, g),
+        "t ** 2.0 overflows a float at t=1e+200"),
+    "stable_subordinator": (lambda g: sample_stable_subordinator(0.75, 1e300, g, 4),
+                            "t ** 1.3333333333333333 overflows a float at t=1e+300"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OVERFLOW_CALLS))
+def test_overflowing_scale_refused_before_any_draw(call):
+    fn, message = OVERFLOW_CALLS[call]
+    gen = RngStream(8, 3).generator()
+    state = repr(gen.bit_generator.state)  # Philox keeps its counter in arrays
+    with pytest.raises(DomainError) as exc:
+        fn(gen)
+    assert message in str(exc.value)
+    assert repr(gen.bit_generator.state) == state
 
 
 # each sampler with a negative size, or NaN among the subordinator samples
@@ -420,7 +449,7 @@ def test_negative_size_or_nan_subordinator_refused_before_any_draw(call):
 
 class TestBinaryDump:
     def test_round_trip(self, tmp_path):
-        model = LevyModel.tempered_stable(1.5, 1.0)
+        model = LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0)
         batch = increments(model, 1.0, 32, RngStream(27, 3))
         path = tmp_path / "inc.bin"
         save_batch(batch, path)
@@ -431,15 +460,15 @@ class TestBinaryDump:
         assert loaded.meta == batch.meta
 
     def test_wrong_model_rejected(self, tmp_path):
-        batch = increments(LevyModel.brownian(), 1.0, 8, RngStream(28, 0))
+        batch = increments(LevyModel(Family.BROWNIAN), 1.0, 8, RngStream(28, 0))
         path = tmp_path / "inc.bin"
         save_batch(batch, path)
         with pytest.raises(ShapeError):
-            load_batch(path, LevyModel.isotropic_stable(1.5))
+            load_batch(path, LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5))
 
     def dump(self, tmp_path):
         """A dump of 8 Brownian increments and its model."""
-        model = LevyModel.brownian()
+        model = LevyModel(Family.BROWNIAN)
         path = tmp_path / "inc.bin"
         save_batch(increments(model, 1.0, 8, RngStream(29, 0)), path)
         return path, model
@@ -463,7 +492,7 @@ class TestBinaryDump:
             load_batch(path, model)
 
     def test_batch_validation(self):
-        model = LevyModel.brownian()
+        model = LevyModel(Family.BROWNIAN)
         with pytest.raises(ShapeError):
             IncrementBatch(dt=0.1, values=np.ones((4, 2)), model=model)
         with pytest.raises(ShapeError):

@@ -7,7 +7,7 @@ import pytest
 from levyem import spectral
 from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough
 from levyem.errors import DomainError, ResolutionError, ShapeError, StiffnessError
-from levyem.models import (Family, LevyModel, SubordinatorSpec, balance_check,
+from levyem.models import (Family, LevyModel, SubFamily, SubordinatorSpec, balance_check,
                            char_exponent_radial, kappa_exponent)
 from levyem.spectral import (SpaceGrid, density_fft, grad_l1_norm,
                              gradient_scaling_exponent, picard_solve,
@@ -15,7 +15,7 @@ from levyem.spectral import (SpaceGrid, density_fft, grad_l1_norm,
                              suggest_grid, tail_mass_estimate)
 from oracles import holder_seminorm, resolvent_source
 
-STABLE15 = LevyModel.isotropic_stable(1.5)
+STABLE15 = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)
 
 
 def mode(grid, k):
@@ -39,8 +39,8 @@ def _expression_density(model, t, grid):
 
 
 class TestDensity:
-    @pytest.mark.parametrize("model", [STABLE15, LevyModel.brownian(),
-                                       LevyModel.tempered_stable(1.3, 2.0)],
+    @pytest.mark.parametrize("model", [STABLE15, LevyModel(Family.BROWNIAN),
+                                       LevyModel(Family.TEMPERED_STABLE, alpha=1.3, m=2.0)],
                              ids=["stable", "brownian", "tempered"])
     def test_in_place_inversions_match_whole_array_expressions(self, model):
         times = (0.0512, 0.3962, 1.6254)
@@ -54,7 +54,7 @@ class TestDensity:
     def test_brownian_half_is_standard_normal(self):
         # CF convention exp(-t |xi|^2) makes p_{0.5} the unit normal
         grid = SpaceGrid(40.0, 2048)
-        tab = density_fft(LevyModel.brownian(), 0.5, grid)
+        tab = density_fft(LevyModel(Family.BROWNIAN), 0.5, grid)
         centre = tab.values[np.argmin(np.abs(grid.nodes))]
         assert centre == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-9)
         assert tab.mass == pytest.approx(1.0, abs=1e-6)
@@ -67,8 +67,8 @@ class TestDensity:
         assert centre == pytest.approx(1.0 / math.pi, abs=1e-6)
 
     def test_unit_mass_across_catalog(self):
-        for model in (STABLE15, LevyModel.relativistic_stable(1.5, 1.0),
-                      LevyModel.tempered_stable(1.5, 1.0)):
+        for model in (STABLE15, LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0),
+                      LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0)):
             grid = suggest_grid(model, 0.2, 0.5, tail_target=1e-6,
                                 max_points=2 ** 18)
             tab = density_fft(model, 0.3, grid)
@@ -109,14 +109,14 @@ class TestDensity:
             suggest_grid(STABLE15, t_min, t_max)
 
     def test_tail_target_met_for_light_tails(self):
-        model = LevyModel.relativistic_stable(1.5, 1.0)
+        model = LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0)
         grid = suggest_grid(model, 0.1, 0.4)
         assert tail_mass_estimate(model, 0.4, grid.half_width) < 1e-8
 
     def test_rho_one_subordinated_bm_tail_is_brownian(self):
         # a stable subordinator of index 1 time-changes BM into BM itself
-        sub_bm = LevyModel.subordinated_bm(SubordinatorSpec.stable(1.0))
-        bm = LevyModel.brownian()
+        sub_bm = LevyModel(Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 1.0))
+        bm = LevyModel(Family.BROWNIAN)
         estimate = tail_mass_estimate(sub_bm, 1.6, 8.0)
         assert estimate > 0.0
         assert estimate == tail_mass_estimate(bm, 1.6, 8.0)
@@ -173,7 +173,7 @@ class TestGradientNorms:
     def test_gaussian_grad_l1_is_twice_peak(self):
         # unimodal symmetric density: int |p'| = 2 p(0)
         grid = SpaceGrid(40.0, 2 ** 14)
-        tab = density_fft(LevyModel.brownian(), 0.5, grid)
+        tab = density_fft(LevyModel(Family.BROWNIAN), 0.5, grid)
         assert grad_l1_norm(tab) == pytest.approx(2.0 / math.sqrt(2.0 * math.pi),
                                                   rel=1e-3)
 
@@ -188,7 +188,7 @@ class TestGradientNorms:
 
     def test_reflection_invariance(self):
         grid = SpaceGrid(40.0, 2048)
-        tab = density_fft(LevyModel.brownian(), 0.5, grid)
+        tab = density_fft(LevyModel(Family.BROWNIAN), 0.5, grid)
         flipped = np.abs(tab.deriv1[::-1])
         direct = np.abs(tab.deriv1)
         assert float(np.trapezoid(flipped, dx=grid.h)) == pytest.approx(
@@ -203,7 +203,7 @@ class TestGradientNorms:
 
 class TestGradientScaling:
     def test_brownian_slope(self):
-        res = gradient_scaling_exponent(LevyModel.brownian(), np.geomspace(0.05, 0.8, 6))
+        res = gradient_scaling_exponent(LevyModel(Family.BROWNIAN), np.geomspace(0.05, 0.8, 6))
         assert res.slope == pytest.approx(-0.5, abs=0.01)
 
     def test_stable_slope(self):
@@ -214,7 +214,7 @@ class TestGradientScaling:
     def test_relativistic_small_time_window(self):
         # at high frequency the exponent is comparable to the stable one, so
         # the small-t gradient scaling approaches -1/alpha
-        model = LevyModel.relativistic_stable(1.5, 1.0)
+        model = LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0)
         res = gradient_scaling_exponent(model, np.geomspace(1e-3, 1e-2, 5))
         assert abs(res.slope - (-1.0 / 1.5)) <= 0.1
 
@@ -428,8 +428,45 @@ class TestPicard:
             cs.append(sol.certificate["c_of_T"])
         assert cs[0] > cs[1] > cs[2]
 
+    @staticmethod
+    def _assert_same_solve(sol, ref):
+        assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.grad_u, ref.grad_u)
+        assert (sol.diffs, sol.horizon, sol.halvings) == (ref.diffs, ref.horizon, ref.halvings)
+        assert sol.residual == ref.residual and sol.certificate == ref.certificate
+
+    @pytest.mark.parametrize("drift", [drift_cos(), drift_rough(0.5)], ids=["cos", "rough_sin"])
+    def test_drift_source_of_a_time_free_drift_is_its_array(self, drift):
+        grid = SpaceGrid(16 * math.pi, 512)
+        sol = picard_solve(drift, None, 0.25, STABLE15, grid, n_time=32)
+        ref = picard_solve(drift, drift(0.0, grid.nodes), 0.25, STABLE15, grid, n_time=32)
+        self._assert_same_solve(sol, ref)
+
+    def test_drift_source_follows_time(self):
+        # g = b(t, .), not b(0, .): the frozen source solves another equation
+        grid = SpaceGrid(16 * math.pi, 512)
+        drift = drift_cos_time()
+        sol = picard_solve(drift, None, 0.25, STABLE15, grid, n_time=32)
+        ref = picard_solve(drift, lambda t: drift(t, grid.nodes), 0.25, STABLE15, grid,
+                           n_time=32)
+        self._assert_same_solve(sol, ref)
+        frozen = picard_solve(drift, drift(0.0, grid.nodes), 0.25, STABLE15, grid, n_time=32)
+        assert np.max(np.abs(sol.u[0] - frozen.u[0])) > 1e-3
+
+    @pytest.mark.parametrize("scale,halvings", [(1.0, 0), (10.0, 1)])
+    def test_drift_source_evaluates_the_drift_once_per_time_row(self, scale, halvings):
+        grid = SpaceGrid(16 * math.pi, 256)
+        times = []
+
+        def fn(t, x):
+            times.append(t)
+            return scale * np.cos(x + t)
+
+        sol = picard_solve(DriftSpec(fn, 1.0, 1.0), None, 0.5, STABLE15, grid, n_time=16)
+        assert sol.halvings == halvings
+        assert len(times) == 17 * (halvings + 1)
+
     def test_unbalanced_pair_is_refused(self):
-        model = LevyModel.isotropic_stable(1.05)
+        model = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.05)
         rough = drift_rough(0.02)
         assert kappa_exponent(model.gradient_index, model.moments.gamma0,
                               rough.beta) >= 1.0
