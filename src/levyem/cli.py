@@ -28,11 +28,9 @@ from .rng import RngStream
 _SECTION_KEYS = {
     "model": {"family", "alpha", "m", "lambda_tail", "dim", "rho"},
     "drift": {"name", "beta", "c"},
-    "experiment": {"t", "p", "n_list", "n_ref", "paths", "seed", "tol", "variant",
-                   "x0"},
+    "experiment": {"t", "p", "n_list", "n_ref", "paths", "seed", "variant", "x0"},
     "density": {"t_list", "half_width", "points"},
-    "kolmogorov": {"t", "n_time", "points", "half_width", "tol", "max_iter",
-                   "target_ratio", "force_unbalanced"},
+    "kolmogorov": {"t", "n_time", "points", "half_width", "target_ratio"},
     "sample": {"t", "n", "seed", "csv"},
 }
 
@@ -175,7 +173,7 @@ def build_experiment(cfg) -> harness.ExperimentConfig:
         n_ref=_get(cfg, "experiment", "n_ref", _count, required=True),
         paths=_get(cfg, "experiment", "paths", _count, required=True),
         seed=_get(cfg, "experiment", "seed", int, required=True),
-        **_given(cfg, "experiment", {"tol": _finite, "variant": str}),
+        **_given(cfg, "experiment", {"variant": str}),
     )
 
 
@@ -266,28 +264,23 @@ def cmd_kolmogorov(args) -> int:
     T = _get(cfg, "kolmogorov", "t", _finite, default=0.25)
     points = _get(cfg, "kolmogorov", "points", _count, default=2048)
     half_width = _get(cfg, "kolmogorov", "half_width", _finite, default=16 * math.pi)
-    force = _get(cfg, "kolmogorov", "force_unbalanced", bool, default=False)
-    solver = _given(cfg, "kolmogorov", {"n_time": _count, "max_iter": int, "tol": _finite,
-                                        "target_ratio": _finite})
+    solver = _given(cfg, "kolmogorov", {"n_time": _count, "target_ratio": _finite})
     if solver.get("n_time", 2) < 2:
         raise ConfigError("kolmogorov", "n_time", f"{solver['n_time']} is below 2; "
                           "the residual needs an interior time row")
-    if solver.get("max_iter", 1) < 1:
-        raise ConfigError("kolmogorov", "max_iter", f"{solver['max_iter']} is below 1")
     grid = spectral.SpaceGrid(half_width, points)
 
     kappa = models.kappa_exponent(model.gradient_index, model.moments.gamma0, drift.beta)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if kappa >= 1.0 and not force:
+    if kappa >= 1.0:
         summary = {"kappa": kappa, "certified": False,
                    "reason": "balance condition violated (kappa >= 1)"}
         _write_json(out / "kolmogorov_summary.json", summary)
         print(f"kappa = {kappa:.4f} >= 1: certification refused")
         return 2
 
-    sol = spectral.picard_solve(drift, None, T, model, grid, force_unbalanced=force,
-                                **solver)
+    sol = spectral.picard_solve(drift, None, T, model, grid, **solver)
     summary = {
         "model": model.describe(),
         "horizon": sol.horizon,

@@ -38,6 +38,7 @@ VERDICT_VIOLATES = "violates-bound"
 VERDICT_DEGENERATE = "degenerate-exact"
 
 _TILE = 8  # paths drawn before they are copied into a block's noise buffer
+_VERDICT_TOL = 0.15  # the fitted rate is consistent within this of the predicted one
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class ExperimentConfig:
     n_ref: int
     paths: int
     seed: int
-    tol: float = 0.15
     variant: str = "frozen"
     chunk: ClassVar[int] = 256  # paths per block
 
@@ -59,8 +59,6 @@ class ExperimentConfig:
         check_rate_scope(self.model)
         if not (0 < self.T < math.inf and 0 < self.p < math.inf):
             raise DomainError(f"need finite T > 0 and p > 0, got T={self.T} and p={self.p}")
-        if not 0 <= self.tol < math.inf:
-            raise DomainError(f"tol must be finite and >= 0, got {self.tol}")
         if self.paths < 100:
             raise DomainError("need at least 100 paths")
         RngStream(self.seed)  # rejects a seed outside the 64-bit key range
@@ -234,7 +232,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         "n_ref": config.n_ref,
         "paths": config.paths,
         "seed": config.seed,
-        "tol": config.tol,
+        "tol": _VERDICT_TOL,
         "variant": config.variant,
     }
     notes = []
@@ -246,7 +244,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         return ConvergenceReport(config_summary=summary, table=table,
                                  prediction=prediction, verdict=VERDICT_DEGENERATE,
                                  fitted=None, notes=tuple(notes))
-    verdict = compare_to_theory(fitted.exponent, prediction.rate, config.tol)
+    verdict = compare_to_theory(fitted.exponent, prediction.rate, _VERDICT_TOL)
     return ConvergenceReport(config_summary=summary, table=table,
                              prediction=prediction, verdict=verdict,
                              fitted=fitted, notes=tuple(notes))

@@ -163,6 +163,8 @@ def sample_subordinated_bm(sub_sample, d: int, rng) -> np.ndarray:
         raise ShapeError(f"subordinator samples must be a 1-D array, got shape {s.shape}")
     if not np.all(s >= 0):  # NaN too
         raise DomainError("subordinator samples must be nonnegative numbers")
+    if not np.all(s <= sys.float_info.max / 2):  # 2 S stays finite
+        raise DomainError(f"the Gaussian scale sqrt(2 S) overflows a float at S={s.max()}")
     return np.sqrt(2.0 * s)[:, None] * as_generator(rng).standard_normal((s.size, d))
 
 
@@ -300,6 +302,8 @@ def increments(model: LevyModel, T: float, n: int, rng) -> IncrementBatch:
     if not 0 < T < math.inf:
         raise DomainError(f"T must be finite and > 0, got {T}")
     dt = T / n
+    if dt == 0:
+        raise DomainError(f"the step T / n underflows to 0 at T={T} and n={n}")
     seed, stream = (rng.seed, rng.stream_id) if isinstance(rng, RngStream) else (0, 0)
     gen = as_generator(rng)
     fam = model.family
@@ -307,6 +311,8 @@ def increments(model: LevyModel, T: float, n: int, rng) -> IncrementBatch:
     meta = None
 
     if fam is Family.BROWNIAN:
+        if 2.0 * dt == math.inf:
+            raise DomainError(f"the Gaussian scale sqrt(2 dt) overflows a float at dt={dt}")
         vals = gen.standard_normal((n, d)) * math.sqrt(2.0 * dt)
     elif fam is Family.ISOTROPIC_STABLE and d == 1:
         vals = sample_stable(model.alpha, _time_scale(dt, 1.0 / model.alpha), n, gen)[:, None]

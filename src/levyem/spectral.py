@@ -28,6 +28,7 @@ from .samplers import MAX_ELEMENTS
 
 _CSV_ROWS = 4096  # the most rows a density CSV keeps
 _MAX_HALVINGS = 5  # horizon halvings before picard_solve gives up on contraction
+_MAX_ITER = 60  # Picard sweeps per horizon before it is halved
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,9 @@ class SpaceGrid:
         n = self.n_points
         if n < 8 or (n & (n - 1)):
             raise DomainError("n_points must be a power of two >= 8")
-        if not 0 < self.half_width < math.inf:
-            raise DomainError(f"half_width must be finite and > 0, got {self.half_width}")
+        if not (0 < self.half_width < math.inf and 0 < self.h and math.pi / self.h < math.inf):
+            raise DomainError(f"half_width must be finite and > 0, with a nonzero spacing h "
+                              f"and a finite pi / h at {n} points, got {self.half_width}")
 
     @property
     def h(self) -> float:
@@ -414,17 +416,17 @@ def _distinct_rows(table: np.ndarray) -> np.ndarray:
 
 
 def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGrid,
-                 n_time: int = 128, max_iter: int = 60, tol: float = 1e-8,
-                 target_ratio: float = 0.95,
-                 force_unbalanced: bool = False) -> PicardSolution:
+                 n_time: int = 128, tol: float = 1e-8,
+                 target_ratio: float = 0.95) -> PicardSolution:
     """Solve d_t u + A u + b . grad u = -g on [0, T] with u(T, .) = 0.
 
     ``g`` is an array on the grid, a callable of t, or None for the drift, g = b(t, .).
     Iterates u <- integral of P_{s-t} [b grad u + g] with the semigroup factor
     integrated exactly per mode over each uniform time interval (the source is
     interpolated linearly).  When the measured contraction factor exceeds
-    ``target_ratio`` the horizon is halved, at most a fixed 5 times.
-    The solution carries its certificate and the residual of the equation.
+    ``target_ratio``, or no sweep of a fixed 60 reaches ``tol``, the horizon is
+    halved, at most a fixed 5 times.  A pair with kappa >= 1 is refused.  The
+    solution carries its certificate and the residual of the equation.
     """
     if not 0 < T < math.inf:
         raise DomainError(f"T must be finite and > 0, got {T}")
@@ -433,17 +435,14 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
     if n_time + 1 > MAX_ELEMENTS // grid.n_points:
         raise DomainError(f"n_time={n_time} time steps of {grid.n_points} points are more "
                           f"elements than an array can hold (at most {MAX_ELEMENTS})")
-    if max_iter < 1:
-        raise DomainError("max_iter must be at least 1")
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol}")
     if not 0 < target_ratio < 1:
         raise DomainError(f"target_ratio must lie in (0, 1), got {target_ratio}")
     kappa = kappa_exponent(model.gradient_index, model.moments.gamma0, drift.beta)
-    if kappa >= 1.0 and not force_unbalanced:
-        raise DomainError(
-            f"singularity exponent kappa={kappa:.4f} >= 1: the drift/noise pair "
-            "violates the balance condition (pass force_unbalanced=True to attempt)")
+    if kappa >= 1.0:
+        raise DomainError(f"singularity exponent kappa={kappa:.4f} >= 1: the drift/noise "
+                          "pair violates the balance condition")
     psi = _psi_on_grid(model, grid)
     ik = 1j * grid.dual
     nodes = grid.nodes
@@ -467,7 +466,7 @@ def picard_solve(drift: DriftSpec, g, T: float, model: LevyModel, grid: SpaceGri
         grad = np.zeros_like(u)
         diffs = []
         converged = False
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             d = _picard_sweep(b_tab, g_tab, u, grad, decay, w_lo, w_hi_minus_lo, ik)
             if d <= tol * g_norm:  # a zero source converges on its first sweep
                 converged = True

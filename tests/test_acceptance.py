@@ -49,8 +49,7 @@ class TestA1BrownianRate:
         t0 = time.time()
         config = ExperimentConfig(
             model=LevyModel(Family.BROWNIAN), drift=drift_cos(), x0=0.0, T=1.0, p=2.0,
-            n_list=(8, 16, 32, 64, 128, 256), n_ref=2048, paths=2000, seed=20240101,
-            tol=0.15)
+            n_list=(8, 16, 32, 64, 128, 256), n_ref=2048, paths=2000, seed=20240101)
         rep = run_experiment(config)
         elapsed = time.time() - t0
         ok = (rep.prediction.rate == 1.0 and rep.slope >= 1.0 - 0.15
@@ -68,7 +67,7 @@ class TestA2StableRate:
         config = ExperimentConfig(
             model=LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5), drift=drift_cos(), x0=0.0,
             T=1.0, p=1.0, n_list=(8, 16, 32, 64, 128, 256), n_ref=2048,
-            paths=4000, seed=20240102, tol=0.15)
+            paths=4000, seed=20240102)
         rep = run_experiment(config)
         elapsed = time.time() - t0
         predicted = 2.0 / 3.0
@@ -86,7 +85,7 @@ class TestA3RoughDriftSensitivity:
         config = ExperimentConfig(
             model=LevyModel(Family.ISOTROPIC_STABLE, alpha=1.9), drift=drift_rough(0.5), x0=0.0,
             T=1.0, p=1.0, n_list=(8, 16, 32, 64, 128, 256), n_ref=2048,
-            paths=2000, seed=20240103, tol=0.15)
+            paths=2000, seed=20240103)
         rep = run_experiment(config)
         predicted = 0.5 / 1.9
         ok = (abs(rep.prediction.rate - predicted) < 1e-12

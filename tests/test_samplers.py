@@ -405,7 +405,8 @@ def test_non_finite_time_or_scale_refused_before_any_draw(call, value):
     assert np.array_equal(gen.uniform(size=4), RngStream(8, 1).generator().uniform(size=4))
 
 
-# each call whose self-similar scale t ** (1 / index) overflows a float
+# each call whose self-similar scale t ** (1 / index) overflows a float, or
+# whose Gaussian scale sqrt(2 dt) or sqrt(2 S) does through 2 dt or 2 S
 OVERFLOW_CALLS = {
     "increments-relativistic": (lambda g: increments(
         LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1e-200), 1e300, 1, g),
@@ -415,6 +416,13 @@ OVERFLOW_CALLS = {
         "t ** 2.0 overflows a float at t=1e+200"),
     "stable_subordinator": (lambda g: sample_stable_subordinator(0.75, 1e300, g, 4),
                             "t ** 1.3333333333333333 overflows a float at t=1e+300"),
+    "increments-brownian": (lambda g: increments(LevyModel(Family.BROWNIAN), 1e308, 1, g),
+                            "sqrt(2 dt) overflows a float at dt=1e+308"),
+    "increments-subordinated-rho1": (lambda g: increments(
+        LevyModel(Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 1.0)),
+        1e308, 1, g), "sqrt(2 S) overflows a float at S=1e+308"),
+    "subordinated_bm": (lambda g: sample_subordinated_bm(np.array([1.0, 1e308]), 2, g),
+                        "sqrt(2 S) overflows a float at S=1e+308"),
 }
 
 
@@ -427,6 +435,17 @@ def test_overflowing_scale_refused_before_any_draw(call):
         fn(gen)
     assert message in str(exc.value)
     assert repr(gen.bit_generator.state) == state
+
+
+@pytest.mark.parametrize("model", [LevyModel(Family.BROWNIAN), _STABLE, _TEMPERED],
+                         ids=["brownian", "stable", "tempered"])
+def test_underflowing_step_refused_before_any_draw(model):
+    # dt = T / n rounds to 0, which default_epsilon divides by and the Gaussian
+    # and stable scales turn into zeros: refused with T and n named
+    gen = RngStream(8, 4).generator()
+    with pytest.raises(DomainError, match=r"T / n underflows to 0 at T=5e-324 and n=4$"):
+        increments(model, 5e-324, 4, gen)
+    assert np.array_equal(gen.uniform(size=4), RngStream(8, 4).generator().uniform(size=4))
 
 
 # each sampler with a negative size, or NaN among the subordinator samples

@@ -95,7 +95,9 @@ class TestDensity:
         with pytest.raises(ResolutionError, match="density mass nan deviates"):
             density_fft(STABLE15, 0.5, grid)
 
-    @pytest.mark.parametrize("half_width", [math.nan, math.inf, 0.0])
+    # 5e-324 gives a zero spacing h, which fftfreq divides by; 1e-310 an
+    # infinite top frequency pi / h, which ends as a misleading StiffnessError
+    @pytest.mark.parametrize("half_width", [math.nan, math.inf, 0.0, 5e-324, 1e-310])
     def test_grid_half_width_outside_range_refused(self, half_width):
         with pytest.raises(DomainError, match="half_width must be finite and > 0"):
             SpaceGrid(half_width, 64)
@@ -471,12 +473,8 @@ class TestPicard:
         assert kappa_exponent(model.gradient_index, model.moments.gamma0,
                               rough.beta) >= 1.0
         grid = SpaceGrid(16 * math.pi, 512)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="violates the balance condition"):
             picard_solve(rough, np.cos(grid.nodes), 0.2, model, grid)
-        sol = picard_solve(rough, np.cos(grid.nodes), 0.2, model, grid,
-                           n_time=32, force_unbalanced=True)
-        assert not sol.certified
-        assert sol.kappa >= 1.0
 
     def test_stiffness_error_when_drift_overwhelms(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_HALVINGS", 2)
@@ -488,8 +486,8 @@ class TestPicard:
     # (n_time + 1) x points past what an array can hold is refused before any
     # table is built, not left to a MemoryError
     @pytest.mark.parametrize("kwargs", [{"n_time": 0}, {"n_time": -3},
-                                        {"max_iter": 0}, {"n_time": 2 ** 52}])
-    def test_bad_n_time_or_max_iter_rejected(self, kwargs):
+                                        {"n_time": 2 ** 52}])
+    def test_bad_n_time_rejected(self, kwargs):
         grid = SpaceGrid(16 * math.pi, 256)
         with pytest.raises(DomainError):
             picard_solve(drift_cos(), np.cos(grid.nodes), 0.25, STABLE15, grid,
@@ -695,16 +693,13 @@ class TestPicardSweep:
 
 class TestKolmogorovResidual:
     def test_zero_everything(self):
-        # a zero source converges on its first sweep; kappa < 1 here, so the
-        # solution is certified with or without force_unbalanced
+        # a zero source converges on its first sweep
         grid = SpaceGrid(16 * math.pi, 512)
         zero = DriftSpec(lambda t, x: np.zeros_like(x), 1.0, 1.0)
-        for force in (False, True):
-            sol = picard_solve(zero, np.zeros(grid.n_points), 0.3, STABLE15, grid,
-                               n_time=32, force_unbalanced=force)
-            assert sol.converged and sol.certified
-            assert sol.diffs == () and sol.halvings == 0 and sol.residual == 0.0
-            assert not np.any(sol.u) and not np.any(sol.grad_u)
+        sol = picard_solve(zero, np.zeros(grid.n_points), 0.3, STABLE15, grid, n_time=32)
+        assert sol.converged and sol.certified
+        assert sol.diffs == () and sol.halvings == 0 and sol.residual == 0.0
+        assert not np.any(sol.u) and not np.any(sol.grad_u)
 
     def test_single_mode_zero_drift(self):
         grid = SpaceGrid(16 * math.pi, 1024)
