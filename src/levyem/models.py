@@ -490,17 +490,17 @@ def _sample_piece(p: _Piece, lo: float, hi: float, size: int, gen) -> np.ndarray
             t = test[:chunk.size]
             np.subtract(chunk, lo, out=t)
             np.multiply(t, -p.m, out=t)
-            np.less(gen.uniform(size=chunk.size), np.exp(t, out=t),
+            np.less(gen.random(chunk.size), np.exp(t, out=t),
                     out=acc[start:start + chunk.size])
         return acc
 
-    out = inverse_cdf(gen.uniform(size=size))
+    out = inverse_cdf(gen.random(size))
     if p.m == 0.0:
         return out
     # tilted piece: propose from the pure power; a rejected slot is redrawn
     need = np.flatnonzero(~accepted(out))
     while need.size:
-        prop = inverse_cdf(gen.uniform(size=need.size))
+        prop = inverse_cdf(gen.random(need.size))
         acc = accepted(prop)
         out[need[acc]] = prop[acc]
         need = need[~acc]

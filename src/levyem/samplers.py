@@ -53,11 +53,15 @@ MAX_ELEMENTS = sys.maxsize // 8
 
 
 def _time_scale(t: float, exponent: float) -> float:
-    """The self-similar scale t ** exponent, refused where it overflows a float."""
+    """The self-similar scale t ** exponent, refused where it overflows a float
+    or, at t > 0, underflows to 0, which would draw exact zeros."""
     try:
-        return float(t) ** exponent
+        scale = float(t) ** exponent
     except OverflowError:
         raise DomainError(f"the scale t ** {exponent!r} overflows a float at t={t}") from None
+    if scale == 0 and t > 0:
+        raise DomainError(f"the scale t ** {exponent!r} underflows to 0 at t={t}")
+    return scale
 
 
 def sample_stable(alpha: float, scale: float, count: int, rng) -> np.ndarray:
@@ -132,7 +136,7 @@ def sample_tempered_subordinator(rho: float, m: float, t: float, rng,
         piece = np.empty(size)
         while pending.size:
             prop = sample_stable_subordinator(rho, tau, gen, size=pending.size)
-            acc = gen.uniform(size=pending.size) < np.exp(-m2 * prop)
+            acc = gen.random(pending.size) < np.exp(-m2 * prop)
             piece[pending[acc]] = prop[acc]
             pending = pending[~acc]
         total += piece
@@ -239,6 +243,9 @@ def sample_jump_decomposition(model: LevyModel, epsilon: float, dt: float, rng,
         raise DomainError(f"dt={dt} asks for {dt * intensity:.3g} expected jumps per "
                           f"increment above epsilon={epsilon}; at most "
                           f"{MAX_STEP_WORK:g} are drawn")
+    if dt * sigma2 == 0 and sigma2 > 0:
+        raise DomainError(f"the small-jump variance dt * sigma2 underflows to 0 at dt={dt} "
+                          f"and sigma2={sigma2}")
     meta = TruncationMeta(epsilon=epsilon, sigma2=sigma2, intensity=intensity)
 
     gen = as_generator(rng)

@@ -62,14 +62,27 @@ class SpaceGrid:
 
 @lru_cache(maxsize=8)
 def _psi_on_grid(model: LevyModel, grid: SpaceGrid) -> np.ndarray:
-    """psi on the dual grid in FFT order; cached, so callers must not mutate it."""
+    """psi on the dual grid in FFT order; cached, so it is read-only."""
     xi = grid.dual
     half = np.abs(xi[:grid.n_points // 2 + 1])
     prof = char_exponent_radial(model, half)
     psi = np.empty_like(xi)
     psi[:grid.n_points // 2 + 1] = prof
     psi[grid.n_points // 2 + 1:] = prof[1:grid.n_points // 2][::-1]
+    psi.flags.writeable = False
     return psi
+
+
+@lru_cache(maxsize=1)
+def _phase_on_grid(grid: SpaceGrid) -> np.ndarray:
+    """exp(i R xi) on the dual grid in FFT order, which shifts the inverse FFT
+    onto the nodes; cached, so it is read-only.  gradient_scaling_exponent
+    empties the cache when it returns or raises, so the phase lives for one
+    density command and not through a later solve."""
+    phase = np.multiply(1j * grid.half_width, grid.dual)
+    np.exp(phase, out=phase)
+    phase.flags.writeable = False
+    return phase
 
 
 # A block of rows of complex128 this size stays in cache while it is
@@ -187,8 +200,7 @@ def density_fft(model: LevyModel, t: float, grid: SpaceGrid) -> DensityTable:
             "exp(-t psi) has not decayed at the Nyquist frequency; enlarge n_points "
             "or shrink half_width")
     xi = grid.dual
-    phase = np.multiply(1j * grid.half_width, xi)
-    np.exp(phase, out=phase)
+    phase = _phase_on_grid(grid)
     dxi = np.pi / grid.half_width
     work = np.empty(grid.n_points, dtype=complex)
 
@@ -252,9 +264,10 @@ def gradient_scaling_exponent(model: LevyModel, t_list,
 
     One table is computed per distinct time in t_list and 2 t_list, in
     ascending order, and dropped once its norms are taken, so one table is
-    alive at a time.  ``on_table`` is handed each table whose time is in
-    t_list, once, before it is dropped; if a later table fails, the calls
-    already made stand."""
+    alive at a time.  The tables share one phase exp(i R xi), built by the
+    first and dropped when this returns or raises.  ``on_table`` is handed
+    each table whose time is in t_list, once, before it is dropped; if a
+    later table fails, the calls already made stand."""
     t_list = tuple(sorted({float(t) for t in t_list}))  # a repeated time is one point
     if len(t_list) < 4:
         raise DomainError(f"need at least 4 distinct positive t values, got {len(t_list)}")
@@ -268,15 +281,18 @@ def gradient_scaling_exponent(model: LevyModel, t_list,
                             tail_target=3e-6, max_points=2 ** 18)
     doubled = {2.0 * t for t in t_list}
     grad_at, second_at = {}, {}
-    for t in sorted(set(t_list) | doubled):
-        table = density_fft(model, t, grid)
-        if t in t_list:
-            grad_at[t] = grad_l1_norm(table)
-            if on_table is not None:
-                on_table(table)
-        if t in doubled:
-            second_at[t] = second_l1_norm(table)
-        del table  # before the next table is built
+    try:
+        for t in sorted(set(t_list) | doubled):
+            table = density_fft(model, t, grid)
+            if t in t_list:
+                grad_at[t] = grad_l1_norm(table)
+                if on_table is not None:
+                    on_table(table)
+            if t in doubled:
+                second_at[t] = second_l1_norm(table)
+            del table  # before the next table is built
+    finally:
+        _phase_on_grid.cache_clear()
     grads = [grad_at[t] for t in t_list]
     seconds = [second_at[2.0 * t] for t in t_list]
     fit = fit_powerlaw(np.asarray(t_list), np.asarray(grads))

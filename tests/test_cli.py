@@ -201,6 +201,14 @@ MALFORMED = [
      "error: the step T / n underflows to 0 at T=5e-324 and n=128"),
     ("converge", BASE_EXPERIMENT.replace("t = 1.0", "t = 5e-324"),
      "error: the step T / n underflows to 0 at T=5e-324 and n=512"),
+    # so is a nonzero step whose self-similar scale or small-jump variance
+    # underflows to 0, which would draw exact zeros
+    ("sample", "[model]\nfamily = relativistic_stable\nalpha = 1.5\nm = 1.0\n"
+     "[sample]\nt = 1e-300\nn = 4\nseed = 1\n",
+     "error: the scale t ** 1.3333333333333333 underflows to 0 at t=2.5e-301"),
+    ("sample", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = 1.0\n"
+     "[sample]\nt = 1e-320\nn = 4\nseed = 1\n",
+     "error: the small-jump variance dt * sigma2 underflows to 0 at dt=2.5e-321"),
     # so is a Gaussian scale sqrt(2 dt) or sqrt(2 S) whose 2 dt or 2 S overflows
     ("sample", "[model]\nfamily = brownian\n[sample]\nt = 1e308\nn = 1\nseed = 1\n",
      "error: the Gaussian scale sqrt(2 dt) overflows a float at dt=1e+308"),

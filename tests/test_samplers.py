@@ -116,6 +116,11 @@ class TestStableSubordinator:
         s = sample_stable_subordinator(1.0, 0.37, RngStream(7, 0), size=100)
         assert np.all(s == 0.37)
 
+    def test_zero_time_gives_zero(self):
+        # t = 0 is the one time whose zero scale is exact, not an underflow
+        s = sample_stable_subordinator(0.75, 0.0, RngStream(7, 1), size=4)
+        assert np.array_equal(s, np.zeros(4))
+
 
 class TestTemperedSubordinator:
     def test_acceptance_probability_identity(self):
@@ -426,15 +431,18 @@ OVERFLOW_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", sorted(OVERFLOW_CALLS))
-def test_overflowing_scale_refused_before_any_draw(call):
-    fn, message = OVERFLOW_CALLS[call]
+def _assert_refused_before_any_draw(fn, message):
     gen = RngStream(8, 3).generator()
     state = repr(gen.bit_generator.state)  # Philox keeps its counter in arrays
     with pytest.raises(DomainError) as exc:
         fn(gen)
     assert message in str(exc.value)
     assert repr(gen.bit_generator.state) == state
+
+
+@pytest.mark.parametrize("call", sorted(OVERFLOW_CALLS))
+def test_overflowing_scale_refused_before_any_draw(call):
+    _assert_refused_before_any_draw(*OVERFLOW_CALLS[call])
 
 
 @pytest.mark.parametrize("model", [LevyModel(Family.BROWNIAN), _STABLE, _TEMPERED],
@@ -446,6 +454,34 @@ def test_underflowing_step_refused_before_any_draw(model):
     with pytest.raises(DomainError, match=r"T / n underflows to 0 at T=5e-324 and n=4$"):
         increments(model, 5e-324, 4, gen)
     assert np.array_equal(gen.uniform(size=4), RngStream(8, 4).generator().uniform(size=4))
+
+
+# each call whose step is nonzero but whose self-similar scale t ** (1 / index)
+# or small-jump variance dt * sigma2 underflows to 0, which drew exact zeros
+UNDERFLOW_CALLS = {
+    "increments-relativistic": (lambda g: increments(
+        LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0), 1e-300, 4, g),
+        "t ** 1.3333333333333333 underflows to 0 at t=2.5e-301"),
+    "increments-isotropic-0.5": (lambda g: increments(
+        LevyModel(Family.ISOTROPIC_STABLE, alpha=0.5), 1e-200, 1, g),
+        "t ** 2.0 underflows to 0 at t=1e-200"),
+    "stable_subordinator": (lambda g: sample_stable_subordinator(0.75, 1e-300, g, 4),
+                            "t ** 1.3333333333333333 underflows to 0 at t=1e-300"),
+    "tempered_subordinator": (lambda g: sample_tempered_subordinator(0.75, 1.0, 1e-300, g, 4),
+                              "t ** 1.3333333333333333 underflows to 0 at t=1e-300"),
+    "increments-tempered": (lambda g: increments(_TEMPERED, 1e-320, 4, g),
+                            "dt * sigma2 underflows to 0 at dt=2.5e-321"),
+    "increments-layered": (lambda g: increments(
+        LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5), 1e-320, 4, g),
+        "dt * sigma2 underflows to 0 at dt=2.5e-321"),
+    "jump_decomposition": (lambda g: sample_jump_decomposition(_TEMPERED, 0.1, 5e-324, g, 4),
+                           "dt * sigma2 underflows to 0 at dt=5e-324"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(UNDERFLOW_CALLS))
+def test_underflowing_scale_refused_before_any_draw(call):
+    _assert_refused_before_any_draw(*UNDERFLOW_CALLS[call])
 
 
 # each sampler with a negative size, or NaN among the subordinator samples

@@ -278,6 +278,64 @@ class TestGradientScaling:
         assert peak <= 3.25 * table_bytes
 
 
+class TestCachedGridArrays:
+    JITTERED = TestGradientScaling.JITTERED
+
+    def _record_phase_cache(self, monkeypatch):
+        """Patch density_fft to record the phase cache's info after each table."""
+        infos = []
+        density = spectral.density_fft
+
+        def recorded(*args, **kwargs):
+            try:
+                return density(*args, **kwargs)
+            finally:
+                infos.append(spectral._phase_on_grid.cache_info())
+
+        monkeypatch.setattr(spectral, "density_fft", recorded)
+        return infos
+
+    def test_in_place_write_to_cached_psi_or_phase_raises(self):
+        # a write would corrupt every later density, semigroup and solve on the grid
+        grid = SpaceGrid(40.0, 2048)
+        psi = spectral._psi_on_grid(STABLE15, grid)
+        phase = spectral._phase_on_grid(grid)
+        for arr in (psi, phase):
+            before = arr.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                np.multiply(arr, 2.0, out=arr)
+            assert arr.tobytes() == before.tobytes()
+
+    def test_phase_built_once_per_call(self, monkeypatch):
+        spectral._phase_on_grid.cache_clear()  # start with an empty cache and counts
+        infos = self._record_phase_cache(monkeypatch)
+        gradient_scaling_exponent(STABLE15, self.JITTERED, SpaceGrid(60.0, 2 ** 13))
+        # ten tables: the first misses and builds the phase, the other nine hit
+        assert [(i.misses, i.hits, i.currsize) for i in infos] == [
+            (1, k, 1) for k in range(10)]
+        assert spectral._phase_on_grid.cache_info().currsize == 0
+
+    def test_phase_dropped_when_a_table_fails(self, monkeypatch):
+        # the mass check fails only at 2 * 0.8127, the tenth table
+        infos = self._record_phase_cache(monkeypatch)
+        with pytest.raises(ResolutionError, match="density mass"):
+            gradient_scaling_exponent(STABLE15, self.JITTERED, SpaceGrid(48.0, 4096))
+        assert len(infos) == 10 and infos[-1].currsize == 1
+        assert spectral._phase_on_grid.cache_info().currsize == 0
+
+    def test_alternating_grids_match_whole_array_expressions(self):
+        # one cached phase at a time: each grid switch rebuilds the right one
+        grids = (SpaceGrid(60.0, 2 ** 13), SpaceGrid(48.0, 4096))
+        for t in (0.2043, 0.3962):
+            for grid in grids + grids:
+                tab = density_fft(STABLE15, t, grid)
+                for got, want in zip((tab.values, tab.deriv1, tab.deriv2),
+                                     _expression_density(STABLE15, t, grid)):
+                    assert got.tobytes() == want.tobytes()
+
+
 class TestSemigroup:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
     def test_time_outside_range_refused(self, t):
