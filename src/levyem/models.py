@@ -469,42 +469,51 @@ def _tail_split(density: RadialDensity, eps: float):
 _DRAW_CHUNK = 8192
 
 
+def _tilt_by_rejection(propose, rate: float, shift: float, size: int, gen) -> np.ndarray:
+    """``size`` draws of the law ``propose(k)`` samples, tilted by exp(-rate x):
+    a proposal x is kept where a uniform falls below exp(-rate (x - shift)),
+    which is a probability for x >= shift.  The test runs a chunk at a time,
+    and a rejected slot is redrawn until every slot is kept."""
+
+    def accepted(x):
+        acc = np.empty(x.size, dtype=bool)
+        test = np.empty(min(x.size, _DRAW_CHUNK))
+        for start in range(0, x.size, _DRAW_CHUNK):
+            chunk = x[start:start + _DRAW_CHUNK]
+            t = test[:chunk.size]
+            np.subtract(chunk, shift, out=t)
+            np.multiply(t, -rate, out=t)
+            np.less(gen.random(chunk.size), np.exp(t, out=t),
+                    out=acc[start:start + chunk.size])
+        return acc
+
+    out = propose(size)
+    need = np.flatnonzero(~accepted(out))
+    while need.size:
+        prop = propose(need.size)
+        acc = accepted(prop)
+        out[need[acc]] = prop[acc]
+        need = need[~acc]
+    return out
+
+
 def _sample_piece(p: _Piece, lo: float, hi: float, size: int, gen) -> np.ndarray:
     lo_p = lo ** (-p.s)
     hi_p = 0.0 if not math.isfinite(hi) else hi ** (-p.s)
 
-    def inverse_cdf(u):
-        # (lo_p - u (lo_p - hi_p))^(-1/s), the exact inverse CDF of r^(-1-s)
-        # on [lo, hi], computed in place in the uniforms u
+    def inverse_cdf(k):
+        # (lo_p - u (lo_p - hi_p))^(-1/s) of k uniforms u, the exact inverse
+        # CDF of r^(-1-s) on [lo, hi], computed in place in the uniforms
+        u = gen.random(k)
         np.multiply(u, lo_p - hi_p, out=u)
         np.subtract(lo_p, u, out=u)
         u **= -1.0 / p.s
         return u
 
-    def accepted(r):
-        # the tilt's acceptance test, uniform < exp(-m (r - lo)), a chunk at a time
-        acc = np.empty(r.size, dtype=bool)
-        test = np.empty(min(r.size, _DRAW_CHUNK))
-        for start in range(0, r.size, _DRAW_CHUNK):
-            chunk = r[start:start + _DRAW_CHUNK]
-            t = test[:chunk.size]
-            np.subtract(chunk, lo, out=t)
-            np.multiply(t, -p.m, out=t)
-            np.less(gen.random(chunk.size), np.exp(t, out=t),
-                    out=acc[start:start + chunk.size])
-        return acc
-
-    out = inverse_cdf(gen.random(size))
     if p.m == 0.0:
-        return out
-    # tilted piece: propose from the pure power; a rejected slot is redrawn
-    need = np.flatnonzero(~accepted(out))
-    while need.size:
-        prop = inverse_cdf(gen.random(need.size))
-        acc = accepted(prop)
-        out[need[acc]] = prop[acc]
-        need = need[~acc]
-    return out
+        return inverse_cdf(size)
+    # tilted piece: the pure power tilted by exp(-m (r - lo))
+    return _tilt_by_rejection(inverse_cdf, p.m, lo, size, gen)
 
 
 def radial_density(model: LevyModel) -> RadialDensity:

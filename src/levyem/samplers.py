@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedModelError
 from .models import (_DRAW_CHUNK, Family, LevyModel, SubFamily, SubordinatorSpec,
-                     radial_density)
+                     _tilt_by_rejection, radial_density)
 from .rng import RngStream, as_generator
 
 # expected large-jump count per increment is capped: the pure bias rule
@@ -129,17 +129,10 @@ def sample_tempered_subordinator(rho: float, m: float, t: float, rng,
     gen = as_generator(rng)
     k = max(1, math.ceil(pieces))
     tau = t / k
-    m2 = m * m
     total = np.zeros(size)
     for _ in range(k):
-        pending = np.arange(size)
-        piece = np.empty(size)
-        while pending.size:
-            prop = sample_stable_subordinator(rho, tau, gen, size=pending.size)
-            acc = gen.random(pending.size) < np.exp(-m2 * prop)
-            piece[pending[acc]] = prop[acc]
-            pending = pending[~acc]
-        total += piece
+        total += _tilt_by_rejection(lambda count: sample_stable_subordinator(rho, tau, gen, count),
+                                    m * m, 0.0, size, gen)
     return total
 
 
@@ -317,16 +310,14 @@ def increments(model: LevyModel, T: float, n: int, rng) -> IncrementBatch:
     d = model.dim
     meta = None
 
-    if fam is Family.BROWNIAN:
-        if 2.0 * dt == math.inf:
-            raise DomainError(f"the Gaussian scale sqrt(2 dt) overflows a float at dt={dt}")
-        vals = gen.standard_normal((n, d)) * math.sqrt(2.0 * dt)
-    elif fam is Family.ISOTROPIC_STABLE and d == 1:
+    if fam is Family.ISOTROPIC_STABLE and d == 1:
         vals = sample_stable(model.alpha, _time_scale(dt, 1.0 / model.alpha), n, gen)[:, None]
-    elif fam in (Family.ISOTROPIC_STABLE, Family.RELATIVISTIC_STABLE, Family.SUBORDINATED_BM):
+    elif fam in (Family.BROWNIAN, Family.ISOTROPIC_STABLE, Family.RELATIVISTIC_STABLE,
+                 Family.SUBORDINATED_BM):
+        # Brownian motion is BM time-changed by the rho = 1 stable subordinator S_t = t
         sub = model.sub or SubordinatorSpec(
-            SubFamily.STABLE if fam is Family.ISOTROPIC_STABLE else SubFamily.TEMPERED_STABLE,
-            model.alpha / 2.0, model.m or 0.0)
+            SubFamily.TEMPERED_STABLE if fam is Family.RELATIVISTIC_STABLE else SubFamily.STABLE,
+            (model.alpha or 2.0) / 2.0, model.m or 0.0)
         vals = sample_subordinated_bm(sample_subordinator(sub, dt, gen, n), d, gen)
     elif fam in (Family.TEMPERED_STABLE, Family.TRUNCATED_STABLE, Family.LAYERED_STABLE):
         flat, meta = sample_jump_decomposition(model, default_epsilon(model, dt), dt, gen, n)

@@ -90,11 +90,11 @@ def _phase_on_grid(grid: SpaceGrid) -> np.ndarray:
 _BLOCK_BYTES = 1 << 19
 
 
-def _row_blocks(start: int, stop: int, n_points: int) -> list:
-    """Slices that cover rows [start, stop) in order, each about _BLOCK_BYTES
+def _row_blocks(n_rows: int, n_points: int) -> list:
+    """Slices that cover rows [0, n_rows) in order, each about _BLOCK_BYTES
     of complex128 rows long."""
     rows = max(1, _BLOCK_BYTES // (16 * n_points))
-    return [slice(i, min(i + rows, stop)) for i in range(start, stop, rows)]
+    return [slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows)]
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +360,7 @@ def _dyadic_peaks(rows: np.ndarray, spacing: float, max_sep: float) -> list:
     if not steps:
         return []
     peaks = [0.0] * len(steps)
-    for blk in _row_blocks(0, n_rows, n_points):
+    for blk in _row_blocks(n_rows, n_points):
         part = rows[blk]
         for i, step in enumerate(steps):
             diff = np.abs(part[:, step:] - part[:, :-step])
@@ -522,7 +522,7 @@ def _picard_sweep(b_tab: np.ndarray, g_tab: np.ndarray, u: np.ndarray,
     iteration's, so the result is identical to it bit for bit.
     """
     n_rows, n_points = u.shape
-    blocks = _row_blocks(0, n_rows, n_points)
+    blocks = _row_blocks(n_rows, n_points)
     shape = (blocks[0].stop - blocks[0].start, n_points)
     real_buf = np.empty(shape)
     hhat_buf = np.empty(shape, dtype=complex)
@@ -575,7 +575,7 @@ def _finish(model, grid, beta, kappa, horizon, halvings, times, u, grad, diffs,
     ik = 1j * grid.dual
     neg_psi = (-_psi_on_grid(model, grid)).astype(complex)
     delta = times[1] - times[0]
-    blocks = _row_blocks(0, n_rows, n_points)
+    blocks = _row_blocks(n_rows, n_points)
     shape = (blocks[0].stop - blocks[0].start, n_points)
     real_buf, term_buf = np.empty(shape), np.empty(shape)
     uhat_buf = np.empty(shape, dtype=complex)

@@ -211,7 +211,7 @@ MALFORMED = [
      "error: the small-jump variance dt * sigma2 underflows to 0 at dt=2.5e-321"),
     # so is a Gaussian scale sqrt(2 dt) or sqrt(2 S) whose 2 dt or 2 S overflows
     ("sample", "[model]\nfamily = brownian\n[sample]\nt = 1e308\nn = 1\nseed = 1\n",
-     "error: the Gaussian scale sqrt(2 dt) overflows a float at dt=1e+308"),
+     "error: the Gaussian scale sqrt(2 S) overflows a float at S=1e+308"),
     ("sample", "[model]\nfamily = subordinated_bm\nrho = 1.0\n[sample]\nt = 1e308\nn = 1\n"
      "seed = 1\n", "error: the Gaussian scale sqrt(2 S) overflows a float at S=1e+308"),
     # a grid whose spacing underflows or whose top frequency overflows is

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from levyem.engine import (DriftSpec, as_state, drift_const, drift_cos, drift_cos_time,
-                           drift_rough, drift_zero, euler_ladder)
+from levyem.engine import (DRIFT_CATALOG, DriftSpec, as_state, drift_const, drift_cos,
+                           drift_cos_time, drift_rough, drift_zero, euler_ladder)
 from levyem.errors import DomainError, ShapeError
 from levyem.models import Family, LevyModel
 from levyem.rng import RngStream
@@ -222,6 +222,19 @@ class TestDriftCatalog:
             DriftSpec(lambda t, x: x, 1.0, 1.0, 1.0)
         assert [f.name for f in dataclasses.fields(DriftSpec)] == ["fn", "beta", "eta", "name"]
         assert DriftSpec(lambda t, x: x, 1.0, 1.0, name="id").name == "id"
+
+    def test_catalog_entries_are_the_factories(self):
+        # each name maps to its factory, whose defaults are the catalog's, and
+        # a keyword the factory does not take is refused, not ignored
+        assert DRIFT_CATALOG == {"zero": drift_zero, "const": drift_const, "cos": drift_cos,
+                                 "rough_sin": drift_rough, "cos_time": drift_cos_time}
+        x = np.array([0.3])
+        assert DRIFT_CATALOG["const"]()(0.0, x)[0] == 1.0
+        assert DRIFT_CATALOG["rough_sin"]().beta == 0.5
+        with pytest.raises(TypeError):
+            DRIFT_CATALOG["cos"](beta=0.3)
+        with pytest.raises(TypeError):
+            DRIFT_CATALOG["const"](beta=0.3)
 
 
 # sha256 of the other paths' terminal states and sup gaps in

@@ -9,7 +9,9 @@ full block and one partial block) for stable noise and, through the jump
 decomposition, tempered and truncated stable noise; ``increments`` at small
 ``n`` for every catalog family
 that has a sampler, and at ``n = 512`` (about 32,000 jumps) for the
-jump-decomposition families; ``density_fft`` for six families at jittered
+jump-decomposition families; three draws that run the tilt's redraw loop
+over many rounds (the tempered subordinator over 5 horizon pieces,
+relativistic stable over 3, and a tempered jump piece at tilt m = 20); ``density_fft`` for six families at jittered
 times; ``picard_solve`` over families, drifts (one of which halves the
 horizon), step counts and array, callable and zero sources; the test
 oracle ``radial_q`` for the three radial densities around their piece edge,
@@ -41,7 +43,7 @@ from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough, eul
 from levyem.harness import ExperimentConfig, mc_strong_error
 from levyem.models import Family, LevyModel, SubFamily, SubordinatorSpec, radial_density
 from levyem.rng import RngStream
-from levyem.samplers import increments
+from levyem.samplers import increments, sample_tempered_subordinator
 from levyem.spectral import SpaceGrid, density_fft, picard_solve
 from oracles import radial_q
 
@@ -119,6 +121,24 @@ LONG_SAMPLER_MODELS = {
 
 def long_increments_bytes(name):
     return increments(LONG_SAMPLER_MODELS[name], 1.0, 512, RngStream(29, 6)).values.tobytes()
+
+
+# draws whose tilted rejection redraws for many rounds: 56 proposal rounds over
+# 5 horizon pieces, 8 over 3 pieces, and a jump piece that redraws twice
+REJECTION_CALLS = {
+    "tempered-subordinator-0.75-2-t1": lambda: sample_tempered_subordinator(
+        0.75, 2.0, 1.0, RngStream(41, 2), 4096),
+    "relativistic-1.5-4-d2-n4": lambda: increments(
+        LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=4.0, dim=2), 1.0, 4,
+        RngStream(41, 3)).values,
+    "tempered-1.5-20-n64": lambda: increments(
+        LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=20.0), 1.0, 64,
+        RngStream(41, 4)).values,
+}
+
+
+def rejection_bytes(name):
+    return REJECTION_CALLS[name]().tobytes()
 
 
 def _hex(values):
@@ -232,6 +252,7 @@ def _cases():
     cases.update({f"increments/{name}": (increments_bytes, name) for name in SAMPLER_MODELS})
     cases.update({f"increments-512/{name}": (long_increments_bytes, name)
                   for name in LONG_SAMPLER_MODELS})
+    cases.update({f"rejection/{name}": (rejection_bytes, name) for name in REJECTION_CALLS})
     for name in SPECTRAL_MODELS:
         for t in DENSITY_TIMES:
             cases[f"density/{name}/t{t}"] = (density_bytes, name, t)
@@ -491,6 +512,12 @@ SHA256 = {
         "f01bd8bb0451c5de32c1cde94dbb1bd78f5a15db5c7a2889fbcc3df5efa0aaeb",
     "increments-512/layered-1.5-2.5":
         "27a621d5fd4eb7ce130e143cd353e49493eafa592d7356ee5e7a9619cf4bf5f9",
+    "rejection/tempered-subordinator-0.75-2-t1":
+        "e7e035567f93029a31101057c80d1693f0a0f24f6fbd04ef35a5160d5732326a",
+    "rejection/relativistic-1.5-4-d2-n4":
+        "5d12717d701fecd5cc6afcb08650970f9d6bc6d6d8898a661e3e13db31ba15a0",
+    "rejection/tempered-1.5-20-n64":
+        "4517c898f7ea4de9ed2a78b76c9859bd624755b3128ad690153836370aa2e1dc",
     "density/brownian/t0.0512":
         "bc42cffdda79e42f4490d0373e53d502d51c5195afb7c39c66406496e1291bd6",
     "density/brownian/t0.0981":

@@ -199,6 +199,14 @@ class TestSubordinatedBM:
         expected = RngStream(8, 2).generator().standard_normal((n, d)) * math.sqrt(2.0 * dt)
         assert np.array_equal(vals, expected)
 
+    def test_brownian_is_the_alpha2_route(self):
+        # Brownian motion is drawn as isotropic stable at alpha = 2: the same
+        # stream gives the same bytes
+        brownian = increments(LevyModel(Family.BROWNIAN, dim=3), 1.0, 64, RngStream(8, 5))
+        stable = increments(LevyModel(Family.ISOTROPIC_STABLE, alpha=2.0, dim=3), 1.0, 64,
+                            RngStream(8, 5))
+        assert brownian.values.tobytes() == stable.values.tobytes()
+
     def test_subordination_route_reproduces_recorded_draws(self):
         # sha256 of the increments, recorded when each family still called
         # its subordinator sampler directly
@@ -422,7 +430,7 @@ OVERFLOW_CALLS = {
     "stable_subordinator": (lambda g: sample_stable_subordinator(0.75, 1e300, g, 4),
                             "t ** 1.3333333333333333 overflows a float at t=1e+300"),
     "increments-brownian": (lambda g: increments(LevyModel(Family.BROWNIAN), 1e308, 1, g),
-                            "sqrt(2 dt) overflows a float at dt=1e+308"),
+                            "sqrt(2 S) overflows a float at S=1e+308"),
     "increments-subordinated-rho1": (lambda g: increments(
         LevyModel(Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 1.0)),
         1e308, 1, g), "sqrt(2 S) overflows a float at S=1e+308"),

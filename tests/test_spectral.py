@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from levyem import spectral
 from levyem.engine import DriftSpec, drift_cos, drift_cos_time, drift_rough
@@ -201,6 +202,43 @@ class TestGradientNorms:
         products = [grad_l1_norm(density_fft(STABLE15, t, grid)) * t ** (1.0 / 1.5)
                     for t in np.geomspace(0.01, 1.0, 5)]
         assert max(products) / min(products) - 1.0 < 1e-3
+
+
+# the A7 catalog, stable 1.2 and 1.8, and stable-subordinated BM: symmetric
+# unimodal laws, so ||p'_t||_L1 = 2 p_t(0) = (2/pi) int_0^inf exp(-t psi)
+ORACLE_MODELS = (
+    LevyModel(Family.BROWNIAN),
+    LevyModel(Family.ISOTROPIC_STABLE, alpha=1.2),
+    LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5),
+    LevyModel(Family.ISOTROPIC_STABLE, alpha=1.8),
+    LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0),
+    LevyModel(Family.TEMPERED_STABLE, alpha=1.5, m=1.0),
+    LevyModel(Family.LAMPERTI_STABLE, alpha=1.5, m=1.0),
+    LevyModel(Family.TRUNCATED_STABLE, alpha=1.5),
+    LevyModel(Family.LAYERED_STABLE, alpha=1.5, lambda_tail=2.5),
+    LevyModel(Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, 1.0)),
+    LevyModel(Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 0.75)),
+)
+
+
+def exact_grad_l1_norm(model, t):
+    if model.family is Family.ISOTROPIC_STABLE:
+        a = model.alpha
+        return 2.0 * math.gamma(1.0 + 1.0 / a) / (math.pi * t ** (1.0 / a))
+    val, _ = integrate.quad(lambda xi: math.exp(-t * char_exponent_radial(model, xi)),
+                            0.0, math.inf, epsrel=1e-12)
+    return 2.0 / math.pi * val
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.describe())
+def test_gradient_norms_match_the_exact_oracle(model):
+    # on gradient_scaling_exponent's default grid, every norm it fits is
+    # within 2.5e-3 of the exact value (the worst, stable 1.8, is 2.34e-3)
+    times = (0.05, 0.1, 0.2, 0.4, 0.8)
+    res = gradient_scaling_exponent(model, times)
+    assert res.grid == suggest_grid(model, 0.05, 1.6, tail_target=3e-6, max_points=2 ** 18)
+    for t, norm in zip(res.t_values, res.grad_norms):
+        assert norm == pytest.approx(exact_grad_l1_norm(model, t), rel=2.5e-3), t
 
 
 class TestGradientScaling:
