@@ -225,6 +225,9 @@ def cmd_density(args) -> int:
     cfg = load_config(args.config)
     model = _build_line_model(cfg)
     t_list = _get(cfg, "density", "t_list", _values(_finite), required=True)
+    if len({f"{t:g}" for t in set(t_list)}) < len(set(t_list)):  # one CSV per time
+        raise ConfigError("density", "t_list", f"two times share a CSV name density_t{{t:g}}"
+                          f".csv in {', '.join(map(repr, t_list))}")
     half_width = _get(cfg, "density", "half_width", _finite)
     points = _get(cfg, "density", "points", _count)
     if (half_width is None) != (points is None):

@@ -84,11 +84,9 @@ def bernstein_eval(sub: SubordinatorSpec, lam):
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise DomainError("Bernstein functions are defined on [0, inf)")
-    if sub.family is SubFamily.STABLE:
-        out = lam ** sub.rho
-    else:
-        m2 = sub.m * sub.m
-        out = (lam + m2) ** sub.rho - m2 ** sub.rho
+    m2 = sub.m * sub.m  # 0 for the stable family, whose f is lam ** rho
+    # np.power: a scalar takes the array loop, so f(x) is f([x])[0] bit for bit
+    out = np.power(lam + m2, sub.rho) - m2 ** sub.rho
     return out if out.ndim else float(out)
 
 
@@ -227,10 +225,8 @@ def char_exponent_radial(model: LevyModel, s):
     scalar = s.ndim == 0
     s = np.atleast_1d(np.abs(s))
     fam = model.family
-    if fam is Family.BROWNIAN:
-        out = s * s
-    elif fam is Family.ISOTROPIC_STABLE:
-        out = s ** model.alpha
+    if fam in (Family.BROWNIAN, Family.ISOTROPIC_STABLE):
+        out = s ** (model.alpha or 2.0)  # Brownian motion is alpha = 2
     elif fam is Family.RELATIVISTIC_STABLE:
         a, m = model.alpha, model.m
         out = (s * s + m * m) ** (a / 2) - m ** a
@@ -241,10 +237,8 @@ def char_exponent_radial(model: LevyModel, s):
         out = lamperti_bernstein(model.alpha, model.m)(s * s)
     elif fam is Family.SUBORDINATED_BM:
         out = np.asarray(bernstein_eval(model.sub, s * s), dtype=float)
-    elif fam in (Family.TRUNCATED_STABLE, Family.LAYERED_STABLE):
+    else:  # truncated and layered stable
         out = _power_radial_exponent(model, s)
-    else:  # pragma: no cover
-        raise UnsupportedModelError(f"unknown family {fam}")
     return float(out[0]) if scalar else out
 
 

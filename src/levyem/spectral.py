@@ -136,11 +136,11 @@ def tail_mass_estimate(model: LevyModel, t: float, R: float) -> float:
     """Analytic upper estimate of the density mass outside [-R, R]."""
     fam = model.family
     a = None  # stable index, for the families whose psi is |xi|^a
-    if fam is Family.ISOTROPIC_STABLE:
-        a = model.alpha
+    if fam in (Family.BROWNIAN, Family.ISOTROPIC_STABLE):
+        a = model.alpha or 2.0  # Brownian motion is alpha = 2
     elif fam is Family.SUBORDINATED_BM and model.sub.family is SubFamily.STABLE:
         a = 2.0 * model.sub.rho
-    if fam is Family.BROWNIAN or a == 2.0:
+    if a == 2.0:
         sd = math.sqrt(2.0 * t)
         return math.erfc(R / (sd * math.sqrt(2.0)))
     if a is not None:
@@ -152,10 +152,8 @@ def tail_mass_estimate(model: LevyModel, t: float, R: float) -> float:
     if fam is Family.TRUNCATED_STABLE:
         # all jumps bounded by 1: superexponential tails
         return 2.0 * math.exp(-0.5 * R * math.log1p(R / max(t, 1e-6)))
-    if fam is Family.LAYERED_STABLE:
-        lam = model.lambda_tail
-        return 2.0 * t * R ** (-lam) / lam
-    return 1.0
+    lam = model.lambda_tail  # layered stable
+    return 2.0 * t * R ** (-lam) / lam
 
 
 def suggest_grid(model: LevyModel, t_min: float, t_max: float,
@@ -369,9 +367,7 @@ def _dyadic_peaks(rows: np.ndarray, spacing: float, max_sep: float) -> list:
 
 
 def _holder_quotient(peaks: list, theta: float) -> float:
-    """Max Hoelder quotient peak / sep^theta over the dyadic peaks."""
-    if not (0.0 < theta <= 1.0):
-        raise DomainError("theta must lie in (0, 1]")
+    """Max Hoelder quotient peak / sep^theta over the dyadic peaks, theta in (0, 1]."""
     best = 0.0
     for sep, peak in peaks:
         q = peak / sep ** theta

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from levyem.engine import (drift_const, drift_cos, drift_rough, drift_zero,
+from levyem.engine import (DriftSpec, drift_const, drift_cos, drift_rough, drift_zero,
                            euler_ladder)
 from levyem.harness import VERDICT_VIOLATES, ExperimentConfig, run_experiment
 from levyem.models import (Family, LevyModel, SubFamily, SubordinatorSpec, balance_check,
@@ -270,3 +270,54 @@ class TestA10InverseMomentDiagnostic:
                    f"rho={rho}: slope={res.slope:.4f} target={target:.4f}, "
                    f"E|B_1^(3)|^-1 = {res.norm_constant:.5f} vs "
                    f"{GAUSS_INV_NORM_3D:.5f} (3se={3 * res.norm_stderr:.1e})")
+
+
+A11_MODEL = LevyModel(Family.ISOTROPIC_STABLE, alpha=1.5)
+A11_T = 0.25
+A11_GRID = SpaceGrid(16 * math.pi, 4096)
+A11_NODES = (2048 + 41, 2048 + 102, 2048 - 160)  # off the symmetry points of cos
+
+
+@pytest.fixture(scope="module")
+def dynkin_means():
+    """Per x0 of A11_NODES, the mean and stderr of X_T - x0 - L_T over 5000
+    EM paths of 1024 steps under b = cos, each path on its own stream."""
+    paths, n = 5000, 1024
+    noise = np.empty((n, paths, 1))  # time-major: one contiguous row per step
+    for k in range(paths):
+        noise[:, k] = increments(A11_MODEL, A11_T, n, RngStream(20240111, k + 1)).values
+    levy_T = noise.sum(axis=0)[:, 0]
+    out = []
+    for i in A11_NODES:
+        x0 = A11_GRID.nodes[i]
+        x_T, _ = euler_ladder(drift_cos(), x0, A11_T, noise.transpose(1, 0, 2))
+        integral = x_T[:, 0] - x0 - levy_T  # sum of b(t_k, X_k) dt, bounded by T
+        out.append((integral.mean(), integral.std(ddof=1) / math.sqrt(paths)))
+    return out
+
+
+class TestA11DynkinIdentity:
+    """If u solves d_t u + A u + b grad u = -g with u(T) = 0, Dynkin's formula
+    gives u(0, x0) = E int_0^T g(s, X_s) ds; with g = b the integral is
+    X_T - x0 - L_T on the EM path.  This ties the Kolmogorov solve to the
+    Monte Carlo paths, so a solve of the wrong equation fails it."""
+
+    @staticmethod
+    def z_scores(drift, g, means):
+        sol = picard_solve(drift, g, A11_T, A11_MODEL, A11_GRID, n_time=512)
+        assert sol.horizon == A11_T
+        return [(sol.u[0, i] - mean) / se for i, (mean, se) in zip(A11_NODES, means)]
+
+    def test_a11(self, dynkin_means):
+        z = self.z_scores(drift_cos(), None, dynkin_means)
+        report("A11 dynkin-identity", all(abs(v) <= 4.0 for v in z),
+               "u(0, x0) - mean(X_T - x0 - L_T) in stderrs at x0 = "
+               + ", ".join(f"{A11_GRID.nodes[i]:.3f}: {v:+.2f}" for i, v in zip(A11_NODES, z))
+               + " (|z| <= 4)")
+
+    def test_a11_catches_flipped_transport(self, dynkin_means):
+        # -b grad u with the source kept: the paths still run under +b
+        flipped = DriftSpec(lambda t, x: -np.cos(x), beta=1.0, eta=1.0, name="minus_cos")
+        z = self.z_scores(flipped, np.cos(A11_GRID.nodes), dynkin_means)
+        report("A11 flipped-transport", all(abs(v) > 10.0 for v in z),
+               "z = " + ", ".join(f"{v:+.1f}" for v in z) + " (|z| > 10)")

@@ -140,6 +140,9 @@ MALFORMED = [
     # a repeated time is one point of the fit: two distinct times are refused
     ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.1,0.2,0.2\n",
      "need at least 4 distinct positive t values, got 2"),
+    # two distinct times whose CSVs would share the name density_t0.1.csv
+    ("density", STABLE_MODEL + "[density]\nt_list = 0.1,0.1000001,0.2,0.4,0.8\n"
+     "half_width = 160.0\npoints = 16384\n", "[density] t_list: two times share a CSV name"),
     ("converge", BASE_EXPERIMENT.replace("t = 1.0", "t = inf"), "[experiment] t:"),
     ("converge", BASE_EXPERIMENT.replace("p = 2.0", "p = nan"), "[experiment] p:"),
     ("sample", "[model]\nfamily = tempered_stable\nalpha = 1.5\nm = nan\n"
@@ -578,6 +581,20 @@ t_list = 0.05,0.1,0.2,0.4,0.8
         assert not (out / "density_summary.json").exists()
         assert sorted(p.name for p in out.glob("density_t*.csv")) == sorted(
             f"density_t{float(t):g}.csv" for t in self.JITTERED.split(","))
+
+    def test_times_sharing_a_csv_name_refused_before_any_table(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # 0.1 and 0.1000001 both print as density_t0.1.csv: one table would
+        # silently overwrite the other
+        calls = []
+        monkeypatch.setattr(spectral, "density_fft", lambda *args: calls.append(args[1]))
+        cfg = write(tmp_path, STABLE_MODEL + "[density]\nt_list = 0.1,0.1000001,0.2,0.4,0.8\n"
+                    "half_width = 160.0\npoints = 16384\n")
+        out = tmp_path / "dens"
+        assert cli.main(["density", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: [density] t_list: ")
+        assert calls == []
+        assert not out.exists()
 
 
 class TestKolmogorovCommand:

@@ -23,14 +23,17 @@ Regenerate the table with
 
     PYTHONPATH=src python tests/test_identity.py
 
-which prints ``SHA256`` as it should read.  A change that moves a digest on
-purpose re-records its rows and lists the largest differences in CHANGES.md.
+which prints ``SHA256`` as it should read.  With ``--check`` it prints only
+the rows whose digest differs from ``SHA256``, each with its stored and new
+digest, and exits 1 if any differ.  A change that moves a digest on purpose
+re-records its rows and lists the largest differences in CHANGES.md.
 """
 
 import contextlib
 import hashlib
 import io
 import math
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -917,6 +920,16 @@ def test_digest_is_pinned(key):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/test_identity.py [--check]")
+    if sys.argv[1:] == ["--check"]:
+        moved = 0
+        for key in CASES:
+            new = digest(key)
+            if new != SHA256.get(key):
+                moved += 1
+                print(f"{key}\n    stored {SHA256.get(key)}\n    new    {new}")
+        sys.exit(1 if moved else 0)
     print("SHA256 = {")
     for key in CASES:
         print(f'    "{key}":\n        "{digest(key)}",')

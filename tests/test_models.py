@@ -35,6 +35,18 @@ class TestCharExponent:
     def test_isotropic_stable_alpha2_at_one(self):
         assert char_exponent_radial(LevyModel(Family.ISOTROPIC_STABLE, alpha=2.0), 1.0) == 1.0
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_brownian_is_stable_alpha2_bit_for_bit(self, dim):
+        # Brownian motion is the alpha = 2 member of isotropic stable: psi = s * s
+        bm = LevyModel(Family.BROWNIAN, dim=dim)
+        stable2 = LevyModel(Family.ISOTROPIC_STABLE, alpha=2.0, dim=dim)
+        s = np.logspace(-300, 150, 4001)
+        assert char_exponent_radial(bm, s).tobytes() == (s * s).tobytes()
+        assert char_exponent_radial(stable2, s).tobytes() == (s * s).tobytes()
+        for x in (3.7e-155, 0.37, 1.3e150):
+            assert char_exponent_radial(bm, x).hex() == char_exponent_radial(stable2, x).hex()
+            assert char_exponent_radial(bm, x).hex() == (x * x).hex()
+
     def test_relativistic_at_zero(self):
         model = LevyModel(Family.RELATIVISTIC_STABLE, alpha=1.5, m=1.0)
         assert char_exponent_radial(model, 0.0) == 0.0
@@ -154,6 +166,23 @@ class TestBernstein:
         sub = SubordinatorSpec(SubFamily.STABLE, 0.75)
         assert bernstein_eval(sub, 0.0) == 0.0
         assert bernstein_eval(sub, 16.0) == 8.0
+
+    @pytest.mark.parametrize("rho", [0.55, 0.75, 1.0])
+    def test_stable_is_tempered_form_at_zero_tilt_bit_for_bit(self, rho):
+        # (lam + 0) ** rho - 0 ** rho is lam ** rho exactly for lam >= 0
+        sub = SubordinatorSpec(SubFamily.STABLE, rho)
+        lam = np.concatenate(([0.0, 5e-324], np.logspace(-300, 300, 4001), [np.inf]))
+        assert bernstein_eval(sub, lam).tobytes() == (lam ** rho).tobytes()
+        # numpy's array loop for power may differ from float ** by an ulp
+        for x in (0.0, 5e-324, 0.37, 16.0, 1e300):
+            assert bernstein_eval(sub, x).hex() == float(np.asarray(x) ** rho).hex()
+
+    @pytest.mark.parametrize("sub", [SubordinatorSpec(SubFamily.STABLE, 0.55),
+                                     SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, 1.0)])
+    def test_scalar_is_its_one_element_array_bit_for_bit(self, sub):
+        lam = np.concatenate(([0.0, 5e-324], np.logspace(-300, 300, 601)))
+        vals = bernstein_eval(sub, lam)
+        assert [bernstein_eval(sub, x).hex() for x in lam] == [v.hex() for v in vals.tolist()]
 
     def test_tempered_tilt_cancels_at_zero(self):
         assert bernstein_eval(SubordinatorSpec(SubFamily.TEMPERED_STABLE, 0.75, 1.0), 0.0) == 0.0

@@ -116,6 +116,15 @@ class TestDensity:
         grid = suggest_grid(model, 0.1, 0.4)
         assert tail_mass_estimate(model, 0.4, grid.half_width) < 1e-8
 
+    @pytest.mark.parametrize("t,R", [(0.05, 1.0), (0.4, 3.0), (1.6, 8.0), (0.25, 20.0)])
+    def test_brownian_tail_is_stable_alpha2_bit_for_bit(self, t, R):
+        bm = LevyModel(Family.BROWNIAN)
+        stable2 = LevyModel(Family.ISOTROPIC_STABLE, alpha=2.0)
+        estimate = tail_mass_estimate(bm, t, R)
+        assert estimate > 0.0
+        assert estimate.hex() == tail_mass_estimate(stable2, t, R).hex()
+        assert estimate.hex() == math.erfc(R / (math.sqrt(2.0 * t) * math.sqrt(2.0))).hex()
+
     def test_rho_one_subordinated_bm_tail_is_brownian(self):
         # a stable subordinator of index 1 time-changes BM into BM itself
         sub_bm = LevyModel(Family.SUBORDINATED_BM, sub=SubordinatorSpec(SubFamily.STABLE, 1.0))
